@@ -20,6 +20,7 @@ the same invocation yields byte-identical bytes.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -359,7 +360,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Lift, then restore, the int-to-str digit limit of Python >= 3.11.
+
+    At large n, verify prints Pless moment sums of thousands of digits,
+    past the default limit of 4300.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def main(argv: list[str] | None = None) -> int:
+    with _no_int_str_limit():
+        return _run(argv)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "jobs", None) is None and args.command == "verify":

@@ -11,24 +11,35 @@ The profile has a closed form driven by the fiber counts delta(1, q; .)
 exactly:
 
 * dual weights w(c(a)) for each unit a, by two independent routes (the
-  Kloosterman closed form, and N minus the trace-kernel mass), asserted
+  Kloosterman closed form, and N minus the trace-kernel mass), required
   equal;
 * the number C_j of codewords of weight j for j <= j_max, by dynamic
   programming over beta blocks: choose nu_beta ones and mu_beta twos per
   block subject to sum(nu + mu) = j and sum((nu - mu) beta) = 0, since a
   ternary word kills the functional exactly when the signed block sums
-  cancel;
-* the same prefix from the per-class column counts as printed in the
-  source recursion (a transcription audit of the same quantities);
+  cancel.  The state is one row of q counts per number of coordinates
+  used, and each block updates whole rows at once;
+* the same prefix by the MacWilliams identity from the dual weights of the
+  per-class column counts as printed in the source:
+  C_j = (1/q) sum over a in F_q of K_j(w(c(a))), with the ternary
+  Krawtchouk polynomial K_j.  This route never enumerates words, so it is
+  an independent check on the DP (which never looks at dual weights);
 * for tiny N, the full distribution by literal enumeration of all 3^N words.
+
+The Pless identities and the moment solve consume the DP prefix only:
+MacWilliams and Pless are equivalent, so feeding them the MacWilliams
+prefix would make those checks hold by construction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 
-from .charsums import delta1_closed, delta_counts, kloosterman
-from .constants import CosetFamily, family_constants, multinomial
+from .charsums import delta1_closed, delta_counts, kloosterman_table
+from .constants import CosetFamily, exact_div, family_constants, multinomial
 from .field import Field
 from .report import CheckResult
 
@@ -56,12 +67,6 @@ class TraceProfile:
         return {beta: self.counts[beta] for beta in self.field.elements()}
 
 
-def _exact_div(num: int, den: int) -> int:
-    if num % den != 0:
-        raise ArithmeticError(f"expected {num} divisible by {den}")
-    return num // den
-
-
 def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
     """N(beta) for every beta, from the closed forms; mass asserted = N."""
     q = field.q
@@ -72,12 +77,12 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
     if family.i in (1, 3):
         for beta in field.elements():
             term = q * delta1_closed(field, beta) - (q - 1)
-            counts.append(_exact_div(a_const * b_const + s * a_const * term, q))
+            counts.append(exact_div(a_const * b_const + s * a_const * term, q))
     elif family.i == 2:
         d2 = delta_counts(field, 2)
         for beta in field.elements():
             term = q * d2[beta] - (q - 1) ** 2
-            counts.append(_exact_div(a_const * b_const - s * a_const * term, q))
+            counts.append(exact_div(a_const * b_const - s * a_const * term, q))
     else:
         d2 = delta_counts(field, 2)
         for beta in field.elements():
@@ -85,7 +90,7 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
                 term = q * d2[0] + (q - 1) ** 3
             else:
                 term = q * d2[beta] - (2 * q * q - 3 * q + 1)
-            counts.append(_exact_div(a_const * b_const - s * a_const * term, q))
+            counts.append(exact_div(a_const * b_const - s * a_const * term, q))
     profile = TraceProfile(field, tuple(counts), family, n)
     if profile.length != consts.N:
         raise ArithmeticError(
@@ -99,7 +104,7 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
 def dual_weight_closed(family: CosetFamily, n: int, field: Field, a: int) -> int:
     """w(c(a)) by the Kloosterman closed form, exact 2/3 multiple."""
     consts = family_constants(family, n, field.q)
-    k = kloosterman(field, field.mul(a, a))
+    k = kloosterman_table(field)[field.mul(a, a)]
     s = family.sign
     if family.i in (1, 3):
         inner = consts.B - s * k
@@ -107,21 +112,33 @@ def dual_weight_closed(family: CosetFamily, n: int, field: Field, a: int) -> int
         inner = consts.B + s * k * k
     else:
         inner = consts.B + s * (field.q**2 - field.q + k * k)
-    return _exact_div(2 * consts.A * inner, 3)
+    return exact_div(2 * consts.A * inner, 3)
+
+
+@lru_cache(maxsize=64)
+def _trace_kernel_units(field: Field) -> tuple[int, ...]:
+    """The nonzero x with tr(x) = 0."""
+    return tuple(x for x in field.units() if field.trace(x) == 0)
 
 
 def dual_weight_from_profile(profile: TraceProfile, a: int) -> int:
-    """w(c(a)) = N minus the coordinates whose functional lands in ker tr."""
+    """w(c(a)) = N minus the coordinates whose functional lands in ker tr.
+
+    tr(a beta) = 0 exactly when beta = x / a for some x in ker tr, so only
+    those q/3 classes are read.
+    """
+    if a == 0:
+        return 0
     field = profile.field
-    kernel_mass = 0
-    for beta in field.elements():
-        if field.trace(field.mul(a, beta)) == 0:
-            kernel_mass += profile.counts[beta]
+    a_inv = field.inv(a)
+    kernel_mass = profile.counts[0]
+    for x in _trace_kernel_units(field):
+        kernel_mass += profile.counts[field.mul(x, a_inv)]
     return profile.length - kernel_mass
 
 
 def dual_weights(profile: TraceProfile) -> dict[int, int]:
-    """All q-1 dual weights, computed by both routes and asserted equal."""
+    """All q-1 dual weights, computed by both routes and required equal."""
     if profile.family is None or profile.n is None:
         raise ValueError("dual weights need a family-tagged profile")
     field = profile.field
@@ -146,9 +163,13 @@ def min_dual_weight(profile: TraceProfile) -> int:
     return min(dual_weights(profile).values())
 
 
-def check_injectivity(family: CosetFamily, n: int, field: Field) -> CheckResult:
-    """The dual map is injective iff no nonzero a has weight zero."""
-    weights = dual_weights(trace_profile(family, n, field))
+def check_injectivity(
+    family: CosetFamily, n: int, field: Field, weights: dict[int, int]
+) -> CheckResult:
+    """The dual map is injective iff no nonzero a has weight zero.
+
+    `weights` are the instance's cross-checked dual weights, a -> w(a).
+    """
     zero_count = sum(1 for w in weights.values() if w == 0)
     return CheckResult(f"dual_injectivity({family.label},n={n},q={field.q})", zero_count, 0)
 
@@ -156,39 +177,61 @@ def check_injectivity(family: CosetFamily, n: int, field: Field) -> CheckResult:
 # -- weight distribution --------------------------------------------------------
 
 
+def _block_factors(n_beta: int, j_max: int) -> list[tuple[int, int, int]]:
+    """factors[k][d] = P_d[k]: ways to mark k of n_beta coordinates with nu
+    ones and mu twos, nu + mu = k, such that nu - mu = d (mod 3)."""
+    factors = []
+    for k in range(j_max + 1):
+        by_shift = [0, 0, 0]
+        for nu in range(k + 1):
+            by_shift[(2 * nu - k) % 3] += multinomial(n_beta, nu, k - nu)
+        factors.append(tuple(by_shift))
+    return factors
+
+
 def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
     """C_0..C_j_max by DP over beta blocks.
 
-    State: (coordinates used, running signed sum in F_q) -> word count.
-    Block beta with N(beta) coordinates contributes multinomial(N(beta);
-    nu, mu) ways to place nu ones and mu twos, shifting the sum by
-    (nu - mu) beta.
+    State: rows[used][s] counts the partial words with `used` nonzero
+    coordinates whose signed sum is s in F_q (None for an all-zero row).
+    Block beta moves rows[used] to rows[used + k], shifted by d beta, with
+    weight P_d[k]; the shifts are index maps built once per block.
     """
-    state: dict[tuple[int, int], int] = {(0, 0): 1}
-    factor_cache: dict[tuple[int, int, int], int] = {}
+    q = field.q
+    rows: list[list[int] | None] = [None] * (j_max + 1)
+    rows[0] = [1] + [0] * (q - 1)
+    factor_cache: dict[int, list[tuple[int, int, int]]] = {}
     for beta in field.elements():
         n_beta = counts[beta]
         if n_beta == 0:
             continue
-        shifts = [field.scalar_mul(d, beta) for d in range(3)]
-        new_state: dict[tuple[int, int], int] = {}
-        for (used, ssum), ways in state.items():
-            room = j_max - used
-            for nu in range(room + 1):
-                for mu in range(room - nu + 1):
-                    key = (n_beta, nu, mu)
-                    factor = factor_cache.get(key)
-                    if factor is None:
-                        factor = multinomial(n_beta, nu, mu)
-                        factor_cache[key] = factor
-                    if factor == 0:
-                        continue
-                    shift = field.scalar_mul(nu - mu, beta)
-                    new_key = (used + nu + mu, field.add(ssum, shift))
-                    prev = new_state.get(new_key)
-                    new_state[new_key] = ways * factor if prev is None else prev + ways * factor
-        state = new_state
-    return [state.get((j, 0), 0) for j in range(j_max + 1)]
+        factors = factor_cache.get(n_beta)
+        if factors is None:
+            factors = factor_cache[n_beta] = _block_factors(n_beta, j_max)
+        neg_beta = field.neg(beta)
+        plus_beta = [field.add(s, beta) for s in range(q)]
+        minus_beta = [field.add(s, neg_beta) for s in range(q)]
+        # shifted[used][d][s] = rows[used][s - d beta]
+        shifted = [
+            None if row is None else (row, [row[t] for t in minus_beta], [row[t] for t in plus_beta])
+            for row in rows
+        ]
+        new_rows: list[list[int] | None] = [None] * (j_max + 1)
+        for used in range(j_max + 1):
+            acc = rows[used]  # k = 0 places nothing: P_0[0] = 1
+            for k in range(1, used + 1):
+                source = shifted[used - k]
+                f0, f1, f2 = factors[k]
+                if source is None or not (f0 or f1 or f2):
+                    continue
+                r0, r1, r2 = source
+                if acc is None:
+                    acc = [f0 * x + f1 * y + f2 * z for x, y, z in zip(r0, r1, r2)]
+                else:
+                    acc = [a + f0 * x + f1 * y + f2 * z for a, x, y, z in zip(acc, r0, r1, r2)]
+            new_rows[used] = acc
+        rows = new_rows
+    return [0 if row is None else row[0] for row in rows]
 
 
 def weight_distribution_prefix(profile: TraceProfile, j_max: int) -> list[int]:
@@ -219,12 +262,12 @@ def printed_column_counts(family: CosetFamily, n: int, field: Field) -> TracePro
                 inner = b_const + s * (q + 1)
             else:
                 inner = b_const + s * (1 - q)
-            counts.append(_exact_div(a_const * inner, q))
+            counts.append(exact_div(a_const * inner, q))
     elif family.i == 2:
         d2 = delta_counts(field, 2)
         for beta in field.elements():
             inner = b_const + s * ((q - 1) ** 2 - q * d2[beta])
-            counts.append(_exact_div(a_const * inner, q))
+            counts.append(exact_div(a_const * inner, q))
     else:
         d2 = delta_counts(field, 2)
         for beta in field.elements():
@@ -232,7 +275,7 @@ def printed_column_counts(family: CosetFamily, n: int, field: Field) -> TracePro
                 inner = b_const - s * (q * d2[0] + (q - 1) ** 3)
             else:
                 inner = b_const - s * (q * d2[beta] - (2 * q * q - 3 * q + 1))
-            counts.append(_exact_div(a_const * inner, q))
+            counts.append(exact_div(a_const * inner, q))
     return TraceProfile(field, tuple(counts), family, n)
 
 
@@ -252,14 +295,33 @@ def check_printed_columns(family: CosetFamily, n: int, field: Field) -> list[Che
     return out
 
 
+def krawtchouk(n_len: int, w: int, j: int) -> int:
+    """Ternary Krawtchouk K_j(w) = sum_i (-1)^i 2^(j-i) C(w, i) C(N - w, j - i)."""
+    return sum((-1) ** i * 2 ** (j - i) * comb(w, i) * comb(n_len - w, j - i) for i in range(j + 1))
+
+
+def weight_prefix_macwilliams(profile: TraceProfile, j_max: int) -> list[int]:
+    """C_0..C_j_max by MacWilliams from the trace-kernel dual weights.
+
+    The dual words are c(a) for a in F_q (a = 0 gives weight 0), so
+    C_j = (1/q) sum_a K_j(w(c(a))); each distinct weight is expanded once.
+    """
+    if not 0 <= j_max <= PREFIX_MAX_J:
+        raise ValueError(f"prefix length capped at j_max <= {PREFIX_MAX_J}, got {j_max}")
+    field = profile.field
+    n_len = profile.length
+    multiplicity = Counter(dual_weight_from_profile(profile, a) for a in field.elements())
+    return [
+        exact_div(sum(m * krawtchouk(n_len, w, j) for w, m in multiplicity.items()), field.q)
+        for j in range(j_max + 1)
+    ]
+
+
 def weight_prefix_from_printed_columns(
     family: CosetFamily, n: int, field: Field, j_max: int
 ) -> list[int]:
-    """C_0..C_j_max recomputed from the printed column counts."""
-    if not 0 <= j_max <= PREFIX_MAX_J:
-        raise ValueError(f"prefix length capped at j_max <= {PREFIX_MAX_J}, got {j_max}")
-    printed = printed_column_counts(family, n, field)
-    return _prefix_dp(field, printed.counts, j_max)
+    """C_0..C_j_max by MacWilliams from the printed column counts."""
+    return weight_prefix_macwilliams(printed_column_counts(family, n, field), j_max)
 
 
 def enumerate_code_tiny(profile: TraceProfile) -> list[int]:

@@ -10,8 +10,9 @@ size, i.e. the code length.
 
 Everything here is closed-form integer arithmetic: Gaussian binomials,
 Stirling numbers of the second kind, general-linear group orders, and the
-A/B constants with their quarter-integer exponents (divisibility is
-asserted, never rounded).
+A/B constants with their quarter-integer exponents.  Every division goes
+through :func:`exact_div`, which raises ArithmeticError on a remainder:
+nothing is rounded, and the guard survives ``python -O``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from .report import CheckResult
 FAMILY_INDICES = (1, 2, 3, 4)
 
 
+def exact_div(num: int, den: int) -> int:
+    """num / den for a closed form that must divide; ArithmeticError if not."""
+    if num % den != 0:
+        raise ArithmeticError(f"expected {num} divisible by {den}")
+    return num // den
+
+
 def q_binomial(n: int, r: int, q: int) -> int:
     """Gaussian binomial [n r]_q: number of r-dim subspaces of F_q^n."""
     if r < 0 or r > n:
@@ -34,8 +42,7 @@ def q_binomial(n: int, r: int, q: int) -> int:
     for j in range(r):
         num *= q ** (n - j) - 1
         den *= q ** (r - j) - 1
-    assert num % den == 0
-    return num // den
+    return exact_div(num, den)
 
 
 def stirling2(h: int, t: int) -> int:
@@ -45,9 +52,7 @@ def stirling2(h: int, t: int) -> int:
     if t > h:
         return 0
     total = sum((-1) ** (t - j) * comb(t, j) * j**h for j in range(t + 1))
-    ft = factorial(t)
-    assert total % ft == 0
-    return total // ft
+    return exact_div(total, factorial(t))
 
 
 def gl_order(n: int, q: int) -> int:
@@ -139,11 +144,10 @@ class FamilyConstants(NamedTuple):
 
 
 def _q_power(q: int, num: int, den: int = 1) -> int:
-    """q^(num/den) with exactness asserted; exponents must be integers."""
-    if num % den != 0:
-        raise ArithmeticError(f"non-integral exponent {num}/{den} in constant formula")
-    e = num // den
-    assert e >= 0
+    """q^(num/den); the exponent must be a nonnegative integer."""
+    e = exact_div(num, den)
+    if e < 0:
+        raise ArithmeticError(f"negative exponent {num}/{den} in constant formula")
     return q**e
 
 
@@ -222,8 +226,7 @@ def coset_orders(n: int, q: int, r: int) -> CosetOrders:
         raise ValueError(f"cell index r={r} outside 0..{n - 1}")
     parabolic = 2 * (q + 1) * gl_order(n - 1, q) * q ** ((n - 1) * (n + 2) // 2)
     cosets = q_binomial(n - 1, r, q) * q ** (r * (r + 3) // 2)
-    assert (parabolic * cosets) % 2 == 0
-    return CosetOrders(parabolic, cosets, parabolic * cosets // 2)
+    return CosetOrders(parabolic, cosets, exact_div(parabolic * cosets, 2))
 
 
 def double_coset_order_expanded(n: int, q: int, r: int) -> int:

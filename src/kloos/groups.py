@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .charsums import kloosterman
-from .constants import CosetFamily, family_constants
+from .constants import CosetFamily, exact_div, family_constants
 from .field import Eisenstein, Field, char_sum_accumulate
 from .report import CheckResult
 
@@ -380,15 +380,11 @@ def symmetric_block_sum_closed(field: Field, r: int) -> int:
     """Closed form of the block sum; independent of both a and eps."""
     q = field.q
     if r % 2 == 0:
-        num = r * (r + 6)
-        assert num % 4 == 0
-        out = q ** (num // 4)
+        out = q ** exact_div(r * (r + 6), 4)
         for j in range(1, r // 2 + 1):
             out *= q ** (2 * j - 1) - 1
         return out
-    num = r * r + 4 * r - 1
-    assert num % 4 == 0
-    out = -(q ** (num // 4))
+    out = -(q ** exact_div(r * r + 4 * r - 1, 4))
     for j in range(1, (r + 1) // 2 + 1):
         out *= q ** (2 * j - 1) - 1
     return out

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .charsums import sk_moment
@@ -328,7 +329,7 @@ def verify_instance(
             instance.c_prefix,
         )
     )
-    checks.append(check_injectivity(family, n, field))
+    checks.append(check_injectivity(family, n, field, instance.weights))
     checks.extend(check_pless_identity(instance, identity_h_max))
 
     steps = h_max // 2 if family.even_moments else h_max
@@ -350,9 +351,15 @@ def verify_instance(
     return InstanceReport(family, n, field, checks, sk_series)
 
 
+@lru_cache(maxsize=8)
+def _worker_field(r: int, modulus: tuple[int, ...]) -> Field:
+    """One Field per (r, modulus) per process, shared by all its instances."""
+    return Field(r, modulus)
+
+
 def _verify_worker(args: tuple) -> InstanceReport:
     r, modulus, i, sign, n, h_max, identity_h_max = args
-    field = Field(r, modulus)
+    field = _worker_field(r, modulus)
     return verify_instance(CosetFamily(i, sign), n, field, h_max, identity_h_max)
 
 

@@ -94,6 +94,19 @@ def test_verify_passes(capsys):
     assert len(payload["instances"]) == 4
 
 
+def test_verify_huge_n_exceeds_int_str_limit(capsys):
+    limit_before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    # at n = 24 the Pless moments sum w^8 with N of about 540 digits
+    code, out, err = run_cli(capsys, "verify", "--r", "1", "--nmax", "24", "--hmax", "8", "--format", "csv")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(row[1] == "pass" for row in rows[1:])
+    assert max(len(row[2]) for row in rows[1:]) > 4300
+    # the limit is lifted only while main runs
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert sys.get_int_max_str_digits() == limit_before
+
+
 def test_json_byte_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--r", "1", "--nmax", "2", "--hmax", "6")
     _, out2, _ = run_cli(capsys, "verify", "--r", "1", "--nmax", "2", "--hmax", "6")

@@ -1,5 +1,10 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kloos.codes
 from kloos.codes import (
     TraceProfile,
     check_injectivity,
@@ -8,15 +13,18 @@ from kloos.codes import (
     dual_weight_from_profile,
     dual_weights,
     enumerate_code_tiny,
+    krawtchouk,
     min_dual_weight,
     printed_column_counts,
     trace_profile,
     weight_distribution_prefix,
     weight_prefix_from_printed_columns,
+    weight_prefix_macwilliams,
 )
 from kloos.constants import ALL_FAMILIES, CosetFamily, family_constants
 from kloos.field import Field
 from kloos.groups import double_coset
+from kloos.moments import verify_instance
 
 F3 = Field(1)
 F9 = Field(2)
@@ -84,9 +92,10 @@ def test_injectivity_all_instances():
     for field in (F3, F9, F27):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(6):
-                res = check_injectivity(family, n, field)
+                profile = trace_profile(family, n, field)
+                res = check_injectivity(family, n, field, dual_weights(profile))
                 assert res.ok, res
-                assert min_dual_weight(trace_profile(family, n, field)) > 0
+                assert min_dual_weight(profile) > 0
 
 
 def test_weight_prefix_small_code_full_distribution():
@@ -137,22 +146,23 @@ def test_printed_columns_agree_with_profile():
 
 
 def test_printed_prefix_agrees_with_profile_prefix():
-    cases = [
-        (CosetFamily(1, -1), 1, F3, 4),
-        (CosetFamily(2, 1), 2, F3, 4),
-        (CosetFamily(4, -1), 3, F3, 4),
-        (CosetFamily(3, 1), 2, F9, 3),
-    ]
-    for family, n, field, j_max in cases:
-        a = weight_distribution_prefix(trace_profile(family, n, field), j_max)
-        b = weight_prefix_from_printed_columns(family, n, field, j_max)
-        assert a == b
+    # MacWilliams on the printed columns against the DP on the closed profile
+    for field in (F3, F9, F27):
+        for family in ALL_FAMILIES:
+            for n in family.valid_ns(6):
+                profile = trace_profile(family, n, field)
+                j_max = min(profile.length, 8)
+                dp = weight_distribution_prefix(profile, j_max)
+                assert weight_prefix_from_printed_columns(family, n, field, j_max) == dp
+                assert weight_prefix_macwilliams(profile, j_max) == dp
 
 
 def test_prefix_guard_and_tiny_guard():
     profile = trace_profile(CosetFamily(1, -1), 1, F3)
     with pytest.raises(ValueError):
         weight_distribution_prefix(profile, 13)
+    with pytest.raises(ValueError):
+        weight_prefix_macwilliams(profile, 13)
     big = trace_profile(CosetFamily(2, 1), 2, F3)  # N = 72
     with pytest.raises(ValueError):
         enumerate_code_tiny(big)
@@ -161,3 +171,59 @@ def test_prefix_guard_and_tiny_guard():
 def test_profile_requires_valid_family():
     with pytest.raises(ValueError):
         trace_profile(CosetFamily(1, 1), 3, F3)
+
+
+def test_injectivity_fails_on_zero_weight():
+    family, n = CosetFamily(2, 1), 2
+    weights = dual_weights(trace_profile(family, n, F9))
+    assert check_injectivity(family, n, F9, weights).ok
+    # the check reads the weights it is given: a zero weight fails it
+    res = check_injectivity(family, n, F9, {**weights, 1: 0})
+    assert not res.ok
+
+
+def test_krawtchouk_generating_function():
+    # sum_j K_j(w) z^j = (1 - z)^w (1 + 2z)^(N - w), checked at z = 1 and z = -1
+    for n_len in range(6):
+        for w in range(n_len + 1):
+            ks = [krawtchouk(n_len, w, j) for j in range(n_len + 1)]
+            assert sum(ks) == (0**w) * 3 ** (n_len - w)
+            assert sum((-1) ** j * k for j, k in enumerate(ks)) == 2**w * (-1) ** (n_len - w)
+
+
+@st.composite
+def small_profiles(draw):
+    field = draw(st.sampled_from((F3, F9, F27)))
+    betas = draw(st.lists(st.integers(0, field.q - 1), max_size=8))
+    hist = Counter(betas)
+    return TraceProfile(field, tuple(hist[b] for b in field.elements()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=small_profiles(), j_max=st.integers(0, 10))
+def test_prefix_routes_agree_on_random_profiles(profile, j_max):
+    full = enumerate_code_tiny(profile)
+    expected = (full + [0] * (j_max + 1))[: j_max + 1]
+    assert weight_distribution_prefix(profile, j_max) == expected
+    assert weight_prefix_macwilliams(profile, j_max) == expected
+
+
+def test_printed_prefix_fails_on_perturbed_column(monkeypatch):
+    family, n, field = CosetFamily(2, 1), 2, F9
+    honest = printed_column_counts(family, n, field)
+
+    def perturbed(*args):
+        # move one coordinate from beta = 1 to beta = 0: same N, other code
+        counts = list(honest.counts)
+        counts[1] -= 1
+        counts[0] += 1
+        return TraceProfile(field, tuple(counts), family, n)
+
+    monkeypatch.setattr(kloos.codes, "printed_column_counts", perturbed)
+    report = verify_instance(family, n, field, h_max=4)
+    status = {c.name.split("(")[0]: c.ok for c in report.checks}
+    assert status["printed_prefix"] is False
+    assert status["printed_columns"] is False
+    # the DP route feeding Pless and the SK solve never read the printed columns
+    assert status["sk_vs_oracle"] is True
+    assert status["printed_recursion"] is True

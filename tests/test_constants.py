@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -9,6 +11,7 @@ from kloos.constants import (
     check_family_constants_consistency,
     coset_orders,
     double_coset_order_expanded,
+    exact_div,
     family_constants,
     gl_order,
     multinomial,
@@ -237,3 +240,24 @@ def test_coset_orders_q3_n2():
 def test_coset_orders_guard():
     with pytest.raises(ValueError):
         coset_orders(2, 3, 2)
+
+
+def test_exact_div_raises_on_remainder():
+    assert exact_div(12, 4) == 3
+    assert exact_div(-12, 4) == -3
+    assert exact_div(0, 7) == 0
+    with pytest.raises(ArithmeticError, match="divisible"):
+        exact_div(7, 2)
+    with pytest.raises(ArithmeticError):
+        exact_div(3**100 + 1, 3)
+
+
+def test_exact_div_guard_survives_optimize_flag():
+    # python -O strips assert statements; the division guard must stay
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "from kloos.constants import exact_div; exact_div(7, 2)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert "ArithmeticError" in proc.stderr
