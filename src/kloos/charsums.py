@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .field import Eisenstein, Field, char_sum_accumulate
+from .field import Field, char_sum_accumulate
 from .report import CheckResult
 
 DELTA_MAX_M = 4
@@ -190,7 +190,6 @@ def check_kloosterman_to_delta(field: Field, m: int, beta: int) -> CheckResult:
     """Sum over units of lambda(-a beta) K(lambda; a^2)^m against
     q delta(m; beta) - (q-1)^m."""
     table = kloosterman_table(field)
-    acc = Eisenstein(0, 0)
     weights = [0, 0, 0]
     for a in field.units():
         k = table[field.mul(a, a)] ** m

@@ -30,7 +30,7 @@ import sys
 from .charsums import kloosterman_table, moment_series
 from .codes import dual_weights, trace_profile, weight_distribution_prefix
 from .constants import ALL_FAMILIES, CosetFamily, family_constants
-from .field import Field, poly_str
+from .field import MAX_DEGREE, Field, poly_str
 from .groups import (
     double_coset,
     enumerate_o2_minus,
@@ -38,6 +38,7 @@ from .groups import (
     enumerate_so2_minus,
 )
 from .moments import (
+    build_instance,
     full_verification,
     sk_oracle_series,
     sk_via_pless,
@@ -118,6 +119,8 @@ def cmd_moments(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_constants(args) -> tuple[dict, list[list], int]:
+    if not 1 <= args.r <= MAX_DEGREE:
+        raise ValueError(f"extension degree r={args.r} outside supported range 1..{MAX_DEGREE}")
     q = 3**args.r
     families = [CosetFamily.parse(args.family)] if args.family else list(ALL_FAMILIES)
     entries = []
@@ -195,8 +198,9 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
     steps = args.hmax // 2 if family.even_moments else args.hmax
     if steps < 1:
         raise ValueError(f"--hmax {args.hmax} leaves no solvable moment for {family.label}")
-    derived = sk_via_pless(family, args.n, field, steps)
-    printed, defects = sk_via_printed_recursion(family, args.n, field, steps)
+    instance = build_instance(family, args.n, field, steps)
+    derived = sk_via_pless(family, args.n, field, steps, instance=instance)
+    printed, defects = sk_via_printed_recursion(family, args.n, field, steps, instance=instance)
     oracle = sk_oracle_series(family, args.n, field, steps)
     match = printed is not None and derived.values == printed.values == oracle.values
     payload = {
@@ -397,8 +401,12 @@ def _run(argv: list[str] | None) -> int:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
     if args.output:
-        with open(args.output, "w") as handle:
-            _emit(payload, rows, args.format, handle)
+        try:
+            with open(args.output, "w") as handle:
+                _emit(payload, rows, args.format, handle)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         _emit(payload, rows, args.format, sys.stdout)
     return code

@@ -279,9 +279,9 @@ def printed_column_counts(family: CosetFamily, n: int, field: Field) -> TracePro
     return TraceProfile(field, tuple(counts), family, n)
 
 
-def check_printed_columns(family: CosetFamily, n: int, field: Field) -> list[CheckResult]:
-    """Compare printed column counts against the profile, beta by beta."""
-    profile = trace_profile(family, n, field)
+def check_printed_columns(profile: TraceProfile) -> list[CheckResult]:
+    """Compare printed column counts against the instance's profile, beta by beta."""
+    family, n, field = profile.family, profile.n, profile.field
     printed = printed_column_counts(family, n, field)
     out = []
     for beta in field.elements():

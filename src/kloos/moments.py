@@ -12,14 +12,15 @@ triangular system step by step with exact rationals produces the moment
 series; every solved value must come out an integer, and is checked here
 against the brute-force oracle.
 
-Two independent routes are implemented:
+Two routes share the prefix sum and the solve, and differ only in the
+coefficient inside the sum:
 
-* :func:`sk_via_pless` evaluates the Pless right side and solves the
-  expansion (the derivation route);
-* :func:`sk_via_printed_recursion` evaluates the final recursion exactly
-  as printed in the source (coefficients q 3^{h-t} 2^{t-h-j-1}), which
-  must produce the same series; a mismatch is reported, not raised, since
-  it would indicate a transcription defect in the printed form.
+* :func:`sk_via_pless` uses the Pless right side, 3^(k-t) 2^(t-j) (the
+  derivation route);
+* :func:`sk_via_printed_recursion` uses the final recursion exactly as
+  printed in the source, q 3^(h-t) 2^(t-h-j-1), which must produce the
+  same series; a mismatch is reported, not raised, since it would
+  indicate a transcription defect in the printed form.
 
 The h = 0 case is degenerate by convention (the identity's right side
 counts the zero dual word, the left side as summed over units does not),
@@ -30,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
+from typing import Callable
 
 from .charsums import sk_moment
 from .codes import (
@@ -46,6 +48,7 @@ from .codes import (
 from .constants import (
     ALL_FAMILIES,
     CosetFamily,
+    FamilyConstants,
     coset_orders,
     family_constants,
     stirling2,
@@ -58,14 +61,17 @@ MAX_H = 10
 
 @dataclass(frozen=True)
 class PlessInstance:
-    """Everything the identity needs for one (family, n, q)."""
+    """Everything the identity needs for one (family, n, q), built once;
+    the C prefix and the Pless right sides cover moment orders h <= h_max."""
 
     family: CosetFamily
     n: int
     field: Field
+    consts: FamilyConstants
     profile: TraceProfile
     weights: dict[int, int]
     c_prefix: list[int]
+    h_max: int
 
     @property
     def length(self) -> int:
@@ -75,21 +81,45 @@ class PlessInstance:
     def dual_dimension(self) -> int:
         return self.field.r
 
+    @cached_property
+    def rhs(self) -> tuple[int, ...]:
+        """pless_rhs for h = 0..h_max, each evaluated once."""
+        return tuple(pless_rhs(self, h) for h in range(self.h_max + 1))
+
 
 def build_instance(family: CosetFamily, n: int, field: Field, h_max: int = MAX_H) -> PlessInstance:
-    """Profile, cross-checked dual weights, and the C prefix to min(N, h_max)."""
+    """Constants, profile, cross-checked dual weights, and the C prefix to min(N, h_max)."""
     if not 0 <= h_max <= MAX_H:
         raise ValueError(f"h_max capped at {MAX_H}, got {h_max}")
+    consts = family_constants(family, n, field.q)
     profile = trace_profile(family, n, field)
     weights = dual_weights(profile)
-    j_max = min(profile.length, h_max)
-    c_prefix = weight_distribution_prefix(profile, j_max)
-    return PlessInstance(family, n, field, profile, weights, c_prefix)
+    c_prefix = weight_distribution_prefix(profile, min(profile.length, h_max))
+    return PlessInstance(family, n, field, consts, profile, weights, c_prefix, h_max)
 
 
 def pless_lhs(instance: PlessInstance, h: int) -> int:
     """Sum of w(c(a))^h over units a; the moment side."""
     return sum(w**h for w in instance.weights.values())
+
+
+def _prefix_side(instance: PlessInstance, h: int, coefficient: Callable[[int, int, int], Fraction]) -> Fraction:
+    """Sum over j <= min(N, h) of (-1)^j C_j times
+    sum over t = j..min(N, h) of t! S(h, t) coefficient(h, t, j) binom(N - j, N - t)."""
+    n_len = instance.length
+    if h < 0:
+        raise ValueError("moment order must be nonnegative")
+    top = min(n_len, h)
+    if top >= len(instance.c_prefix):
+        raise ValueError(f"instance prefix covers j <= {len(instance.c_prefix) - 1}, needs {top}")
+    total = Fraction(0)
+    for j in range(top + 1):
+        inner = sum(
+            factorial(t) * stirling2(h, t) * coefficient(h, t, j) * comb(n_len - j, n_len - t)
+            for t in range(j, top + 1)
+        )
+        total += (-1) ** j * instance.c_prefix[j] * inner
+    return total
 
 
 def pless_rhs(instance: PlessInstance, h: int) -> int:
@@ -98,59 +128,27 @@ def pless_rhs(instance: PlessInstance, h: int) -> int:
 
     Terms with t > k are rational; the total must be integral.
     """
-    n_len = instance.length
     k_dim = instance.dual_dimension
-    if h < 0:
-        raise ValueError("moment order must be nonnegative")
-    if min(n_len, h) >= len(instance.c_prefix):
-        raise ValueError(
-            f"instance prefix covers j <= {len(instance.c_prefix) - 1}, needs {min(n_len, h)}"
-        )
-    total = Fraction(0)
-    for j in range(min(n_len, h) + 1):
-        inner = Fraction(0)
-        for t in range(j, h + 1):
-            if t > n_len:
-                break
-            inner += (
-                factorial(t)
-                * stirling2(h, t)
-                * Fraction(3) ** (k_dim - t)
-                * 2 ** (t - j)
-                * comb(n_len - j, n_len - t)
-            )
-        total += (-1) ** j * instance.c_prefix[j] * inner
+    total = _prefix_side(instance, h, lambda h, t, j: Fraction(3) ** (k_dim - t) * 2 ** (t - j))
     if total.denominator != 1:
         raise ArithmeticError(f"Pless right side not integral at h={h}: {total}")
     return int(total)
 
 
+def _printed_coefficient(h: int, t: int, j: int) -> Fraction:
+    """3^(h-t) 2^(t-h-j-1): the inner coefficient of the recursion as printed."""
+    return Fraction(3) ** (h - t) * Fraction(2) ** (t - h - j - 1)
+
+
 def check_pless_identity(instance: PlessInstance, h_max: int) -> list[CheckResult]:
     """lhs == rhs for 1 <= h <= h_max, plus the h = 0 dimension check."""
+    if h_max > instance.h_max:
+        raise ValueError(f"instance covers h <= {instance.h_max}, got {h_max}")
     label = f"{instance.family.label},n={instance.n},q={instance.field.q}"
-    out = [CheckResult(f"pless_rhs_h0_counts_dual({label})", pless_rhs(instance, 0), instance.field.q)]
+    out = [CheckResult(f"pless_rhs_h0_counts_dual({label})", instance.rhs[0], instance.field.q)]
     for h in range(1, h_max + 1):
-        out.append(
-            CheckResult(f"pless_identity({label},h={h})", pless_lhs(instance, h), pless_rhs(instance, h))
-        )
+        out.append(CheckResult(f"pless_identity({label},h={h})", pless_lhs(instance, h), instance.rhs[h]))
     return out
-
-
-def _expansion_parameters(instance: PlessInstance) -> tuple[int, int]:
-    """(tau, B-hat): the sign token and the constant inside the expansion.
-
-    The dual weight is (2/3) A (B-hat + tau K-power), so the h-th moment
-    expands as 2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l
-    the l-th entry of the moment series.
-    """
-    family = instance.family
-    consts = family_constants(family, instance.n, instance.field.q)
-    if family.i in (1, 3):
-        return -family.sign, consts.B
-    if family.i == 2:
-        return family.sign, consts.B
-    q = instance.field.q
-    return family.sign, consts.B + family.sign * (q * q - q)
 
 
 @dataclass(frozen=True)
@@ -177,6 +175,34 @@ def _series_orders(family: CosetFamily, steps: int) -> tuple[int, ...]:
     return tuple(stride * h for h in range(1, steps + 1))
 
 
+def _solve(
+    instance: PlessInstance, steps: int, target: Callable[[int], Fraction]
+) -> MomentSeries | tuple[int, Fraction]:
+    """Back-substitute the dual-weight expansion for steps 1..steps.
+
+    The dual weight is (2/3) A (B-hat + tau K-power), so the h-th moment
+    expands as 2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l
+    the l-th entry of the moment series; target(h) is that sum over l.
+    Returns the series, or (h, value) for the first step whose value is
+    not an integer.
+    """
+    if not 1 <= steps <= instance.h_max:
+        raise ValueError(f"h_max must be in 1..{instance.h_max}, got {steps}")
+    family, q, consts = instance.family, instance.field.q, instance.consts
+    tau = -family.sign if family.i in (1, 3) else family.sign
+    b_hat = consts.B + family.sign * (q * q - q) if family.i == 4 else consts.B
+    solved: list[Fraction] = [Fraction(q - 1, 2)]  # SK^0, whatever the stride
+    for h in range(1, steps + 1):
+        rest = sum(tau**l * comb(h, l) * b_hat ** (h - l) * solved[l] for l in range(h))
+        value = tau**h * (target(h) - rest)  # tau^-h == tau^h for tau = +-1
+        if value.denominator != 1:
+            return h, value
+        solved.append(value)
+    return MomentSeries(
+        family, instance.n, q, _series_orders(family, steps), tuple(int(v) for v in solved[1:])
+    )
+
+
 def sk_via_pless(
     family: CosetFamily, n: int, field: Field, h_max: int, instance: PlessInstance | None = None
 ) -> MomentSeries:
@@ -185,25 +211,17 @@ def sk_via_pless(
     h_max counts recursion steps: families 1, 3 produce SK^1..SK^h_max,
     families 2, 4 produce SK^2, SK^4, .., SK^(2 h_max).
     """
-    if not 1 <= h_max <= MAX_H:
-        raise ValueError(f"h_max must be in 1..{MAX_H}, got {h_max}")
     if instance is None:
         instance = build_instance(family, n, field, h_max)
-    q = field.q
-    consts = family_constants(family, n, q)
-    tau, b_hat = _expansion_parameters(instance)
-    solved: list[Fraction] = [Fraction(q - 1, 2)]  # SK^0, whatever the stride
-    for h in range(1, h_max + 1):
-        target = Fraction(pless_rhs(instance, h)) * Fraction(3, 2) ** h / (2 * consts.A**h)
-        rest = sum(tau**l * comb(h, l) * b_hat ** (h - l) * solved[l] for l in range(h))
-        value = tau**h * (target - rest)  # tau^-h == tau^h for tau = +-1
-        if value.denominator != 1:
-            raise ArithmeticError(
-                f"solved moment not integral at step {h} for {family.label}, n={n}, q={q}: {value}"
-            )
-        solved.append(value)
-    return MomentSeries(
-        family, n, q, _series_orders(family, h_max), tuple(int(v) for v in solved[1:])
+    a_const = instance.consts.A
+    solved = _solve(
+        instance, h_max, lambda h: Fraction(instance.rhs[h]) * Fraction(3, 2) ** h / (2 * a_const**h)
+    )
+    if isinstance(solved, MomentSeries):
+        return solved
+    h, value = solved
+    raise ArithmeticError(
+        f"solved moment not integral at step {h} for {family.label}, n={n}, q={field.q}: {value}"
     )
 
 
@@ -217,45 +235,16 @@ def sk_via_printed_recursion(
     binom(N-j, N-t), using its own previous values.  Returns the series
     plus a list of defects (non-integral steps); a defect aborts the walk.
     """
-    if not 1 <= h_max <= MAX_H:
-        raise ValueError(f"h_max must be in 1..{MAX_H}, got {h_max}")
     if instance is None:
         instance = build_instance(family, n, field, h_max)
-    q = field.q
-    n_len = instance.length
-    consts = family_constants(family, n, q)
-    tau, b_hat = _expansion_parameters(instance)
-    solved: list[Fraction] = [Fraction(q - 1, 2)]
-    defects: list[str] = []
-    for h in range(1, h_max + 1):
-        acc = Fraction(0)
-        for j in range(min(n_len, h) + 1):
-            inner = Fraction(0)
-            for t in range(j, h + 1):
-                if t > n_len:
-                    break
-                inner += (
-                    factorial(t)
-                    * stirling2(h, t)
-                    * Fraction(3) ** (h - t)
-                    * Fraction(2) ** (t - h - j - 1)
-                    * comb(n_len - j, n_len - t)
-                )
-            acc += (-1) ** j * instance.c_prefix[j] * inner
-        value = tau**h * (
-            -sum(tau**l * comb(h, l) * b_hat ** (h - l) * solved[l] for l in range(h))
-            + q * Fraction(1, consts.A**h) * acc
-        )
-        if value.denominator != 1:
-            defects.append(
-                f"printed recursion non-integral at step {h} for {family.label}, n={n}, q={q}: {value}"
-            )
-            return None, defects
-        solved.append(value)
-    series = MomentSeries(
-        family, n, q, _series_orders(family, h_max), tuple(int(v) for v in solved[1:])
+    q, a_const = field.q, instance.consts.A
+    solved = _solve(
+        instance, h_max, lambda h: q * Fraction(1, a_const**h) * _prefix_side(instance, h, _printed_coefficient)
     )
-    return series, defects
+    if isinstance(solved, MomentSeries):
+        return solved, []
+    h, value = solved
+    return None, [f"printed recursion non-integral at step {h} for {family.label}, n={n}, q={q}: {value}"]
 
 
 def sk_oracle_series(family: CosetFamily, n: int, field: Field, h_max: int) -> MomentSeries:
@@ -272,6 +261,7 @@ class InstanceReport:
     family: CosetFamily
     n: int
     field: Field
+    consts: FamilyConstants
     checks: list[CheckResult]
     sk: MomentSeries | None
 
@@ -280,15 +270,14 @@ class InstanceReport:
         return all(c.ok for c in self.checks)
 
     def as_dict(self) -> dict:
-        consts = family_constants(self.family, self.n, self.field.q)
         return {
             "instance": {
                 "family": self.family.label,
                 "n": self.n,
                 "q": self.field.q,
-                "A": consts.A,
-                "B": consts.B,
-                "N": consts.N,
+                "A": self.consts.A,
+                "B": self.consts.B,
+                "N": self.consts.N,
             },
             "checks": [c.as_dict() for c in self.checks],
             "SK": [] if self.sk is None else [[h, v] for h, v in zip(self.sk.orders, self.sk.values)],
@@ -306,31 +295,22 @@ def verify_instance(
     if identity_h_max is None:
         identity_h_max = h_max
     label = f"{family.label},n={n},q={field.q}"
-    checks: list[CheckResult] = []
-
-    consts = family_constants(family, n, field.q)
-    expected = coset_orders(n, field.q, family.sigma_index(n)).double_coset
-    checks.append(CheckResult(f"constants_consistency({label})", consts.N, expected))
-
     instance = build_instance(family, n, field, h_max=max(h_max, identity_h_max))
-    checks.append(CheckResult(f"profile_mass({label})", instance.length, consts.N))
-
-    printed_cols = check_printed_columns(family, n, field)
-    checks.append(
-        CheckResult(
-            f"printed_columns({label})", sum(0 if c.ok else 1 for c in printed_cols), 0
-        )
-    )
-    j_max = min(instance.length, max(h_max, identity_h_max))
-    checks.append(
+    consts = instance.consts
+    expected = coset_orders(n, field.q, family.sigma_index(n)).double_coset
+    printed_cols = check_printed_columns(instance.profile)
+    checks = [
+        CheckResult(f"constants_consistency({label})", consts.N, expected),
+        CheckResult(f"profile_mass({label})", instance.length, consts.N),
+        CheckResult(f"printed_columns({label})", sum(0 if c.ok else 1 for c in printed_cols), 0),
         CheckResult(
             f"printed_prefix({label})",
-            weight_prefix_from_printed_columns(family, n, field, j_max),
+            weight_prefix_from_printed_columns(family, n, field, len(instance.c_prefix) - 1),
             instance.c_prefix,
-        )
-    )
-    checks.append(check_injectivity(family, n, field, instance.weights))
-    checks.extend(check_pless_identity(instance, identity_h_max))
+        ),
+        check_injectivity(family, n, field, instance.weights),
+        *check_pless_identity(instance, identity_h_max),
+    ]
 
     steps = h_max // 2 if family.even_moments else h_max
     sk_series = None
@@ -348,7 +328,7 @@ def verify_instance(
                 list(sk_series.values),
             )
         )
-    return InstanceReport(family, n, field, checks, sk_series)
+    return InstanceReport(family, n, field, consts, checks, sk_series)
 
 
 @lru_cache(maxsize=8)

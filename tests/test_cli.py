@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +131,14 @@ def test_guard_violation_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("r", ["-1", "0", "13"])
+def test_constants_degree_out_of_range_exits_2(capsys, r):
+    code, out, err = run_cli(capsys, "constants", "--r", r, "--nmax", "2")
+    assert code == 2
+    assert out == ""
+    assert f"r={r} outside supported range 1..12" in err
+
+
 def test_invalid_family_n_exits_2(capsys):
     code, _, _ = run_cli(capsys, "constants", "--r", "1", "--family", "DC4+", "--n", "2")
     assert code == 2
@@ -157,6 +167,24 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["SK"] == [-1, 1]
+
+
+def test_output_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "moments", "--r", "1", "--hmax", "2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("workload", ["verify-q81", "verify-q3-wide"])
+def test_verify_stdout_matches_recorded_digest(capsys, workload):
+    # the benchmark's recorded reference outputs; read, never rewritten here
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
+    code, out, err = run_cli(capsys, *reference[workload]["argv"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == reference[workload]["sha256"]
 
 
 def test_csv_moments_parses(capsys):

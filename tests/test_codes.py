@@ -141,7 +141,7 @@ def test_printed_columns_agree_with_profile():
     for field in (F3, F9, F27):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
-                for res in check_printed_columns(family, n, field):
+                for res in check_printed_columns(trace_profile(family, n, field)):
                     assert res.ok, res
 
 

@@ -1,5 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
+import kloos.cli
+import kloos.codes
+import kloos.moments
 from kloos.charsums import sk_moment
 from kloos.constants import ALL_FAMILIES, CosetFamily
 from kloos.field import Field
@@ -39,6 +44,8 @@ def test_pless_identity_h_up_to_10_small():
         inst = build_instance(family, n, field)
         for res in check_pless_identity(inst, 10):
             assert res.ok, res
+    with pytest.raises(ValueError):
+        check_pless_identity(build_instance(CosetFamily(1, -1), 1, F3, 6), 7)
 
 
 def test_sk_via_pless_odd_family_q3():
@@ -104,6 +111,9 @@ def test_sk_guards():
         sk_via_pless(CosetFamily(1, -1), 1, F3, 0)
     with pytest.raises(ValueError):
         sk_via_pless(CosetFamily(1, 1), 3, F3, 4)
+    # an instance built for orders <= 3 cannot solve a fifth step
+    with pytest.raises(ValueError):
+        sk_via_pless(CosetFamily(1, -1), 1, F3, 5, instance=build_instance(CosetFamily(1, -1), 1, F3, 3))
 
 
 def test_verify_instance_report():
@@ -138,3 +148,56 @@ def test_moment_series_as_dict():
         "q": 3,
         "SK": [[2, 1], [4, 1]],
     }
+
+
+def test_printed_recursion_fails_on_perturbed_coefficient(monkeypatch):
+    # the two routes share the prefix loop and the solve, not the coefficient
+    def perturbed(h, t, j):
+        return Fraction(3) ** (h - t) * Fraction(2) ** (t - h - j)  # printed: t - h - j - 1
+
+    monkeypatch.setattr(kloos.moments, "_printed_coefficient", perturbed)
+    for family, n, field in [(CosetFamily(1, -1), 3, F3), (CosetFamily(2, 1), 2, F9)]:
+        report = verify_instance(family, n, field, h_max=6)
+        status = {c.name.split("(")[0]: c.ok for c in report.checks}
+        assert status["printed_recursion"] is False
+        assert status["sk_vs_oracle"] is True
+        pless = [c for c in report.checks if c.name.startswith("pless_")]
+        assert len(pless) == 7 and all(c.ok for c in pless)
+
+
+def _spy(monkeypatch, name):
+    """Count calls to `name` under every kloos namespace that binds it."""
+    home = kloos.moments if hasattr(kloos.moments, name) else kloos.codes
+    original = getattr(home, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (kloos.codes, kloos.moments, kloos.cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_verify_instance_derives_each_quantity_once(monkeypatch):
+    names = ("trace_profile", "dual_weights", "weight_distribution_prefix", "pless_rhs")
+    for family, n, field, h_max, identity_h_max in [
+        (CosetFamily(1, -1), 1, F3, 6, 8),  # N = 4: the prefix stops at C_4
+        (CosetFamily(4, -1), 3, F9, 8, 5),
+    ]:
+        calls = {name: _spy(monkeypatch, name) for name in names}
+        assert verify_instance(family, n, field, h_max, identity_h_max).passed
+        assert len(calls["trace_profile"]) == 1
+        assert len(calls["dual_weights"]) == 1
+        assert len(calls["weight_distribution_prefix"]) == 1
+        assert [args[1] for args in calls["pless_rhs"]] == list(range(max(h_max, identity_h_max) + 1))
+        monkeypatch.undo()
+
+
+def test_recursion_command_builds_one_instance(monkeypatch, capsys):
+    builds = _spy(monkeypatch, "build_instance")
+    code = kloos.cli.main(["recursion", "--r", "2", "--family", "DC1-", "--n", "3", "--hmax", "6"])
+    assert code == 0, capsys.readouterr().err
+    assert len(builds) == 1
