@@ -26,6 +26,13 @@ from .report import CheckResult
 DELTA_MAX_M = 4
 GL_BRUTE_MAX_T = 2
 GL_BRUTE_MAX_Q = 27
+# kloosterman_table and delta_counts are O(q^2) scans: about a minute at 3^8
+TABLE_MAX_Q = 3**8
+
+
+def _check_table_size(field: Field, what: str) -> None:
+    if field.q > TABLE_MAX_Q:
+        raise ValueError(f"{what} is O(q^2), capped at q <= {TABLE_MAX_Q}, got q={field.q}")
 
 
 def kloosterman(field: Field, a: int, scale: int = 1) -> int:
@@ -52,6 +59,7 @@ def kloosterman(field: Field, a: int, scale: int = 1) -> int:
 @lru_cache(maxsize=64)
 def kloosterman_table(field: Field) -> dict[int, int]:
     """K(lambda; a) for every unit a."""
+    _check_table_size(field, "the Kloosterman table")
     return {a: kloosterman(field, a) for a in field.units()}
 
 
@@ -73,6 +81,8 @@ def mk_moment(field: Field, h: int) -> int:
 
 def moment_series(field: Field, h_max: int) -> tuple[list[int], list[int]]:
     """(SK^0..SK^h_max, MK^0..MK^h_max)."""
+    if h_max < 0:
+        raise ValueError(f"moment order bound must be nonnegative, got {h_max}")
     return (
         [sk_moment(field, h) for h in range(h_max + 1)],
         [mk_moment(field, h) for h in range(h_max + 1)],
@@ -141,6 +151,7 @@ def delta_counts(field: Field, m: int) -> tuple[int, ...]:
     """
     if not 0 <= m <= DELTA_MAX_M:
         raise ValueError(f"delta supports 0 <= m <= {DELTA_MAX_M}, got {m}")
+    _check_table_size(field, "delta(m)")
     q = field.q
     fiber = [0] * q
     for x in field.units():

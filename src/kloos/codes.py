@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import comb
 
 from .charsums import delta1_closed, delta_counts, kloosterman_table
-from .constants import CosetFamily, exact_div, family_constants, multinomial
+from .constants import CosetFamily, FamilyConstants, exact_div, family_constants, multinomial
 from .field import Field
 from .report import CheckResult
 
@@ -103,7 +103,10 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
 
 def dual_weight_closed(family: CosetFamily, n: int, field: Field, a: int) -> int:
     """w(c(a)) by the Kloosterman closed form, exact 2/3 multiple."""
-    consts = family_constants(family, n, field.q)
+    return _dual_weight_closed(family, family_constants(family, n, field.q), field, a)
+
+
+def _dual_weight_closed(family: CosetFamily, consts: FamilyConstants, field: Field, a: int) -> int:
     k = kloosterman_table(field)[field.mul(a, a)]
     s = family.sign
     if family.i in (1, 3):
@@ -142,9 +145,10 @@ def dual_weights(profile: TraceProfile) -> dict[int, int]:
     if profile.family is None or profile.n is None:
         raise ValueError("dual weights need a family-tagged profile")
     field = profile.field
+    consts = family_constants(profile.family, profile.n, field.q)
     out = {}
     for a in field.units():
-        closed = dual_weight_closed(profile.family, profile.n, field, a)
+        closed = _dual_weight_closed(profile.family, consts, field, a)
         direct = dual_weight_from_profile(profile, a)
         if closed != direct:
             raise ArithmeticError(

@@ -2,9 +2,14 @@
 
 Elements of GF(3^r) = F_3[x]/(m(x)) are represented as plain integers in
 ``range(3**r)`` whose base-3 digits are the coefficients of the residue
-polynomial, constant term in the least significant digit.  Multiplication
-uses exp/log tables walked from a multiplicative generator, so every
-operation is exact integer work; there is no floating point anywhere.
+polynomial, constant term in the least significant digit.  Every runtime
+operation reads a fixed number of entries of q-entry tables, the same code
+for every r = 1..12: exp/log tables from a generator g for products, Zech
+logarithms zech[k] = log(1 + g^k) for sums (g^i + g^j = g^(i + zech[j - i]);
+Lidl & Niederreiter, Finite Fields, 9.4), the product with 2 = -1 for
+negation, and a trace table built by F_3-linearity.  ``_add_digits`` and
+``_mul_raw`` build the tables and are the test reference.  There is no
+floating point anywhere.
 
 Values of the canonical additive character live in Z[omega], omega a
 primitive cube root of unity, represented by the :class:`Eisenstein` pair
@@ -43,8 +48,6 @@ DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
     11: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1),
     12: (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1),
 }
-
-_ADD_TABLE_MAX_Q = 729
 
 
 def poly_trim(p: Sequence[int]) -> tuple[int, ...]:
@@ -163,13 +166,14 @@ class Field:
         self.r = r
         self.q = 3**r
         self.modulus = modulus
+        self._x_r = self.from_int_coeffs(-c for c in modulus[:-1])  # x^r reduced
         self._build_log_tables()
         self._trace_basis = self._build_trace_basis()
-        self._add_table: list[list[int]] | None = None
-        if self.q <= _ADD_TABLE_MAX_Q:
-            self._add_table = [
-                [self._add_digits(a, b) for b in range(self.q)] for a in range(self.q)
-            ]
+        trace_table = [0]
+        for t in self._trace_basis:
+            # elements with top digit d follow those below it: index d*3^i + s
+            trace_table = [(s + d * t) % 3 for d in range(3) for s in trace_table]
+        self._trace = trace_table
 
     # -- construction helpers -------------------------------------------------
 
@@ -183,30 +187,14 @@ class Field:
             scale *= 3
         return out
 
-    def _scaled(self, c: int, a: int) -> int:
-        # c*a for a scalar c in {0,1,2}: digitwise, no reduction needed
-        if c % 3 == 0:
-            return 0
-        if c % 3 == 1:
-            return a
-        out = 0
-        scale = 1
-        while a:
-            a, d = divmod(a, 3)
-            out += ((2 * d) % 3) * scale
-            scale *= 3
-        return out
-
     def _mul_by_x(self, a: int) -> int:
-        # multiply by the class of x: shift digits, reduce the overflow
-        y = a * 3
-        top, y = divmod(y, self.q)
-        if top:
-            low = self.from_int_coeffs(self.modulus[:-1])
-            y = self._add_digits(y, self._scaled(-top, low))
+        # multiply by the class of x: shift digits, fold the overflow top*x^r
+        top, y = divmod(a * 3, self.q)
+        for _ in range(top):
+            y = self._add_digits(y, self._x_r)
         return y
 
-    def from_int_coeffs(self, coeffs: Sequence[int]) -> int:
+    def from_int_coeffs(self, coeffs: Iterable[int]) -> int:
         out = 0
         scale = 1
         for c in coeffs:
@@ -220,8 +208,8 @@ class Field:
         term = a
         while b:
             b, d = divmod(b, 3)
-            if d:
-                acc = self._add_digits(acc, self._scaled(d, term))
+            for _ in range(d):
+                acc = self._add_digits(acc, term)
             term = self._mul_by_x(term)
         return acc
 
@@ -241,6 +229,8 @@ class Field:
             log[v] = i
         self._exp = exp
         self._log = log
+        # 1 + v bumps the constant digit of v; -1 marks 1 + g^k = 0 (g^k = 2)
+        self._zech = [-1 if v == 2 else log[v + 1 if v % 3 < 2 else v - 2] for v in exp]
 
     def _exp_from_searched_generator(self) -> list[int]:
         q = self.q
@@ -309,19 +299,24 @@ class Field:
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_digits(a, b)
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        # g^i + g^j = g^i (1 + g^(j - i))
+        i = self._log[a]
+        z = self._zech[(self._log[b] - i) % (self.q - 1)]
+        return 0 if z < 0 else self._exp[(i + z) % (self.q - 1)]
 
     def neg(self, a: int) -> int:
-        return self._scaled(2, a)
+        return self.mul(a, 2)  # the element 2 is -1
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def scalar_mul(self, c: int, a: int) -> int:
         """Product of an integer scalar (taken mod 3) with an element."""
-        return self._scaled(c % 3, a)
+        return self.mul(c % 3, a)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -343,13 +338,7 @@ class Field:
     def trace(self, a: int) -> int:
         """Absolute trace down to F_3: sum of the r Frobenius conjugates."""
         self._check(a)
-        acc = 0
-        i = 0
-        while a:
-            a, d = divmod(a, 3)
-            acc += d * self._trace_basis[i]
-            i += 1
-        return acc % 3
+        return self._trace[a]
 
     def is_square(self, a: int) -> bool:
         """True when a is a square; 0 counts as a square."""

@@ -351,6 +351,8 @@ def full_verification(
     The reduce is deterministic: reports come back in instance-list order
     whatever the job count.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if identity_h_max is None:
         identity_h_max = h_max
     tasks = [
@@ -358,6 +360,8 @@ def full_verification(
         for family in ALL_FAMILIES
         for n in family.valid_ns(n_max)
     ]
+    if not tasks:
+        raise ValueError(f"no valid (family, n) instance with n <= {n_max}")
     if jobs > 1 and len(tasks) > 1:
         import multiprocessing
 

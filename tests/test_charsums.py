@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from kloos.charsums import (
+    TABLE_MAX_Q,
     check_delta_to_kloosterman,
     check_kloosterman_to_delta,
     delta,
@@ -158,6 +159,19 @@ def test_delta_guard():
     F = Field(1)
     with pytest.raises(ValueError):
         delta(F, 5, 0)
+
+
+def test_quadratic_tables_capped_at_q_3_8():
+    assert TABLE_MAX_Q == 3**8
+    F = Field(9)
+    with pytest.raises(ValueError, match="capped"):
+        kloosterman_table(F)
+    with pytest.raises(ValueError, match="capped"):
+        delta_counts(F, 1)
+    with pytest.raises(ValueError, match="capped"):
+        moment_series(F, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        moment_series(Field(1), -1)
 
 
 def test_delta_to_kloosterman_identity():

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,40 @@ def test_guard_violation_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--r", "1", "--hmax", "-1"),
+        ("kloosterman", "--r", "1", "--hmax", "-3"),
+        ("verify", "--r", "1", "--nmax", "2", "--jobs", "0"),
+        ("verify", "--r", "1", "--nmax", "2", "--jobs", "-3"),
+        ("verify", "--r", "1", "--nmax", "0"),
+    ],
+)
+def test_out_of_range_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kloosterman", "--r", "9"),
+        ("moments", "--r", "12"),
+        ("weights", "--r", "9", "--family", "DC2-", "--n", "3"),
+    ],
+)
+def test_quadratic_scan_above_cap_exits_2(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "capped at q <= 6561" in err
+    assert time.perf_counter() - start < 30
+
+
 @pytest.mark.parametrize("r", ["-1", "0", "13"])
 def test_constants_degree_out_of_range_exits_2(capsys, r):
     code, out, err = run_cli(capsys, "constants", "--r", r, "--nmax", "2")
@@ -178,7 +213,7 @@ def test_output_to_missing_directory_exits_2(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("workload", ["verify-q81", "verify-q3-wide"])
+@pytest.mark.parametrize("workload", ["verify-q81", "verify-q3-wide", "kloosterman-q729"])
 def test_verify_stdout_matches_recorded_digest(capsys, workload):
     # the benchmark's recorded reference outputs; read, never rewritten here
     reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())

@@ -71,6 +71,19 @@ def test_dual_weights_two_routes_agree():
                     assert w == dual_weight_from_profile(profile, a)
 
 
+def test_dual_weights_computes_family_constants_once(monkeypatch):
+    profile = trace_profile(CosetFamily(2, -1), 3, F9)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return family_constants(*args)
+
+    monkeypatch.setattr(kloos.codes, "family_constants", spy)
+    dual_weights(profile)
+    assert len(calls) == 1
+
+
 def test_dual_weight_reference_values():
     assert dual_weight(CosetFamily(1, -1), 1, F3, 1) == 2
     assert dual_weight(CosetFamily(1, -1), 1, F3, 2) == 2

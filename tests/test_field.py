@@ -1,12 +1,18 @@
 import pickle
+import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kloos.charsums import kloosterman_table, moment_series
 from kloos.field import (
     DEFAULT_MODULI,
     Eisenstein,
     Field,
+    _monic_polys,
     additive_char,
     build_field,
     char_sum_accumulate,
@@ -15,6 +21,39 @@ from kloos.field import (
     poly_mod,
     poly_str,
 )
+
+# the default modulus of each small degree plus one whose x is not a
+# generator, so the searched-generator path is covered too
+REFERENCE_MODULI = [(1, None), (1, (2, 1)), (2, None), (2, (1, 0, 1)), (3, None), (3, (2, 2, 0, 1))]
+IRREDUCIBLE_MODULI = [m for r in (1, 2, 3, 4) for m in _monic_polys(r) if find_factor(m) is None]
+
+
+@lru_cache(maxsize=None)
+def cached_field(r, modulus=None):
+    return Field(r, modulus)
+
+
+def digitwise_scale(F, c, a):
+    """c * a coefficient by coefficient, with no table."""
+    return F.from_int_coeffs(c * d for d in F.coeffs(a))
+
+
+def frobenius_trace(F, a):
+    """a + a^3 + ... + a^(3^(r-1)) by schoolbook products and digit sums."""
+    acc, conj = a, a
+    for _ in range(F.r - 1):
+        conj = F._mul_raw(F._mul_raw(conj, conj), conj)
+        acc = F._add_digits(acc, conj)
+    return acc
+
+
+def assert_ops_match_reference(F, a, b):
+    assert F.add(a, b) == F._add_digits(a, b)
+    assert F.neg(b) == digitwise_scale(F, 2, b)
+    assert F.sub(a, b) == F._add_digits(a, digitwise_scale(F, 2, b))
+    for c in (-1, 0, 1, 2, 3, 5):
+        assert F.scalar_mul(c, a) == digitwise_scale(F, c, a)
+    assert F.mul(a, b) == F._mul_raw(a, b)
 
 
 def test_default_moduli_are_irreducible():
@@ -26,7 +65,7 @@ def test_default_moduli_are_irreducible():
 
 def test_construction_all_supported_degrees():
     for r in range(1, 13):
-        F = Field(r)
+        F = cached_field(r)
         assert F.q == 3**r
         assert F.mul(F.q - 1, 0) == 0
 
@@ -89,6 +128,49 @@ def test_trace_matches_frobenius_power_sum():
                 acc = F.add(acc, F.pow(a, 3**i))
             assert F.trace(a) == acc
             assert acc in (0, 1, 2)
+
+
+@pytest.mark.parametrize("r, modulus", REFERENCE_MODULI)
+def test_ops_match_digitwise_reference_exhaustive(r, modulus):
+    F = cached_field(r, modulus)
+    for a in F.elements():
+        assert F.trace(a) == frobenius_trace(F, a)
+        for b in F.elements():
+            assert_ops_match_reference(F, a, b)
+
+
+@pytest.mark.parametrize("r", range(4, 13))
+def test_ops_match_digitwise_reference_sampled(r):
+    F = cached_field(r)
+    rng = random.Random(r)
+    samples = [0, 1, 2, F.q - 1] + [rng.randrange(F.q) for _ in range(60)]
+    for a in samples:
+        assert F.trace(a) == frobenius_trace(F, a)
+        for b in samples[:8]:
+            assert_ops_match_reference(F, a, b)
+            assert_ops_match_reference(F, b, a)
+
+
+@pytest.mark.parametrize("r", [1, 6, 12])
+def test_every_table_is_linear_in_q(r):
+    F = cached_field(r)
+    tables = [v for v in vars(F).values() if isinstance(v, (list, tuple))]
+    assert tables
+    assert all(len(t) <= F.q and not any(isinstance(x, list) for x in t) for t in tables)
+
+
+@settings(max_examples=25, deadline=None)
+@given(modulus=st.sampled_from(IRREDUCIBLE_MODULI), data=st.data())
+def test_random_modulus_matches_default(modulus, data):
+    r = len(modulus) - 1
+    F, base = cached_field(r, modulus), cached_field(r)
+    assert Counter(kloosterman_table(F).values()) == Counter(kloosterman_table(base).values())
+    assert moment_series(F, 8) == moment_series(base, 8)
+    element = st.integers(0, F.q - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=40))
+    for a, b in pairs:
+        assert_ops_match_reference(F, a, b)
+        assert F.trace(a) == frobenius_trace(F, a)
 
 
 def test_trace_frobenius_invariant_and_additive():
