@@ -1,9 +1,10 @@
 """Kloosterman sums over GF(3^r), their moments, and fiber-count identities.
 
 K(lambda; a) = sum over alpha in F_q^* of lambda(alpha + a/alpha), with
-lambda the canonical additive character omega^tr.  Every sum is accumulated
-as exact trace-fiber counts and collapsed in Z[omega]; Kloosterman values
-are asserted real and within the Weil bound |K| <= 2 sqrt(q).
+lambda the canonical additive character omega^tr.  Every sum goes through
+:func:`kloos.field.char_sum`, which counts trace fibers exactly and raises
+unless the sum is real; Kloosterman values are also checked against the
+Weil bound |K| <= 2 sqrt(q).
 
 Also here:
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .field import Field, char_sum_accumulate
+from .field import Field, char_sum
 from .report import CheckResult
 
 DELTA_MAX_M = 4
@@ -30,27 +31,22 @@ GL_BRUTE_MAX_Q = 27
 TABLE_MAX_Q = 3**8
 
 
-def _check_table_size(field: Field, what: str) -> None:
+def check_quadratic_scan(field: Field, what: str) -> None:
+    """Refuse an O(q^2) scan named ``what`` above q = TABLE_MAX_Q."""
     if field.q > TABLE_MAX_Q:
         raise ValueError(f"{what} is O(q^2), capped at q <= {TABLE_MAX_Q}, got q={field.q}")
 
 
-def kloosterman(field: Field, a: int, scale: int = 1) -> int:
-    """K(psi; a) for psi = lambda(scale * .), exact integer.
+def kloosterman(field: Field, a: int) -> int:
+    """K(lambda; a), exact integer.
 
-    With scale = 1 this is the classical K(lambda; a).  Raises if a is not
-    a unit, if the accumulated value is not real, or if the Weil bound
+    Raises if a is not a unit, if the sum is not real, or if the Weil bound
     fails (either would mean broken arithmetic).
     """
     if not 1 <= a < field.q:
         raise ValueError(f"Kloosterman argument must be a unit, got {a}")
-    if not 1 <= scale < field.q:
-        raise ValueError(f"character scale must be a unit, got {scale}")
-    counts = [0, 0, 0]
-    for alpha in field.units():
-        v = field.add(alpha, field.mul(a, field.inv(alpha)))
-        counts[field.trace(field.mul(scale, v))] += 1
-    value = char_sum_accumulate(counts).as_int()
+    add, mul, inv = field.add, field.mul, field.inv
+    value = char_sum(field, (add(alpha, mul(a, inv(alpha))) for alpha in field.units()))
     if value * value > 4 * field.q:
         raise ArithmeticError(f"Weil bound violated: K={value} at q={field.q}")
     return value
@@ -59,7 +55,7 @@ def kloosterman(field: Field, a: int, scale: int = 1) -> int:
 @lru_cache(maxsize=64)
 def kloosterman_table(field: Field) -> dict[int, int]:
     """K(lambda; a) for every unit a."""
-    _check_table_size(field, "the Kloosterman table")
+    check_quadratic_scan(field, "the Kloosterman table")
     return {a: kloosterman(field, a) for a in field.units()}
 
 
@@ -120,24 +116,24 @@ def gl_kloosterman_bruteforce(field: Field, t: int, a: int) -> int:
         raise ValueError(f"brute force supports t in {{1, 2}}, got {t}")
     if t == 2 and field.q > GL_BRUTE_MAX_Q:
         raise ValueError(f"t=2 brute force capped at q <= {GL_BRUTE_MAX_Q}, got q={field.q}")
-    counts = [0, 0, 0]
     if t == 1:
-        for w in field.units():
-            counts[field.trace(field.add(w, field.mul(a, field.inv(w))))] += 1
-        return char_sum_accumulate(counts).as_int()
-    q = field.q
-    for w00 in range(q):
-        for w11 in range(q):
-            tr = field.add(w00, w11)
-            d = field.mul(w00, w11)
-            for w01 in range(q):
-                for w10 in range(q):
-                    det = field.sub(d, field.mul(w01, w10))
-                    if det == 0:
-                        continue
-                    tr_inv = field.mul(tr, field.inv(det))
-                    counts[field.trace(field.add(tr, field.mul(a, tr_inv)))] += 1
-    return char_sum_accumulate(counts).as_int()
+        return char_sum(field, (field.add(w, field.mul(a, field.inv(w))) for w in field.units()))
+
+    def arguments():
+        q = field.q
+        for w00 in range(q):
+            for w11 in range(q):
+                tr = field.add(w00, w11)
+                d = field.mul(w00, w11)
+                for w01 in range(q):
+                    for w10 in range(q):
+                        det = field.sub(d, field.mul(w01, w10))
+                        if det == 0:
+                            continue
+                        tr_inv = field.mul(tr, field.inv(det))
+                        yield field.add(tr, field.mul(a, tr_inv))
+
+    return char_sum(field, arguments())
 
 
 # -- delta counts --------------------------------------------------------------
@@ -151,7 +147,7 @@ def delta_counts(field: Field, m: int) -> tuple[int, ...]:
     """
     if not 0 <= m <= DELTA_MAX_M:
         raise ValueError(f"delta supports 0 <= m <= {DELTA_MAX_M}, got {m}")
-    _check_table_size(field, "delta(m)")
+    check_quadratic_scan(field, "delta(m)")
     q = field.q
     fiber = [0] * q
     for x in field.units():
@@ -188,11 +184,8 @@ def delta1_closed(field: Field, beta: int) -> int:
 
 def check_delta_to_kloosterman(field: Field, m: int, a: int) -> CheckResult:
     """Sum over beta of delta(m; beta) lambda(a beta) against K(lambda; a^2)^m."""
-    counts = [0, 0, 0]
     d = delta_counts(field, m)
-    for beta in field.elements():
-        counts[field.trace(field.mul(a, beta))] += d[beta]
-    lhs = char_sum_accumulate(counts).as_int()
+    lhs = char_sum(field, (field.mul(a, beta) for beta in field.elements()), d)
     rhs = kloosterman(field, field.mul(a, a)) ** m
     return CheckResult(f"delta_to_kloosterman(m={m},a={a})", lhs, rhs)
 
@@ -201,11 +194,11 @@ def check_kloosterman_to_delta(field: Field, m: int, beta: int) -> CheckResult:
     """Sum over units of lambda(-a beta) K(lambda; a^2)^m against
     q delta(m; beta) - (q-1)^m."""
     table = kloosterman_table(field)
-    weights = [0, 0, 0]
-    for a in field.units():
-        k = table[field.mul(a, a)] ** m
-        weights[field.trace(field.neg(field.mul(a, beta)))] += k
-    acc = char_sum_accumulate(weights)
-    lhs = acc.as_int()
+    units = field.units()
+    lhs = char_sum(
+        field,
+        (field.neg(field.mul(a, beta)) for a in units),
+        (table[field.mul(a, a)] ** m for a in units),
+    )
     rhs = field.q * delta(field, m, beta) - (field.q - 1) ** m
     return CheckResult(f"kloosterman_to_delta(m={m},beta={beta})", lhs, rhs)

@@ -11,10 +11,13 @@ negation, and a trace table built by F_3-linearity.  ``_add_digits`` and
 ``_mul_raw`` build the tables and are the test reference.  There is no
 floating point anywhere.
 
-Values of the canonical additive character live in Z[omega], omega a
-primitive cube root of unity, represented by the :class:`Eisenstein` pair
-(a, b) = a + b*omega.  A character sum is accumulated as the triple of
-trace-fiber counts (N0, N1, N2) and collapsed via 1 + omega + omega^2 = 0.
+The canonical additive character is lambda(a) = omega^tr(a), omega a
+primitive cube root of unity.  :func:`char_sum` adds the terms of a
+character sum into the triple of trace-fiber counts (N0, N1, N2); since
+1 + omega + omega^2 = 0 the sum is N0 - N1 when N1 == N2, and
+:func:`real_char_value` raises ArithmeticError on any triple that is not
+real.  Every sum the paper needs is a real integer, so no value of Z[omega]
+is ever formed.
 
 The modulus may be supplied explicitly (coefficients constant-term first)
 or defaulted from a shipped table of primitive polynomials, one per degree
@@ -24,7 +27,7 @@ names the offending factor on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from typing import Iterable, Sequence
 
 MAX_DEGREE = 12
@@ -371,81 +374,27 @@ class Field:
         return (Field, (self.r, self.modulus))
 
 
-def build_field(r: int, modulus: Sequence[int] | None = None) -> Field:
-    """Construct GF(3^r); thin alias kept for symmetry with the CLI."""
-    return Field(r, modulus)
+def real_char_value(counts: Sequence[int]) -> int:
+    """Collapse trace-fiber counts (N0, N1, N2) of a real character sum.
 
-
-@dataclass(frozen=True)
-class Eisenstein:
-    """Exact value a + b*omega with omega = exp(2*pi*i/3).
-
-    Uses omega^2 = -1 - omega, so products stay in the integer pair
-    representation.  Real integers embed as (a, 0).
-    """
-
-    re: int
-    om: int
-
-    def __add__(self, other: "Eisenstein | int") -> "Eisenstein":
-        other = _as_eisenstein(other)
-        return Eisenstein(self.re + other.re, self.om + other.om)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Eisenstein":
-        return Eisenstein(-self.re, -self.om)
-
-    def __sub__(self, other: "Eisenstein | int") -> "Eisenstein":
-        return self + (-_as_eisenstein(other))
-
-    def __rsub__(self, other: "Eisenstein | int") -> "Eisenstein":
-        return _as_eisenstein(other) + (-self)
-
-    def __mul__(self, other: "Eisenstein | int") -> "Eisenstein":
-        o = _as_eisenstein(other)
-        return Eisenstein(
-            self.re * o.re - self.om * o.om,
-            self.re * o.om + self.om * o.re - self.om * o.om,
-        )
-
-    __rmul__ = __mul__
-
-    @property
-    def is_real(self) -> bool:
-        return self.om == 0
-
-    def as_int(self) -> int:
-        if self.om != 0:
-            raise ArithmeticError(f"value {self.re} + {self.om}*omega is not real")
-        return self.re
-
-
-OMEGA = Eisenstein(0, 1)
-OMEGA2 = Eisenstein(-1, -1)
-_OMEGA_POWERS = (Eisenstein(1, 0), OMEGA, OMEGA2)
-
-
-def _as_eisenstein(v: "Eisenstein | int") -> Eisenstein:
-    if isinstance(v, Eisenstein):
-        return v
-    return Eisenstein(int(v), 0)
-
-
-def omega_power(t: int) -> Eisenstein:
-    """omega^t for an integer exponent."""
-    return _OMEGA_POWERS[t % 3]
-
-
-def char_sum_accumulate(counts: Sequence[int]) -> Eisenstein:
-    """Collapse trace-fiber counts (N0, N1, N2) to N0 + N1*omega + N2*omega^2.
-
-    The counts may be any integers (weighted sums included).
+    N0 + N1*omega + N2*omega^2 = (N0 - N2) + (N1 - N2)*omega, an integer
+    exactly when N1 == N2.  Anything else means broken arithmetic or a sum
+    that is not real, and raises ArithmeticError.
     """
     n0, n1, n2 = counts
-    return Eisenstein(n0 - n2, n1 - n2)
+    if n1 != n2:
+        raise ArithmeticError(f"value {n0 - n2} + {n1 - n2}*omega is not real")
+    return n0 - n1
 
 
-def additive_char(field: Field, a: int) -> Eisenstein:
-    """Canonical additive character lambda(a) = omega^tr(a)."""
-    return omega_power(field.trace(a))
+def char_sum(field: Field, values: Iterable[int], weights: Iterable[int] = itertools.repeat(1)) -> int:
+    """Sum of weight * lambda(value), lambda = omega^tr, as an exact integer.
+
+    Each weight lands in the trace fiber of its value; the fibers collapse
+    through :func:`real_char_value`, so a sum that is not real raises.
+    """
+    counts = [0, 0, 0]
+    trace = field.trace
+    for v, w in zip(values, weights):
+        counts[trace(v)] += w
+    return real_char_value(counts)

@@ -9,7 +9,8 @@ tuples of int-encoded field elements, so sets and sorting work directly.
 
 Enumerable pieces (desk scale):
 
-* the circle group SO^-(2, q), order q + 1, and its double cover O^-(2, q);
+* the circle group SO^-(2, q), order q + 1, and its double cover O^-(2, q),
+  found by an O(q^2) scan capped at q <= charsums.TABLE_MAX_Q;
 * the subgroup Q(2n, q) of the maximal parabolic, for n = 1, 2;
 * double cosets Q sigma_r Q and their reflected images at q = 3, n <= 2.
 
@@ -25,9 +26,9 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .charsums import kloosterman
+from .charsums import check_quadratic_scan, kloosterman
 from .constants import CosetFamily, exact_div, family_constants
-from .field import Eisenstein, Field, char_sum_accumulate
+from .field import Field, char_sum, real_char_value
 from .report import CheckResult
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -134,10 +135,6 @@ def sigma_matrix(field: Field, n: int, r: int) -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
-def minus_form_2x2(field: Field, eps: int) -> Matrix:
-    return ((1, 0), (0, field.neg(eps)))
-
-
 @dataclass(frozen=True)
 class GroupSet:
     """A finite set of matrices over a fixed field, canonically ordered."""
@@ -177,6 +174,7 @@ def _make_set(label: str, field: Field, eps: int, n: int, elements) -> GroupSet:
 
 def enumerate_so2_minus(field: Field, eps: int | None = None) -> GroupSet:
     """SO^-(2, q) = {[[a, b eps], [b, a]] : a^2 - eps b^2 = 1}, order q + 1."""
+    check_quadratic_scan(field, "the SO^-(2, q) enumeration")
     eps = _resolve_eps(field, eps)
     out = []
     for a in field.elements():
@@ -279,19 +277,15 @@ def bruhat_pieces(field: Field, eps: int | None = None) -> dict[str, GroupSet]:
         raise ValueError("Bruhat tiling enumeration is q=3 only")
     eps = _resolve_eps(field, eps)
     qset = _enumerate_q_cached(field, 2, eps)
+    # DC1+ at n = 2 is Q sigma_1 Q with no reflection
+    big = _double_coset_cached(field, CosetFamily(1, 1), 2, eps).elements
     rho = reflection_matrix(field, 2)
-    cells: dict[str, GroupSet] = {}
-    cells["Q"] = qset
-    sig = sigma_matrix(field, 2, 1)
-    left = [mat_mul(field, x, sig) for x in qset.elements]
-    big = set()
-    for xs in left:
-        for y in qset.elements:
-            big.add(mat_mul(field, xs, y))
-    cells["QsQ"] = _make_set("QsQ", field, eps, 2, big)
-    cells["rQ"] = _make_set("rQ", field, eps, 2, [mat_mul(field, rho, w) for w in qset.elements])
-    cells["rQsQ"] = _make_set("rQsQ", field, eps, 2, [mat_mul(field, rho, w) for w in big])
-    return cells
+    return {
+        "Q": qset,
+        "QsQ": GroupSet("QsQ", field, eps, 2, big),
+        "rQ": _make_set("rQ", field, eps, 2, [mat_mul(field, rho, w) for w in qset.elements]),
+        "rQsQ": _make_set("rQsQ", field, eps, 2, [mat_mul(field, rho, w) for w in big]),
+    }
 
 
 def check_orthogonal_relation(gset: GroupSet) -> CheckResult:
@@ -353,8 +347,10 @@ def symmetric_block_sum_bruteforce(field: Field, r: int, a: int = 1, eps: int | 
     and all h in F_q^(r x 2).
 
     The trace splits over the two columns of h, so each B contributes a
-    product of two one-column character sums; the enumeration is still
-    literal over every (B, h).
+    product of two one-column character sums, which need not be real.  Their
+    trace-fiber triples convolve mod 3 (omega^i omega^j = omega^(i+j)) into
+    one running triple, which is checked real once at the end.  The
+    enumeration is still literal over every (B, h).
     """
     if r not in (1, 2):
         raise ValueError(f"block sum brute force supports r in {{1, 2}}, got {r}")
@@ -364,7 +360,7 @@ def symmetric_block_sum_bruteforce(field: Field, r: int, a: int = 1, eps: int | 
     if not 1 <= a < field.q:
         raise ValueError("character scale a must be a unit")
     neg_eps_a = field.neg(field.mul(eps, a))
-    total = Eisenstein(0, 0)
+    total = [0, 0, 0]
     for B in _symmetric_nonsingular(field, r):
         values = _quadratic_values(field, B)
         c1 = [0, 0, 0]
@@ -372,8 +368,10 @@ def symmetric_block_sum_bruteforce(field: Field, r: int, a: int = 1, eps: int | 
         for v in values:
             c1[field.trace(field.mul(a, v))] += 1
             c2[field.trace(field.mul(neg_eps_a, v))] += 1
-        total = total + char_sum_accumulate(c1) * char_sum_accumulate(c2)
-    return total.as_int()
+        for i in range(3):
+            for j in range(3):
+                total[(i + j) % 3] += c1[i] * c2[j]
+    return real_char_value(total)
 
 
 def symmetric_block_sum_closed(field: Field, r: int) -> int:
@@ -403,23 +401,11 @@ def check_so2_sums(field: Field, a: int, eps: int | None = None) -> list[CheckRe
     so = enumerate_so2_minus(field, eps)
     o_full = enumerate_o2_minus(field, eps)
     delta1 = ((1, 0), (0, field.neg(1)))
-    k_psi = kloosterman(field, 1, scale=a)
-
-    c = [0, 0, 0]
-    for w in so.elements:
-        c[field.trace(field.mul(a, mat_trace(field, w)))] += 1
-    plain = char_sum_accumulate(c).as_int()
-
-    c = [0, 0, 0]
-    for w in so.elements:
-        tw = mat_trace(field, mat_mul(field, delta1, w))
-        c[field.trace(field.mul(a, tw))] += 1
-    twisted = char_sum_accumulate(c).as_int()
-
-    c = [0, 0, 0]
-    for w in o_full.elements:
-        c[field.trace(field.mul(a, mat_trace(field, w)))] += 1
-    full = char_sum_accumulate(c).as_int()
+    k_psi = kloosterman(field, field.mul(a, a))  # K(lambda(a .); 1) = K(lambda; a^2)
+    plain = coset_character_sum(so, a)
+    twisted_traces = (mat_trace(field, mat_mul(field, delta1, w)) for w in so.elements)
+    twisted = char_sum(field, (field.mul(a, t) for t in twisted_traces))
+    full = coset_character_sum(o_full, a)
 
     return [
         CheckResult(f"so2_sum(a={a},q={field.q})", plain, -k_psi),
@@ -429,12 +415,9 @@ def check_so2_sums(field: Field, a: int, eps: int | None = None) -> list[CheckRe
 
 
 def coset_character_sum(gset: GroupSet, a: int) -> int:
-    """Sum of lambda(a Tr w) over the set, asserted real."""
+    """Sum of lambda(a Tr w) over the set, checked real."""
     field = gset.field
-    counts = [0, 0, 0]
-    for w in gset.elements:
-        counts[field.trace(field.mul(a, mat_trace(field, w)))] += 1
-    return char_sum_accumulate(counts).as_int()
+    return char_sum(field, (field.mul(a, mat_trace(field, w)) for w in gset.elements))
 
 
 def coset_character_sum_closed(family: CosetFamily, n: int, field: Field, a: int) -> int:

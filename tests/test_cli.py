@@ -155,6 +155,8 @@ def test_out_of_range_input_exits_2(capsys, argv):
         ("kloosterman", "--r", "9"),
         ("moments", "--r", "12"),
         ("weights", "--r", "9", "--family", "DC2-", "--n", "3"),
+        ("group", "--r", "9", "--set", "so2"),
+        ("group", "--r", "9", "--set", "o2"),
     ],
 )
 def test_quadratic_scan_above_cap_exits_2(capsys, argv):

@@ -50,6 +50,13 @@ def test_so2_minus_order_and_histogram():
         assert enumerate_so2_minus(F).order == F.q + 1
 
 
+def test_circle_group_scan_above_cap_raises():
+    F = Field(9)
+    for enumerate_circle in (enumerate_so2_minus, enumerate_o2_minus):
+        with pytest.raises(ValueError, match="capped at q <= 6561"):
+            enumerate_circle(F)
+
+
 def test_so2_minus_is_group_with_det_one():
     for F in (F3, F9):
         so = enumerate_so2_minus(F)
