@@ -1,10 +1,13 @@
 """Kloosterman sums over GF(3^r), their moments, and fiber-count identities.
 
 K(lambda; a) = sum over alpha in F_q^* of lambda(alpha + a/alpha), with
-lambda the canonical additive character omega^tr.  Every sum goes through
-:func:`kloos.field.char_sum`, which counts trace fibers exactly and raises
-unless the sum is real; Kloosterman values are also checked against the
-Weil bound |K| <= 2 sqrt(q).
+lambda the canonical additive character omega^tr.  A single value is a
+brute-force O(q) sum through :func:`kloos.field.char_sum`, which counts
+trace fibers exactly and raises unless the sum is real; it is the oracle.
+The whole table comes from two O(r q) character transforms
+(:func:`kloos.field.char_transform`), with the same realness check.
+Kloosterman values are also checked against the Weil bound
+|K| <= 2 sqrt(q).
 
 Also here:
 
@@ -21,13 +24,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .field import Field, char_sum
+from .field import Field, char_sum, char_transform
 from .report import CheckResult
 
 DELTA_MAX_M = 4
 GL_BRUTE_MAX_T = 2
 GL_BRUTE_MAX_Q = 27
-# kloosterman_table and delta_counts are O(q^2) scans: about a minute at 3^8
+# delta_counts, codes.dual_weights, the weight-prefix DP and the SO^-(2, q)
+# enumeration are O(q^2) scans, about a minute at 3^8; the Kloosterman
+# table is not one and runs for every r
 TABLE_MAX_Q = 3**8
 
 
@@ -54,9 +59,33 @@ def kloosterman(field: Field, a: int) -> int:
 
 @lru_cache(maxsize=64)
 def kloosterman_table(field: Field) -> dict[int, int]:
-    """K(lambda; a) for every unit a."""
-    check_quadratic_scan(field, "the Kloosterman table")
-    return {a: kloosterman(field, a) for a in field.units()}
+    """K(lambda; a) for every unit a, from two character transforms.
+
+    Substituting x -> x / a gives K(lambda; a^2 b) = sum over beta of
+    #{x : x + b/x = beta} lambda(a beta), so transforming the histograms
+    of x + 1/x and x + b0/x, b0 a fixed nonsquare, yields K at every
+    square a^2 and every nonsquare a^2 b0.  Each value is checked against
+    the Weil bound.
+    """
+    q = field.q
+    add, mul, inv = field.add, field.mul, field.inv
+    b0 = field.first_nonsquare()
+    square_hist, nonsquare_hist = [0] * q, [0] * q
+    for x in field.units():
+        x_inv = inv(x)
+        square_hist[add(x, x_inv)] += 1
+        nonsquare_hist[add(x, mul(b0, x_inv))] += 1
+    at_square = char_transform(field, square_hist)
+    at_nonsquare = char_transform(field, nonsquare_hist)
+    values = [0] * q
+    for a in field.units():
+        a2 = mul(a, a)
+        values[a2] = at_square[a]
+        values[mul(a2, b0)] = at_nonsquare[a]
+    for k in values:
+        if k * k > 4 * q:
+            raise ArithmeticError(f"Weil bound violated: K={k} at q={q}")
+    return {a: values[a] for a in field.units()}
 
 
 def sk_moment(field: Field, h: int) -> int:

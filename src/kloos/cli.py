@@ -97,14 +97,9 @@ def cmd_kloosterman(args) -> tuple[dict, list[list], int]:
     field = _build_field(args)
     table = kloosterman_table(field)
     sk, mk = moment_series(field, args.hmax)
-    payload = {
-        "q": field.q,
-        "modulus": list(field.modulus),
-        "K": {_coeff_key(field, a): k for a, k in table.items()},
-        "SK": sk[1:],
-        "MK": mk[1:],
-    }
-    rows = [["a", "K"]] + [[_coeff_key(field, a), k] for a, k in table.items()]
+    keyed = [(_coeff_key(field, a), k) for a, k in table.items()]
+    payload = {"q": field.q, "modulus": list(field.modulus), "K": dict(keyed), "SK": sk[1:], "MK": mk[1:]}
+    rows = [["a", "K"]] + [list(pair) for pair in keyed]
     return payload, rows, 0
 
 
@@ -133,6 +128,8 @@ def cmd_constants(args) -> tuple[dict, list[list], int]:
             entries.append(
                 {"family": family.label, "n": n, "q": q, "A": consts.A, "B": consts.B, "N": consts.N}
             )
+    if not entries:
+        raise ValueError(f"no valid (family, n) instance with n <= {args.nmax}")
     payload = {"q": q, "constants": entries}
     rows = [["family", "n", "q", "A", "B", "N"]] + [
         [e["family"], e["n"], e["q"], e["A"], e["B"], e["N"]] for e in entries

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .charsums import delta1_closed, delta_counts, kloosterman_table
+from .charsums import check_quadratic_scan, delta1_closed, delta_counts, kloosterman_table
 from .constants import CosetFamily, FamilyConstants, exact_div, family_constants, multinomial
 from .field import Field
 from .report import CheckResult
@@ -145,6 +145,7 @@ def dual_weights(profile: TraceProfile) -> dict[int, int]:
     if profile.family is None or profile.n is None:
         raise ValueError("dual weights need a family-tagged profile")
     field = profile.field
+    check_quadratic_scan(field, "the dual-weight scan")
     consts = family_constants(profile.family, profile.n, field.q)
     out = {}
     for a in field.units():
@@ -242,6 +243,7 @@ def weight_distribution_prefix(profile: TraceProfile, j_max: int) -> list[int]:
     """C_0..C_j_max for the code of the profile."""
     if not 0 <= j_max <= PREFIX_MAX_J:
         raise ValueError(f"prefix length capped at j_max <= {PREFIX_MAX_J}, got {j_max}")
+    check_quadratic_scan(profile.field, "the weight-prefix DP")
     return _prefix_dp(profile.field, profile.counts, j_max)
 
 

@@ -17,7 +17,10 @@ character sum into the triple of trace-fiber counts (N0, N1, N2); since
 1 + omega + omega^2 = 0 the sum is N0 - N1 when N1 == N2, and
 :func:`real_char_value` raises ArithmeticError on any triple that is not
 real.  Every sum the paper needs is a real integer, so no value of Z[omega]
-is ever formed.
+is ever formed.  :func:`char_transform` evaluates S(a) = sum_beta f(beta)
+lambda(a beta) for every a at once: the radix-3 (Vilenkin-Chrestenson)
+transform, r butterfly passes over fiber triples, O(r q) additions, each
+output collapsed through the same :func:`real_char_value`.
 
 The modulus may be supplied explicitly (coefficients constant-term first)
 or defaulted from a shipped table of primitive polynomials, one per degree
@@ -28,6 +31,7 @@ names the offending factor on failure.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_DEGREE = 12
@@ -398,3 +402,51 @@ def char_sum(field: Field, values: Iterable[int], weights: Iterable[int] = itert
     for v, w in zip(values, weights):
         counts[trace(v)] += w
     return real_char_value(counts)
+
+
+@lru_cache(maxsize=64)
+def _dual_index(field: Field) -> tuple[int, ...]:
+    """c(a) for every a: the int whose digit j is tr(a e_j), e_j = x^j = 3^j.
+
+    tr(a beta) = sum_j beta_j c(a)_j for beta = sum_j beta_j e_j, and c is
+    F_3-linear in a, so it is built from c(e_i) like the trace table.
+    """
+    index = [0]
+    for i in range(field.r):
+        c = sum(field.trace(field.mul(3**i, 3**j)) * 3**j for j in range(field.r))
+        c2 = field.add(c, c)
+        index += [field.add(s, c) for s in index] + [field.add(s, c2) for s in index]
+    return tuple(index)
+
+
+def _sum3(x: list[int], y: list[int], z: list[int]) -> list[int]:
+    return [u + v + w for u, v, w in zip(x, y, z)]
+
+
+def char_transform(field: Field, f: Sequence[int]) -> list[int]:
+    """S(a) = sum over beta of f(beta) lambda(a beta), for every a, as a list.
+
+    The radix-3 (Vilenkin-Chrestenson) transform in r butterfly passes.
+    Each value is a trace-fiber triple (coefficients of 1, omega, omega^2)
+    held as three lists; multiplying by omega rotates a triple.  A pass
+    splits the lowest index digit off with stride-3 slices and writes the
+    three outputs as the top digit, so after r passes entry c holds
+    sum_beta f(beta) omega^(sum_j beta_j c_j), which is S(a) at c = c(a).
+    Every output collapses through :func:`real_char_value`, so an f whose
+    transform is not real (f(-beta) != f(beta)) raises ArithmeticError.
+    """
+    if len(f) != field.q:
+        raise ValueError(f"transform input has {len(f)} entries, expected q={field.q}")
+    t0, t1, t2 = list(f), [0] * field.q, [0] * field.q
+    for _ in range(field.r):
+        a0, a1, a2 = t0[0::3], t1[0::3], t2[0::3]
+        b0, b1, b2 = t0[1::3], t1[1::3], t2[1::3]
+        c0, c1, c2 = t0[2::3], t1[2::3], t2[2::3]
+        # output digit d is A + omega^d B + omega^(2d) C; component k of
+        # omega^m X is component k - m of X
+        t0 = _sum3(a0, b0, c0) + _sum3(a0, b2, c1) + _sum3(a0, b1, c2)
+        t1 = _sum3(a1, b1, c1) + _sum3(a1, b0, c2) + _sum3(a1, b2, c0)
+        t2 = _sum3(a2, b2, c2) + _sum3(a2, b1, c0) + _sum3(a2, b0, c1)
+    values = [real_char_value(t) for t in zip(t0, t1, t2)]
+    return [values[c] for c in _dual_index(field)]
+

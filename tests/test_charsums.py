@@ -165,14 +165,40 @@ def test_delta_guard():
 def test_quadratic_tables_capped_at_q_3_8():
     assert TABLE_MAX_Q == 3**8
     F = Field(9)
-    with pytest.raises(ValueError, match="capped"):
-        kloosterman_table(F)
+    table = kloosterman_table(F)  # two transforms, no O(q^2) scan
+    assert len(table) == F.q - 1
+    assert all(k * k <= 4 * F.q for k in table.values())
+    sk, mk = moment_series(F, 2)
+    assert sk[0] == (F.q - 1) // 2
+    assert mk[0] == F.q - 1
     with pytest.raises(ValueError, match="capped"):
         delta_counts(F, 1)
-    with pytest.raises(ValueError, match="capped"):
-        moment_series(F, 2)
     with pytest.raises(ValueError, match="nonnegative"):
         moment_series(Field(1), -1)
+
+
+@pytest.mark.parametrize(
+    "r, modulus", [(r, None) for r in range(1, 6)] + [(1, (2, 1)), (2, (1, 0, 1)), (3, (2, 2, 0, 1))]
+)
+def test_kloosterman_table_matches_bruteforce(r, modulus):
+    F = Field(r, modulus)
+    table = kloosterman_table(F)
+    assert list(table) == list(F.units())
+    for a in F.units():
+        assert table[a] == kloosterman(F, a)
+
+
+@pytest.mark.parametrize("r", [6, 7])
+def test_kloosterman_table_frobenius_orbits(r):
+    F = Field(r)
+    table = kloosterman_table(F)
+    assert list(table) == list(F.units())
+    seen = set()
+    for a in F.units():
+        assert table[a] == table[F.pow(a, 3)]  # K(b) = K(b^3)
+        if a not in seen:
+            assert table[a] == kloosterman(F, a)
+            seen.update(F.pow(a, 3**i) for i in range(r))
 
 
 def test_delta_to_kloosterman_identity():

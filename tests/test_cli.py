@@ -140,6 +140,8 @@ def test_guard_violation_exits_2(capsys):
         ("verify", "--r", "1", "--nmax", "2", "--jobs", "0"),
         ("verify", "--r", "1", "--nmax", "2", "--jobs", "-3"),
         ("verify", "--r", "1", "--nmax", "0"),
+        ("constants", "--r", "1", "--nmax", "0"),
+        ("constants", "--r", "1", "--nmax", "-1"),
     ],
 )
 def test_out_of_range_input_exits_2(capsys, argv):
@@ -152,11 +154,12 @@ def test_out_of_range_input_exits_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("kloosterman", "--r", "9"),
-        ("moments", "--r", "12"),
         ("weights", "--r", "9", "--family", "DC2-", "--n", "3"),
         ("group", "--r", "9", "--set", "so2"),
         ("group", "--r", "9", "--set", "o2"),
+        ("weights", "--r", "9", "--family", "DC1+", "--n", "2"),
+        ("verify", "--r", "9", "--nmax", "3"),
+        ("recursion", "--r", "9", "--family", "DC1-", "--n", "1"),
     ],
 )
 def test_quadratic_scan_above_cap_exits_2(capsys, argv):
@@ -166,6 +169,13 @@ def test_quadratic_scan_above_cap_exits_2(capsys, argv):
     assert out == ""
     assert "capped at q <= 6561" in err
     assert time.perf_counter() - start < 30
+
+
+def test_kloosterman_table_above_scan_cap(capsys):
+    payload = run_json(capsys, "kloosterman", "--r", "9", "--hmax", "2")
+    assert payload["q"] == 3**9
+    assert len(payload["K"]) == 3**9 - 1
+    assert len(payload["SK"]) == len(payload["MK"]) == 2
 
 
 @pytest.mark.parametrize("r", ["-1", "0", "13"])

@@ -15,6 +15,7 @@ from kloos.field import (
     Field,
     _monic_polys,
     char_sum,
+    char_transform,
     find_factor,
     poly_mod,
     poly_str,
@@ -24,6 +25,8 @@ from kloos.field import (
 # generator, so the searched-generator path is covered too
 REFERENCE_MODULI = [(1, None), (1, (2, 1)), (2, None), (2, (1, 0, 1)), (3, None), (3, (2, 2, 0, 1))]
 IRREDUCIBLE_MODULI = [m for r in (1, 2, 3, 4) for m in _monic_polys(r) if find_factor(m) is None]
+# (r, modulus) for the default modulus and every irreducible one, r <= 4
+FIELD_ARGS = [(r, None) for r in (1, 2, 3, 4)] + [(len(m) - 1, m) for m in IRREDUCIBLE_MODULI]
 
 
 @lru_cache(maxsize=None)
@@ -258,6 +261,56 @@ def test_char_sum_guard_survives_optimize_flag():
     # python -O strips assert statements; the realness guard must stay
     proc = subprocess.run(
         [sys.executable, "-O", "-c", "from kloos.field import Field, char_sum; char_sum(Field(2), [1])"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert "ArithmeticError" in proc.stderr
+
+
+def symmetric_function(F, draw_value):
+    """An integer f on F_q with f(-beta) = f(beta)."""
+    f = [0] * F.q
+    for beta in F.elements():
+        neg = F.neg(beta)
+        if beta <= neg:
+            f[beta] = f[neg] = draw_value()
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_args=st.sampled_from(FIELD_ARGS), data=st.data())
+def test_char_transform_matches_char_sum(field_args, data):
+    F = cached_field(*field_args)
+    f = symmetric_function(F, lambda: data.draw(st.integers(-(10**6), 10**6)))
+    transform = char_transform(F, f)
+    assert len(transform) == F.q
+    for a in F.elements():
+        assert transform[a] == char_sum(F, (F.mul(a, b) for b in F.elements()), f)
+    # lambda(a beta) summed over a is q at beta = 0 and 0 elsewhere
+    assert char_transform(F, transform) == [F.q * v for v in f]
+
+
+def test_char_transform_guards():
+    F = Field(2)
+    rng = random.Random(2)
+    f = symmetric_function(F, lambda: rng.randrange(-5, 6))
+    f[1] += 1  # f(1) != f(-1): the transform is not real
+    with pytest.raises(ArithmeticError, match="not real"):
+        char_transform(F, f)
+    for length in (F.q - 1, F.q + 1, 0):
+        with pytest.raises(ValueError, match="expected q=9"):
+            char_transform(F, [0] * length)
+
+
+def test_char_transform_guard_survives_optimize_flag():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            "-c",
+            "from kloos.field import Field, char_transform; char_transform(Field(2), [0, 1] + [0] * 7)",
+        ],
         capture_output=True,
         text=True,
     )
