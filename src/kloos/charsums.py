@@ -65,7 +65,8 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     #{x : x + b/x = beta} lambda(a beta), so transforming the histograms
     of x + 1/x and x + b0/x, b0 a fixed nonsquare, yields K at every
     square a^2 and every nonsquare a^2 b0.  Each value is checked against
-    the Weil bound.
+    the Weil bound, and one entry of each transform against the brute-force
+    :func:`kloosterman`.
     """
     q = field.q
     add, mul, inv = field.add, field.mul, field.inv
@@ -85,6 +86,12 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     for k in values:
         if k * k > 4 * q:
             raise ArithmeticError(f"Weil bound violated: K={k} at q={q}")
+    # a = q - 1 has every digit nonzero, so its index c(a) draws on the
+    # trace of every basis element
+    a2 = mul(q - 1, q - 1)
+    for b in (a2, mul(a2, b0)):
+        if values[b] != kloosterman(field, b):
+            raise ArithmeticError(f"transform gives K={values[b]} at {b}, brute force disagrees, q={q}")
     return {a: values[a] for a in field.units()}
 
 

@@ -97,9 +97,14 @@ def cmd_kloosterman(args) -> tuple[dict, list[list], int]:
     field = _build_field(args)
     table = kloosterman_table(field)
     sk, mk = moment_series(field, args.hmax)
-    keyed = [(_coeff_key(field, a), k) for a, k in table.items()]
-    payload = {"q": field.q, "modulus": list(field.modulus), "K": dict(keyed), "SK": sk[1:], "MK": mk[1:]}
-    rows = [["a", "K"]] + [list(pair) for pair in keyed]
+    payload = {
+        "q": field.q,
+        "modulus": list(field.modulus),
+        "K": {_coeff_key(field, a): k for a, k in table.items()},
+        "SK": sk[1:],
+        "MK": mk[1:],
+    }
+    rows = [["a", "K"]] + [[_coeff_key(field, a), k] for a, k in table.items()]
     return payload, rows, 0
 
 

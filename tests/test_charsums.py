@@ -228,3 +228,18 @@ def test_identities_modulus_independent():
     sk_default, _ = moment_series(Field(2), 6)
     sk_other, _ = moment_series(F, 6)
     assert sk_default == sk_other
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_kloosterman_table_checks_transform_against_oracle(r, monkeypatch):
+    import kloos.charsums as charsums
+
+    real = charsums.char_transform
+
+    def units_rotated(field, f):  # the true values at other units: real and Weil-bounded
+        out = real(field, f)
+        return out[:1] + out[2:] + out[1:2]
+
+    monkeypatch.setattr(charsums, "char_transform", units_rotated)
+    with pytest.raises(ArithmeticError, match="brute force disagrees"):
+        kloosterman_table.__wrapped__(Field(r))
