@@ -22,6 +22,7 @@ Also here:
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .field import Field, char_sum, char_transform
@@ -95,20 +96,25 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     return {a: values[a] for a in field.units()}
 
 
+@lru_cache(maxsize=64)
+def _value_counts(field: Field) -> tuple[Counter, Counter]:
+    """Multiplicity of each K value over the nonzero squares and over the units."""
+    table = kloosterman_table(field)
+    return Counter(table[a] for a in field.squares()), Counter(table.values())
+
+
 def sk_moment(field: Field, h: int) -> int:
     """SK^h: sum of K(lambda; a)^h over nonzero square a."""
     if h < 0:
         raise ValueError("moment order must be nonnegative")
-    table = kloosterman_table(field)
-    return sum(table[a] ** h for a in field.squares())
+    return sum(m * k**h for k, m in _value_counts(field)[0].items())
 
 
 def mk_moment(field: Field, h: int) -> int:
     """MK^h: sum of K(lambda; a)^h over all units a."""
     if h < 0:
         raise ValueError("moment order must be nonnegative")
-    table = kloosterman_table(field)
-    return sum(k**h for k in table.values())
+    return sum(m * k**h for k, m in _value_counts(field)[1].items())
 
 
 def moment_series(field: Field, h_max: int) -> tuple[list[int], list[int]]:
@@ -202,10 +208,6 @@ def delta_counts(field: Field, m: int) -> tuple[int, ...]:
     return tuple(cur)
 
 
-def delta(field: Field, m: int, beta: int) -> int:
-    return delta_counts(field, m)[beta]
-
-
 def delta1_closed(field: Field, beta: int) -> int:
     """delta(1, q; beta) from the square class of beta^2 - 1.
 
@@ -236,5 +238,5 @@ def check_kloosterman_to_delta(field: Field, m: int, beta: int) -> CheckResult:
         (field.neg(field.mul(a, beta)) for a in units),
         (table[field.mul(a, a)] ** m for a in units),
     )
-    rhs = field.q * delta(field, m, beta) - (field.q - 1) ** m
+    rhs = field.q * delta_counts(field, m)[beta] - (field.q - 1) ** m
     return CheckResult(f"kloosterman_to_delta(m={m},beta={beta})", lhs, rhs)

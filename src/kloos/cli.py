@@ -66,10 +66,11 @@ def _build_field(args) -> Field:
 
 
 def _default_jobs() -> int:
-    env = os.environ.get("KLOOS_JOBS", "")
-    if env.strip().isdigit() and int(env) >= 1:
-        return int(env)
-    return 1
+    """KLOOS_JOBS, 1 when unset; ValueError unless it is a positive integer."""
+    env = os.environ.get("KLOOS_JOBS", "").strip() or "1"
+    if not env.isdigit() or int(env) < 1:
+        raise ValueError(f"KLOOS_JOBS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 # -- command payload builders ----------------------------------------------------
@@ -231,7 +232,8 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
 
 def cmd_verify(args) -> tuple[dict, list[list], int]:
     field = _build_field(args)
-    report = full_verification(field, args.nmax, args.hmax, jobs=args.jobs)
+    jobs = _default_jobs() if args.jobs is None else args.jobs
+    report = full_verification(field, args.nmax, args.hmax, jobs=jobs)
     rows = [["name", "status", "lhs", "rhs"]]
     for inst in report["instances"]:
         for chk in inst["checks"]:
@@ -392,8 +394,6 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None and args.command == "verify":
-        args.jobs = _default_jobs()
     try:
         payload, rows, code = args.handler(args)
     except (ValueError, ZeroDivisionError) as exc:

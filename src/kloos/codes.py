@@ -6,13 +6,16 @@ field sum of u_k * Tr(g_k) vanishes.  Coordinates only matter through the
 matrix trace, so the whole code is determined by the trace profile: the
 count N(beta) of coordinates at each beta in F_q.
 
-The profile has a closed form driven by the fiber counts delta(1, q; .)
-(families 1, 3) or delta(2, q; .) (families 2, 4).  From it follow, all
-exactly:
+The profile and the closed dual weights read one family polynomial,
+S(a) = sigma A (K(lambda; a^2)^p + c): the profile is its inverse
+transform, through the fiber counts delta(p, q; .), and
+w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
 
-* dual weights w(c(a)) for each unit a, by two independent routes (the
-  Kloosterman closed form, and N minus the trace-kernel mass), required
-  equal;
+* dual weights w(c(a)) for each unit a, by two routes required equal:
+  the polynomial at the K table, and N minus the trace-kernel mass.
+  Both read the polynomial, so this compares the K table with the delta
+  profile; `printed_columns` and `printed_prefix`, from the printed
+  column counts, are the independent checks on the polynomial;
 * the number C_j of codewords of weight j for j <= j_max, by dynamic
   programming over beta blocks: choose nu_beta ones and mu_beta twos per
   block subject to sum(nu + mu) = j and sum((nu - mu) beta) = 0, since a
@@ -39,7 +42,8 @@ from functools import lru_cache
 from math import comb
 
 from .charsums import check_quadratic_scan, delta1_closed, delta_counts, kloosterman_table
-from .constants import CosetFamily, FamilyConstants, exact_div, family_constants, multinomial
+from .constants import CosetFamily, FamilyConstants, FamilyPolynomial, exact_div, family_constants
+from .constants import family_polynomial, multinomial
 from .field import Field
 from .report import CheckResult
 
@@ -68,29 +72,18 @@ class TraceProfile:
 
 
 def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
-    """N(beta) for every beta, from the closed forms; mass asserted = N."""
+    """N(beta), the inverse transform of S (S(0) = N); mass checked = N:
+    q N(beta) = N + sigma A (q delta(p; beta) - (q-1)^p + c (q [beta = 0] - 1))."""
     q = field.q
     consts = family_constants(family, n, q)
-    a_const, b_const = consts.A, consts.B
-    s = family.sign
-    counts = []
-    if family.i in (1, 3):
-        for beta in field.elements():
-            term = q * delta1_closed(field, beta) - (q - 1)
-            counts.append(exact_div(a_const * b_const + s * a_const * term, q))
-    elif family.i == 2:
-        d2 = delta_counts(field, 2)
-        for beta in field.elements():
-            term = q * d2[beta] - (q - 1) ** 2
-            counts.append(exact_div(a_const * b_const - s * a_const * term, q))
+    poly = family_polynomial(family, q)
+    if poly.power == 1:
+        fibers = [delta1_closed(field, beta) for beta in field.elements()]
     else:
-        d2 = delta_counts(field, 2)
-        for beta in field.elements():
-            if beta == 0:
-                term = q * d2[0] + (q - 1) ** 3
-            else:
-                term = q * d2[beta] - (2 * q * q - 3 * q + 1)
-            counts.append(exact_div(a_const * b_const - s * a_const * term, q))
+        fibers = list(delta_counts(field, 2))
+    fibers[0] += poly.shift  # with -c in the offset: c (q [beta = 0] - 1)
+    sigma_a, offset = poly.sigma * consts.A, (q - 1) ** poly.power + poly.shift
+    counts = [exact_div(consts.N + sigma_a * (q * d - offset), q) for d in fibers]
     profile = TraceProfile(field, tuple(counts), family, n)
     if profile.length != consts.N:
         raise ArithmeticError(
@@ -102,20 +95,14 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
 
 
 def dual_weight_closed(family: CosetFamily, n: int, field: Field, a: int) -> int:
-    """w(c(a)) by the Kloosterman closed form, exact 2/3 multiple."""
-    return _dual_weight_closed(family, family_constants(family, n, field.q), field, a)
+    """w(c(a)) = (2/3)(N - S(a)) from the family polynomial at K(a^2)."""
+    q = field.q
+    return _dual_weight_closed(family_constants(family, n, q), family_polynomial(family, q), field, a)
 
 
-def _dual_weight_closed(family: CosetFamily, consts: FamilyConstants, field: Field, a: int) -> int:
+def _dual_weight_closed(consts: FamilyConstants, poly: FamilyPolynomial, field: Field, a: int) -> int:
     k = kloosterman_table(field)[field.mul(a, a)]
-    s = family.sign
-    if family.i in (1, 3):
-        inner = consts.B - s * k
-    elif family.i == 2:
-        inner = consts.B + s * k * k
-    else:
-        inner = consts.B + s * (field.q**2 - field.q + k * k)
-    return exact_div(2 * consts.A * inner, 3)
+    return exact_div(2 * (consts.N - poly.coset_sum(consts.A, k)), 3)
 
 
 @lru_cache(maxsize=64)
@@ -147,9 +134,10 @@ def dual_weights(profile: TraceProfile) -> dict[int, int]:
     field = profile.field
     check_quadratic_scan(field, "the dual-weight scan")
     consts = family_constants(profile.family, profile.n, field.q)
+    poly = family_polynomial(profile.family, field.q)
     out = {}
     for a in field.units():
-        closed = _dual_weight_closed(profile.family, consts, field, a)
+        closed = _dual_weight_closed(consts, poly, field, a)
         direct = dual_weight_from_profile(profile, a)
         if closed != direct:
             raise ArithmeticError(
@@ -157,15 +145,6 @@ def dual_weights(profile: TraceProfile) -> dict[int, int]:
             )
         out[a] = closed
     return out
-
-
-def dual_weight(family: CosetFamily, n: int, field: Field, a: int) -> int:
-    """Single dual weight with the two-route cross-check."""
-    return dual_weights(trace_profile(family, n, field))[a]
-
-
-def min_dual_weight(profile: TraceProfile) -> int:
-    return min(dual_weights(profile).values())
 
 
 def check_injectivity(

@@ -209,6 +209,26 @@ def family_constants(family: CosetFamily, n: int, q: int) -> FamilyConstants:
     return FamilyConstants(a, b)
 
 
+class FamilyPolynomial(NamedTuple):
+    """S(a), the sum of lambda(a Tr g) over a family's double coset, is
+    sigma A (K(lambda; a^2)^power + shift) for a != 0.  The dual weight is
+    (2/3)(N - S(a)); the trace profile is the inverse transform of S."""
+
+    sigma: int
+    power: int
+    shift: int
+
+    def coset_sum(self, a_const: int, k: int) -> int:
+        return self.sigma * a_const * (k**self.power + self.shift)
+
+
+def family_polynomial(family: CosetFamily, q: int) -> FamilyPolynomial:
+    """(sigma, power, shift) of a family over GF(q)."""
+    power = 2 if family.even_moments else 1
+    sigma = family.sign if power == 1 else -family.sign
+    return FamilyPolynomial(sigma, power, q * q - q if family.i == 4 else 0)
+
+
 class CosetOrders(NamedTuple):
     parabolic: int  # |P(2n, q)|, the maximal parabolic subgroup
     cosets: int  # number of B_r-cosets inside one factor

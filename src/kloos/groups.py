@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .charsums import check_quadratic_scan, kloosterman
-from .constants import CosetFamily, exact_div, family_constants
+from .constants import CosetFamily, exact_div, family_constants, family_polynomial
 from .field import Field, char_sum, real_char_value
 from .report import CheckResult
 
@@ -421,12 +421,6 @@ def coset_character_sum(gset: GroupSet, a: int) -> int:
 
 
 def coset_character_sum_closed(family: CosetFamily, n: int, field: Field, a: int) -> int:
-    """The closed form: a Kloosterman multiple of the family constant A."""
-    consts = family_constants(family, n, field.q)
+    """The closed form: the family polynomial at the brute-force K(lambda; a^2)."""
     k = kloosterman(field, field.mul(a, a))
-    s = family.sign
-    if family.i in (1, 3):
-        return s * consts.A * k
-    if family.i == 2:
-        return -s * consts.A * k * k
-    return -s * consts.A * (k * k + field.q**2 - field.q)
+    return family_polynomial(family, field.q).coset_sum(family_constants(family, n, field.q).A, k)

@@ -51,6 +51,7 @@ from .constants import (
     FamilyConstants,
     coset_orders,
     family_constants,
+    family_polynomial,
     stirling2,
 )
 from .field import Field
@@ -180,17 +181,18 @@ def _solve(
 ) -> MomentSeries | tuple[int, Fraction]:
     """Back-substitute the dual-weight expansion for steps 1..steps.
 
-    The dual weight is (2/3) A (B-hat + tau K-power), so the h-th moment
-    expands as 2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l
-    the l-th entry of the moment series; target(h) is that sum over l.
-    Returns the series, or (h, value) for the first step whose value is
-    not an integer.
+    The dual weight is (2/3)(N - S) with S = sigma A (K^p + c) the family
+    polynomial, that is (2/3) A (B-hat + tau K^p) with tau = -sigma and
+    B-hat = B - sigma c.  So the h-th moment expands as
+    2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l the l-th
+    entry of the moment series; target(h) is that sum over l.  Returns the
+    series, or (h, value) for the first step whose value is not an integer.
     """
     if not 1 <= steps <= instance.h_max:
         raise ValueError(f"h_max must be in 1..{instance.h_max}, got {steps}")
-    family, q, consts = instance.family, instance.field.q, instance.consts
-    tau = -family.sign if family.i in (1, 3) else family.sign
-    b_hat = consts.B + family.sign * (q * q - q) if family.i == 4 else consts.B
+    family, q = instance.family, instance.field.q
+    poly = family_polynomial(family, q)
+    tau, b_hat = -poly.sigma, instance.consts.B - poly.sigma * poly.shift
     solved: list[Fraction] = [Fraction(q - 1, 2)]  # SK^0, whatever the stride
     for h in range(1, steps + 1):
         rest = sum(tau**l * comb(h, l) * b_hat ** (h - l) * solved[l] for l in range(h))

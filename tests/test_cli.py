@@ -124,6 +124,11 @@ def test_env_jobs_fallback(capsys, monkeypatch):
     monkeypatch.delenv("KLOOS_JOBS")
     _, out_one, _ = run_cli(capsys, "verify", "--r", "1", "--nmax", "2", "--hmax", "6")
     assert out_env == out_one
+    for bad in ("0", "-2", "abc"):
+        monkeypatch.setenv("KLOOS_JOBS", bad)
+        code, out, err = run_cli(capsys, "verify", "--r", "1", "--nmax", "2", "--hmax", "6")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "KLOOS_JOBS" in err
 
 
 def test_guard_violation_exits_2(capsys):

@@ -9,12 +9,10 @@ from kloos.codes import (
     TraceProfile,
     check_injectivity,
     check_printed_columns,
-    dual_weight,
     dual_weight_from_profile,
     dual_weights,
     enumerate_code_tiny,
     krawtchouk,
-    min_dual_weight,
     printed_column_counts,
     trace_profile,
     weight_distribution_prefix,
@@ -44,11 +42,44 @@ def test_profiles_match_enumerated_histograms():
         assert profile.as_dict() == histogram, family.label
 
 
+# the smallest valid n of every family, at q = 3 and q = 9 (default modulus)
+PROFILE_REFERENCE = {
+    (1, "DC1+", 2): (180, 234, 234),
+    (1, "DC1-", 1): (2, 1, 1),
+    (1, "DC2+", 2): (18, 27, 27),
+    (1, "DC2-", 3): (571536, 554040, 554040),
+    (1, "DC3+", 2): (0, 36, 36),
+    (1, "DC3-", 3): (606528, 536544, 536544),
+    (1, "DC4+", 4): (33714617040, 34875284184, 34875284184),
+    (1, "DC4-", 3): (29160, 8748, 8748),
+    (2, "DC1+", 2): (64800, 58968, 58968, 53136, 53136, 64800, 53136, 64800, 53136),
+    (2, "DC1-", 1): (0, 1, 1, 2, 2, 0, 2, 0, 2),
+    (2, "DC2+", 2): (162, 891, 891, 972, 972, 324, 972, 324, 972),
+    (2, "DC2-", 3): (
+        308745963360, 305302225680, 305302225680, 304919588160, 304919588160,
+        307980688320, 304919588160, 307980688320, 304919588160,
+    ),
+    (2, "DC3+", 2): (1620, 810, 810, 0, 0, 1620, 0, 1620, 0),
+    (2, "DC3-", 3): (
+        301858488000, 305684863200, 305684863200, 309511238400, 309511238400,
+        301858488000, 309511238400, 301858488000, 309511238400,
+    ),
+    (2, "DC4+", 4): (
+        1076406791806572276960, 1077905679248221321680, 1077905679248221321680,
+        1077924184031451556800, 1077924184031451556800, 1077776145765609675840,
+        1077924184031451556800, 1077776145765609675840, 1077924184031451556800,
+    ),
+    (2, "DC4-", 3): (
+        754646220, 324179010, 324179010, 318864600, 318864600,
+        361379880, 318864600, 361379880, 318864600,
+    ),
+}
+
+
 def test_profile_reference_values():
-    assert trace_profile(CosetFamily(1, -1), 1, F3).counts == (2, 1, 1)
-    assert trace_profile(CosetFamily(2, 1), 2, F3).counts == (18, 27, 27)
-    assert trace_profile(CosetFamily(3, 1), 2, F3).counts == (0, 36, 36)
-    assert trace_profile(CosetFamily(1, 1), 2, F3).counts == (180, 234, 234)
+    for (r, label, n), counts in PROFILE_REFERENCE.items():
+        field = F3 if r == 1 else F9
+        assert trace_profile(CosetFamily.parse(label), n, field).counts == counts, (r, label)
 
 
 def test_profile_mass_every_family_up_to_n8():
@@ -85,6 +116,9 @@ def test_dual_weights_computes_family_constants_once(monkeypatch):
 
 
 def test_dual_weight_reference_values():
+    def dual_weight(family, n, field, a):
+        return dual_weights(trace_profile(family, n, field))[a]
+
     assert dual_weight(CosetFamily(1, -1), 1, F3, 1) == 2
     assert dual_weight(CosetFamily(1, -1), 1, F3, 2) == 2
     assert dual_weight(CosetFamily(2, 1), 2, F3, 1) == 54
@@ -108,7 +142,7 @@ def test_injectivity_all_instances():
                 profile = trace_profile(family, n, field)
                 res = check_injectivity(family, n, field, dual_weights(profile))
                 assert res.ok, res
-                assert min_dual_weight(profile) > 0
+                assert min(dual_weights(profile).values()) > 0
 
 
 def test_weight_prefix_small_code_full_distribution():
