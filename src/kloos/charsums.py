@@ -37,10 +37,10 @@ GL_BRUTE_MAX_Q = 27
 TABLE_MAX_Q = 3**8
 
 
-def check_quadratic_scan(field: Field, what: str) -> None:
+def check_quadratic_scan(q: int, what: str) -> None:
     """Refuse an O(q^2) scan named ``what`` above q = TABLE_MAX_Q."""
-    if field.q > TABLE_MAX_Q:
-        raise ValueError(f"{what} is O(q^2), capped at q <= {TABLE_MAX_Q}, got q={field.q}")
+    if q > TABLE_MAX_Q:
+        raise ValueError(f"{what} is O(q^2), capped at q <= {TABLE_MAX_Q}, got q={q}")
 
 
 def kloosterman(field: Field, a: int) -> int:
@@ -189,7 +189,7 @@ def delta_counts(field: Field, m: int) -> tuple[int, ...]:
     """
     if not 0 <= m <= DELTA_MAX_M:
         raise ValueError(f"delta supports 0 <= m <= {DELTA_MAX_M}, got {m}")
-    check_quadratic_scan(field, "delta(m)")
+    check_quadratic_scan(field.q, "delta(m)")
     q = field.q
     fiber = [0] * q
     for x in field.units():

@@ -23,11 +23,13 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable
 
-from .charsums import kloosterman_table, moment_series
+from .charsums import check_quadratic_scan, kloosterman_table, moment_series
 from .codes import dual_weights, trace_profile, weight_distribution_prefix
 from .constants import ALL_FAMILIES, CosetFamily, family_constants
 from .field import MAX_DEGREE, Field, poly_str
@@ -63,6 +65,15 @@ def _coeff_key(field: Field, a: int) -> str:
 
 def _build_field(args) -> Field:
     return Field(args.r, _parse_modulus(args.modulus))
+
+
+def _build_scan_field(args) -> Field:
+    """The field of a command that runs the O(q^2) dual-weight scan,
+    refused above its cap before the field is built."""
+    modulus = _parse_modulus(args.modulus)
+    if 1 <= args.r <= MAX_DEGREE:
+        check_quadratic_scan(3**args.r, "the dual-weight scan")
+    return Field(args.r, modulus)
 
 
 def _default_jobs() -> int:
@@ -144,7 +155,7 @@ def cmd_constants(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_weights(args) -> tuple[dict, list[list], int]:
-    field = _build_field(args)
+    field = _build_scan_field(args)
     family = CosetFamily.parse(args.family)
     profile = trace_profile(family, args.n, field)
     weights = dual_weights(profile)
@@ -196,7 +207,7 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_recursion(args) -> tuple[dict, list[list], int]:
-    field = _build_field(args)
+    field = _build_scan_field(args)
     family = CosetFamily.parse(args.family)
     steps = args.hmax // 2 if family.even_moments else args.hmax
     if steps < 1:
@@ -230,14 +241,19 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
     return payload, rows, 0 if match else 1
 
 
-def cmd_verify(args) -> tuple[dict, list[list], int]:
-    field = _build_field(args)
+def cmd_verify(args) -> tuple[dict, Iterable[list], int]:
+    field = _build_scan_field(args)
     jobs = _default_jobs() if args.jobs is None else args.jobs
     report = full_verification(field, args.nmax, args.hmax, jobs=jobs)
-    rows = [["name", "status", "lhs", "rhs"]]
-    for inst in report["instances"]:
-        for chk in inst["checks"]:
-            rows.append([chk["name"], chk["status"], json.dumps(chk["lhs"]), json.dumps(chk["rhs"])])
+    # one row per check, encoded only if the CSV writer asks for it
+    rows = itertools.chain(
+        [["name", "status", "lhs", "rhs"]],
+        (
+            [chk["name"], chk["status"], json.dumps(chk["lhs"]), json.dumps(chk["rhs"])]
+            for inst in report["instances"]
+            for chk in inst["checks"]
+        ),
+    )
     return report, rows, 0 if report["passed"] else 1
 
 

@@ -43,7 +43,7 @@ from math import comb
 
 from .charsums import check_quadratic_scan, delta1_closed, delta_counts, kloosterman_table
 from .constants import CosetFamily, FamilyConstants, FamilyPolynomial, exact_div, family_constants
-from .constants import family_polynomial, multinomial
+from .constants import family_polynomial
 from .field import Field
 from .report import CheckResult
 
@@ -132,7 +132,7 @@ def dual_weights(profile: TraceProfile) -> dict[int, int]:
     if profile.family is None or profile.n is None:
         raise ValueError("dual weights need a family-tagged profile")
     field = profile.field
-    check_quadratic_scan(field, "the dual-weight scan")
+    check_quadratic_scan(field.q, "the dual-weight scan")
     consts = family_constants(profile.family, profile.n, field.q)
     poly = family_polynomial(profile.family, field.q)
     out = {}
@@ -168,8 +168,9 @@ def _block_factors(n_beta: int, j_max: int) -> list[tuple[int, int, int]]:
     for k in range(j_max + 1):
         by_shift = [0, 0, 0]
         for nu in range(k + 1):
-            by_shift[(2 * nu - k) % 3] += multinomial(n_beta, nu, k - nu)
-        factors.append(tuple(by_shift))
+            by_shift[(2 * nu - k) % 3] += comb(k, nu)
+        ways = comb(n_beta, k)  # multinomial(n_beta; nu, k - nu) = comb(n_beta, k) comb(k, nu)
+        factors.append(tuple(ways * s for s in by_shift))
     return factors
 
 
@@ -222,7 +223,7 @@ def weight_distribution_prefix(profile: TraceProfile, j_max: int) -> list[int]:
     """C_0..C_j_max for the code of the profile."""
     if not 0 <= j_max <= PREFIX_MAX_J:
         raise ValueError(f"prefix length capped at j_max <= {PREFIX_MAX_J}, got {j_max}")
-    check_quadratic_scan(profile.field, "the weight-prefix DP")
+    check_quadratic_scan(profile.field.q, "the weight-prefix DP")
     return _prefix_dp(profile.field, profile.counts, j_max)
 
 

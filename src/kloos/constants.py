@@ -65,18 +65,6 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-def multinomial(c: int, a: int, b: int) -> int:
-    """Ways to mark a coordinates one way and b another out of c; 0 if a+b > c.
-
-    Computed as comb(c, a) comb(c - a, b) so c may be astronomically large.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("multinomial parts must be nonnegative")
-    if a + b > c:
-        return 0
-    return comb(c, a) * comb(c - a, b)
-
-
 @dataclass(frozen=True, order=True)
 class CosetFamily:
     """One of the eight code families: cell index i in 1..4 and a sign."""
@@ -257,14 +245,16 @@ def double_coset_order_expanded(n: int, q: int, r: int) -> int:
     return out * q_binomial(n - 1, r, q) * q ** comb(r, 2) * q ** (2 * r)
 
 
+def check_constants_consistency(family: CosetFamily, n: int, q: int, consts: FamilyConstants) -> CheckResult:
+    """A B of one valid (family, n, q) against its double-coset order."""
+    expected = coset_orders(n, q, family.sigma_index(n)).double_coset
+    return CheckResult(f"constants_consistency({family.label},n={n},q={q})", consts.N, expected)
+
+
 def check_family_constants_consistency(n_max: int, q: int) -> list[CheckResult]:
     """A B against the double-coset order for every valid family and n <= n_max."""
-    results = []
-    for family in ALL_FAMILIES:
-        for n in family.valid_ns(n_max):
-            consts = family_constants(family, n, q)
-            expected = coset_orders(n, q, family.sigma_index(n)).double_coset
-            results.append(
-                CheckResult(f"constants_consistency({family.label},n={n},q={q})", consts.N, expected)
-            )
-    return results
+    return [
+        check_constants_consistency(family, n, q, family_constants(family, n, q))
+        for family in ALL_FAMILIES
+        for n in family.valid_ns(n_max)
+    ]

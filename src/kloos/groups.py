@@ -174,7 +174,7 @@ def _make_set(label: str, field: Field, eps: int, n: int, elements) -> GroupSet:
 
 def enumerate_so2_minus(field: Field, eps: int | None = None) -> GroupSet:
     """SO^-(2, q) = {[[a, b eps], [b, a]] : a^2 - eps b^2 = 1}, order q + 1."""
-    check_quadratic_scan(field, "the SO^-(2, q) enumeration")
+    check_quadratic_scan(field.q, "the SO^-(2, q) enumeration")
     eps = _resolve_eps(field, eps)
     out = []
     for a in field.elements():

@@ -8,18 +8,25 @@ the weight-distribution prefix C_0..C_min(N,h).
 
 The dual weights expand in powers of K, so the moment of order h is an
 A, B-weighted linear combination of SK^l for l <= h.  Solving the
-triangular system step by step with exact rationals produces the moment
-series; every solved value must come out an integer, and is checked here
-against the brute-force oracle.
+triangular system step by step produces the moment series; every solved
+value must come out an integer, and is checked here against the
+brute-force oracle.
+
+All of it is integer arithmetic.  The only denominators are fixed powers
+of 2 and 3 and of A, so each prefix side is summed with its coefficient
+scaled to an integer, and each step of the solve is one numerator over one
+denominator with a single exact division; a Fraction is built only to word
+the message when that division leaves a remainder.
 
 Two routes share the prefix sum and the solve, and differ only in the
 coefficient inside the sum:
 
 * :func:`sk_via_pless` uses the Pless right side, 3^(k-t) 2^(t-j) (the
-  derivation route);
+  derivation route), summed as 3^(k-t+h) 2^(t-j), that is times 3^h;
 * :func:`sk_via_printed_recursion` uses the final recursion exactly as
-  printed in the source, q 3^(h-t) 2^(t-h-j-1), which must produce the
-  same series; a mismatch is reported, not raised, since it would
+  printed in the source, q 3^(h-t) 2^(t-h-j-1), summed as
+  3^(h-t) 2^(t+h-j), that is times 2^(2h+1); it must produce the same
+  series, and a mismatch is reported, not raised, since it would
   indicate a transcription defect in the printed form.
 
 The h = 0 case is degenerate by convention (the identity's right side
@@ -49,7 +56,7 @@ from .constants import (
     ALL_FAMILIES,
     CosetFamily,
     FamilyConstants,
-    coset_orders,
+    check_constants_consistency,
     family_constants,
     family_polynomial,
     stirling2,
@@ -58,6 +65,12 @@ from .field import Field
 from .report import CheckResult
 
 MAX_H = 10
+
+
+@lru_cache(maxsize=MAX_H + 1)
+def _stirling_weights(h: int) -> tuple[int, ...]:
+    """t! S(h, t) for t = 0..h."""
+    return tuple(factorial(t) * stirling2(h, t) for t in range(h + 1))
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,13 @@ class PlessInstance:
         return self.field.r
 
     @cached_property
+    def binomials(self) -> tuple[tuple[int, ...], ...]:
+        """binomials[j][t - j] = binom(N - j, N - t) = binom(N - j, t - j)
+        for j <= t <= min(N, h_max), each evaluated once."""
+        n_len, top = self.length, len(self.c_prefix) - 1
+        return tuple(tuple(comb(n_len - j, d) for d in range(top - j + 1)) for j in range(top + 1))
+
+    @cached_property
     def rhs(self) -> tuple[int, ...]:
         """pless_rhs for h = 0..h_max, each evaluated once."""
         return tuple(pless_rhs(self, h) for h in range(self.h_max + 1))
@@ -104,21 +124,20 @@ def pless_lhs(instance: PlessInstance, h: int) -> int:
     return sum(w**h for w in instance.weights.values())
 
 
-def _prefix_side(instance: PlessInstance, h: int, coefficient: Callable[[int, int, int], Fraction]) -> Fraction:
+def _prefix_side(instance: PlessInstance, h: int, coefficient: Callable[[int, int, int], int]) -> int:
     """Sum over j <= min(N, h) of (-1)^j C_j times
-    sum over t = j..min(N, h) of t! S(h, t) coefficient(h, t, j) binom(N - j, N - t)."""
-    n_len = instance.length
+    sum over t = j..min(N, h) of t! S(h, t) coefficient(h, t, j) binom(N - j, N - t),
+    with an integer coefficient, so an integer sum."""
     if h < 0:
         raise ValueError("moment order must be nonnegative")
-    top = min(n_len, h)
+    top = min(instance.length, h)
     if top >= len(instance.c_prefix):
         raise ValueError(f"instance prefix covers j <= {len(instance.c_prefix) - 1}, needs {top}")
-    total = Fraction(0)
+    weights = _stirling_weights(h)
+    total = 0
     for j in range(top + 1):
-        inner = sum(
-            factorial(t) * stirling2(h, t) * coefficient(h, t, j) * comb(n_len - j, n_len - t)
-            for t in range(j, top + 1)
-        )
+        binoms = instance.binomials[j]
+        inner = sum(weights[t] * coefficient(h, t, j) * binoms[t - j] for t in range(j, top + 1))
         total += (-1) ** j * instance.c_prefix[j] * inner
     return total
 
@@ -127,18 +146,22 @@ def pless_rhs(instance: PlessInstance, h: int) -> int:
     """The prefix side: sum over j <= min(N, h) of (-1)^j C_j times
     sum over t of t! S(h, t) 3^(k - t) 2^(t - j) binom(N - j, N - t).
 
-    Terms with t > k are rational; the total must be integral.
+    Terms with t > k are rational, so the sum runs with the coefficient
+    times 3^h, 3^(k - t + h) 2^(t - j), and is divided by 3^h once; the
+    total must be integral.
     """
     k_dim = instance.dual_dimension
-    total = _prefix_side(instance, h, lambda h, t, j: Fraction(3) ** (k_dim - t) * 2 ** (t - j))
-    if total.denominator != 1:
-        raise ArithmeticError(f"Pless right side not integral at h={h}: {total}")
-    return int(total)
+    scaled = _prefix_side(instance, h, lambda h, t, j: 3 ** (k_dim - t + h) * 2 ** (t - j))
+    total, remainder = divmod(scaled, 3**h)
+    if remainder:
+        raise ArithmeticError(f"Pless right side not integral at h={h}: {Fraction(scaled, 3**h)}")
+    return total
 
 
-def _printed_coefficient(h: int, t: int, j: int) -> Fraction:
-    """3^(h-t) 2^(t-h-j-1): the inner coefficient of the recursion as printed."""
-    return Fraction(3) ** (h - t) * Fraction(2) ** (t - h - j - 1)
+def _printed_coefficient(h: int, t: int, j: int) -> int:
+    """The inner coefficient of the recursion as printed, 3^(h-t) 2^(t-h-j-1),
+    times 2^(2h+1): 3^(h-t) 2^(t+h-j), an integer for t <= h, j <= t."""
+    return 3 ** (h - t) * 2 ** (t + h - j)
 
 
 def check_pless_identity(instance: PlessInstance, h_max: int) -> list[CheckResult]:
@@ -177,7 +200,7 @@ def _series_orders(family: CosetFamily, steps: int) -> tuple[int, ...]:
 
 
 def _solve(
-    instance: PlessInstance, steps: int, target: Callable[[int], Fraction]
+    instance: PlessInstance, steps: int, target: Callable[[int], tuple[int, int]]
 ) -> MomentSeries | tuple[int, Fraction]:
     """Back-substitute the dual-weight expansion for steps 1..steps.
 
@@ -185,24 +208,26 @@ def _solve(
     polynomial, that is (2/3) A (B-hat + tau K^p) with tau = -sigma and
     B-hat = B - sigma c.  So the h-th moment expands as
     2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l the l-th
-    entry of the moment series; target(h) is that sum over l.  Returns the
-    series, or (h, value) for the first step whose value is not an integer.
+    entry of the moment series; target(h) is that sum over l, as a pair
+    (numerator, positive denominator) of integers.  Each step is one exact
+    division.  Returns the series, or (h, value) for the first step whose
+    value is not an integer, with value the exact Fraction.
     """
     if not 1 <= steps <= instance.h_max:
         raise ValueError(f"h_max must be in 1..{instance.h_max}, got {steps}")
     family, q = instance.family, instance.field.q
     poly = family_polynomial(family, q)
     tau, b_hat = -poly.sigma, instance.consts.B - poly.sigma * poly.shift
-    solved: list[Fraction] = [Fraction(q - 1, 2)]  # SK^0, whatever the stride
+    solved = [(q - 1) // 2]  # SK^0, whatever the stride
     for h in range(1, steps + 1):
         rest = sum(tau**l * comb(h, l) * b_hat ** (h - l) * solved[l] for l in range(h))
-        value = tau**h * (target(h) - rest)  # tau^-h == tau^h for tau = +-1
-        if value.denominator != 1:
-            return h, value
+        num, den = target(h)
+        num = tau**h * (num - rest * den)  # tau^-h == tau^h for tau = +-1
+        value, remainder = divmod(num, den)
+        if remainder:
+            return h, Fraction(num, den)
         solved.append(value)
-    return MomentSeries(
-        family, instance.n, q, _series_orders(family, steps), tuple(int(v) for v in solved[1:])
-    )
+    return MomentSeries(family, instance.n, q, _series_orders(family, steps), tuple(solved[1:]))
 
 
 def sk_via_pless(
@@ -216,9 +241,7 @@ def sk_via_pless(
     if instance is None:
         instance = build_instance(family, n, field, h_max)
     a_const = instance.consts.A
-    solved = _solve(
-        instance, h_max, lambda h: Fraction(instance.rhs[h]) * Fraction(3, 2) ** h / (2 * a_const**h)
-    )
+    solved = _solve(instance, h_max, lambda h: (instance.rhs[h] * 3**h, 2 ** (h + 1) * a_const**h))
     if isinstance(solved, MomentSeries):
         return solved
     h, value = solved
@@ -241,7 +264,9 @@ def sk_via_printed_recursion(
         instance = build_instance(family, n, field, h_max)
     q, a_const = field.q, instance.consts.A
     solved = _solve(
-        instance, h_max, lambda h: q * Fraction(1, a_const**h) * _prefix_side(instance, h, _printed_coefficient)
+        instance,
+        h_max,
+        lambda h: (q * _prefix_side(instance, h, _printed_coefficient), 2 ** (2 * h + 1) * a_const**h),
     )
     if isinstance(solved, MomentSeries):
         return solved, []
@@ -299,10 +324,9 @@ def verify_instance(
     label = f"{family.label},n={n},q={field.q}"
     instance = build_instance(family, n, field, h_max=max(h_max, identity_h_max))
     consts = instance.consts
-    expected = coset_orders(n, field.q, family.sigma_index(n)).double_coset
     printed_cols = check_printed_columns(instance.profile)
     checks = [
-        CheckResult(f"constants_consistency({label})", consts.N, expected),
+        check_constants_consistency(family, n, field.q, consts),
         CheckResult(f"profile_mass({label})", instance.length, consts.N),
         CheckResult(f"printed_columns({label})", sum(0 if c.ok else 1 for c in printed_cols), 0),
         CheckResult(

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from kloos.cli import main
+from kloos.field import Field
 
 
 def run_cli(capsys, *argv):
@@ -165,15 +166,28 @@ def test_out_of_range_input_exits_2(capsys, argv):
         ("weights", "--r", "9", "--family", "DC1+", "--n", "2"),
         ("verify", "--r", "9", "--nmax", "3"),
         ("recursion", "--r", "9", "--family", "DC1-", "--n", "1"),
+        ("weights", "--r", "12", "--family", "DC1+", "--n", "2"),
+        ("verify", "--r", "12", "--nmax", "3"),
+        ("recursion", "--r", "12", "--family", "DC2+", "--n", "2"),
     ],
 )
-def test_quadratic_scan_above_cap_exits_2(capsys, argv):
+def test_quadratic_scan_above_cap_exits_2(capsys, monkeypatch, argv):
+    built = []
+    build = Field.__init__
+
+    def spy(self, r, *args, **kwargs):
+        built.append(r)
+        build(self, r, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", spy)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "capped at q <= 6561" in err
     assert time.perf_counter() - start < 30
+    if argv[0] != "group":  # weights, verify and recursion refuse before building the field
+        assert built == []
 
 
 def test_kloosterman_table_above_scan_cap(capsys):

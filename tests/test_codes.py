@@ -1,4 +1,5 @@
 from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,28 @@ def test_weight_prefix_degenerate_all_zero_block():
     prefix = weight_distribution_prefix(profile, 5)
     assert prefix == [comb(5, j) * 2**j for j in range(6)]
     assert enumerate_code_tiny(profile) == prefix
+
+
+def _multinomial(n, a, b):
+    """n! / (a! b! (n - a - b)!) as a falling factorial, so n may be huge; 0 if a + b > n."""
+    if a + b > n:
+        return 0
+    falling = 1
+    for i in range(a + b):
+        falling *= n - i
+    return falling // (factorial(a) * factorial(b))
+
+
+def test_block_factors_match_multinomial_sum():
+    for n_beta in (0, 1, 2, 5, 13, 10**50):
+        factors = kloos.codes._block_factors(n_beta, 12)
+        for k, row in enumerate(factors):
+            expected = [0, 0, 0]
+            for nu in range(k + 1):  # nu ones and mu = k - nu twos, shift nu - mu
+                expected[(2 * nu - k) % 3] += _multinomial(n_beta, nu, k - nu)
+            assert list(row) == expected, (n_beta, k)
+    # 3 of 5 coordinates: all ones or all twos give shift 0, two ones shift 1, two twos shift 2
+    assert kloos.codes._block_factors(5, 3)[3] == (20, 30, 30)
 
 
 def test_weight_prefix_leading_terms():

@@ -1,8 +1,6 @@
 import itertools
 import subprocess
 import sys
-from math import comb
-
 import pytest
 
 from kloos.constants import (
@@ -14,7 +12,6 @@ from kloos.constants import (
     exact_div,
     family_constants,
     gl_order,
-    multinomial,
     q_binomial,
     stirling2,
 )
@@ -137,14 +134,6 @@ def test_gl_order_bruteforce_2x2_gf3():
     assert gl_order(1, 3) == 2
     assert gl_order(0, 3) == 1
     assert gl_order(2, 9) == 5760
-
-
-def test_multinomial():
-    assert multinomial(5, 2, 1) == 30  # 5! / (2! 1! 2!)
-    assert multinomial(4, 3, 2) == 0
-    assert multinomial(10**50, 2, 1) == comb(10**50, 2) * (10**50 - 2)
-    with pytest.raises(ValueError):
-        multinomial(3, -1, 1)
 
 
 def test_family_parse_and_label():

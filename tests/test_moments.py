@@ -1,4 +1,6 @@
+import dataclasses
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -6,7 +8,7 @@ import kloos.cli
 import kloos.codes
 import kloos.moments
 from kloos.charsums import sk_moment
-from kloos.constants import ALL_FAMILIES, CosetFamily
+from kloos.constants import ALL_FAMILIES, CosetFamily, family_polynomial, stirling2
 from kloos.field import Field
 from kloos.moments import (
     build_instance,
@@ -153,7 +155,8 @@ def test_moment_series_as_dict():
 def test_printed_recursion_fails_on_perturbed_coefficient(monkeypatch):
     # the two routes share the prefix loop and the solve, not the coefficient
     def perturbed(h, t, j):
-        return Fraction(3) ** (h - t) * Fraction(2) ** (t - h - j)  # printed: t - h - j - 1
+        # scaled by 2^(2h+1): 2^(t+h-j) is the printed 2^(t-h-j-1), so this is 2^(t-h-j)
+        return 3 ** (h - t) * 2 ** (t + h - j + 1)
 
     monkeypatch.setattr(kloos.moments, "_printed_coefficient", perturbed)
     for family, n, field in [(CosetFamily(1, -1), 3, F3), (CosetFamily(2, 1), 2, F9)]:
@@ -201,3 +204,103 @@ def test_recursion_command_builds_one_instance(monkeypatch, capsys):
     code = kloos.cli.main(["recursion", "--r", "2", "--family", "DC1-", "--n", "3", "--hmax", "6"])
     assert code == 0, capsys.readouterr().err
     assert len(builds) == 1
+
+
+# -- the integer route against the formulas in exact rationals --------------------
+
+
+def _fraction_prefix_side(instance, h, coefficient):
+    """sum_j (-1)^j C_j sum_t t! S(h, t) coefficient(h, t, j) binom(N - j, N - t)."""
+    n_len = instance.length
+    top = min(n_len, h)
+    return sum(
+        (-1) ** j
+        * instance.c_prefix[j]
+        * sum(
+            factorial(t) * stirling2(h, t) * coefficient(h, t, j) * comb(n_len - j, n_len - t)
+            for t in range(j, top + 1)
+        )
+        for j in range(top + 1)
+    )
+
+
+def _fraction_solve(instance, steps, target):
+    """tau^h M_h = target(h) - sum_{l<h} tau^l C(h, l) B-hat^(h-l) M_l from M_0 = (q-1)/2."""
+    poly = family_polynomial(instance.family, instance.field.q)
+    tau, b_hat = -poly.sigma, instance.consts.B - poly.sigma * poly.shift
+    solved = [Fraction(instance.field.q - 1, 2)]
+    for h in range(1, steps + 1):
+        rest = sum(tau**l * comb(h, l) * b_hat ** (h - l) * solved[l] for l in range(h))
+        solved.append(tau**h * (target(h) - rest))
+    return solved[1:]
+
+
+def _check_integer_route(inst):
+    """Both prefix sides for h <= 10 and both series for 10 steps against the rational formulas."""
+    field, a_const = inst.field, inst.consts.A
+    label = (inst.family.label, inst.n, field.q)
+
+    def pless_coefficient(h, t, j):
+        return Fraction(3) ** (field.r - t) * 2 ** (t - j)
+
+    def printed_coefficient(h, t, j):
+        return Fraction(3) ** (h - t) * Fraction(2) ** (t - h - j - 1)
+
+    pless, printed = [], []
+    for h in range(11):
+        pless.append(_fraction_prefix_side(inst, h, pless_coefficient))
+        printed.append(_fraction_prefix_side(inst, h, printed_coefficient))
+        assert pless_rhs(inst, h) == pless[h], (label, h)
+        scaled = kloos.moments._prefix_side(inst, h, kloos.moments._printed_coefficient)
+        assert Fraction(scaled, 2 ** (2 * h + 1)) == printed[h], (label, h)
+    via_pless = _fraction_solve(inst, 10, lambda h: pless[h] * Fraction(3, 2) ** h / (2 * a_const**h))
+    via_printed = _fraction_solve(inst, 10, lambda h: field.q * Fraction(1, a_const**h) * printed[h])
+    assert all(v.denominator == 1 for v in via_pless + via_printed), label
+    assert list(sk_via_pless(inst.family, inst.n, field, 10, instance=inst).values) == via_pless, label
+    series, defects = sk_via_printed_recursion(inst.family, inst.n, field, 10, instance=inst)
+    assert defects == [] and list(series.values) == via_printed, label
+
+
+def test_integer_route_matches_fraction_formulas():
+    for field in (F3, F9):
+        for family in ALL_FAMILIES:
+            for n in family.valid_ns(8):
+                _check_integer_route(build_instance(family, n, field, 10))
+
+
+def test_verify_instance_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction built on the success path")
+
+    monkeypatch.setattr(kloos.moments, "Fraction", no_fraction)
+    for field in (F3, F9):
+        for family in ALL_FAMILIES:
+            for n in family.valid_ns(4):
+                assert verify_instance(family, n, field, h_max=8, identity_h_max=10).passed
+
+
+def test_non_integral_steps_keep_their_messages():
+    family = CosetFamily(1, -1)
+    inst = build_instance(family, 1, F3, 4)
+    assert inst.c_prefix == [1, 4, 6, 8, 8]
+    bad_prefix = dataclasses.replace(inst, c_prefix=[1, 4, 7, 8, 8])
+    with pytest.raises(ArithmeticError) as exc:
+        pless_rhs(bad_prefix, 2)
+    assert str(exc.value) == "Pless right side not integral at h=2: 26/3"
+    assert sk_via_printed_recursion(family, 1, F3, 4, instance=bad_prefix) == (
+        None,
+        ["printed recursion non-integral at step 2 for DC1-, n=1, q=3: 7/4"],
+    )
+    bad_rhs = dataclasses.replace(inst)
+    bad_rhs.__dict__["rhs"] = (3, 5, 20, 68, 260)  # the cached Pless right sides, rhs[1] = 4 + 1
+    with pytest.raises(ArithmeticError) as exc:
+        sk_via_pless(family, 1, F3, 4, instance=bad_rhs)
+    assert str(exc.value) == "solved moment not integral at step 1 for DC1-, n=1, q=3: -1/4"
+
+    family = CosetFamily(4, -1)
+    inst = build_instance(family, 3, F9, 4)
+    bad_prefix = dataclasses.replace(inst, c_prefix=[c + 1 for c in inst.c_prefix])
+    assert sk_via_printed_recursion(family, 3, F9, 2, instance=bad_prefix) == (
+        None,
+        ["printed recursion non-integral at step 1 for DC4-, n=3, q=9: -6729224039/2361960"],
+    )
