@@ -14,7 +14,9 @@ verify       every exact check for all valid instances; exit 1 on failure
 Field elements print as comma-separated coefficient strings, constant term
 first, matching the --modulus input convention.  Output is deterministic:
 the same invocation yields byte-identical bytes.  Exit codes: 0 success,
-1 verification failure, 2 usage or guard error.
+1 verification failure, 2 usage or guard error, 141 (128 + SIGPIPE, as a
+shell reports a writer killed by a closed pipe) when writing stdout fails
+because its reader has closed it, as in ``kloos kloosterman --r 8 | head -1``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .moments import (
 )
 
 FORMATS = ("json", "csv", "text")
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_modulus(text: str | None) -> tuple[int, ...] | None:
@@ -67,12 +70,12 @@ def _build_field(args) -> Field:
     return Field(args.r, _parse_modulus(args.modulus))
 
 
-def _build_scan_field(args) -> Field:
-    """The field of a command that runs the O(q^2) dual-weight scan,
+def _build_scan_field(args, what: str) -> Field:
+    """The field of a command that runs the O(q^2) scan named ``what``,
     refused above its cap before the field is built."""
     modulus = _parse_modulus(args.modulus)
     if 1 <= args.r <= MAX_DEGREE:
-        check_quadratic_scan(3**args.r, "the dual-weight scan")
+        check_quadratic_scan(3**args.r, what)
     return Field(args.r, modulus)
 
 
@@ -155,7 +158,7 @@ def cmd_constants(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_weights(args) -> tuple[dict, list[list], int]:
-    field = _build_scan_field(args)
+    field = _build_scan_field(args, "the dual-weight scan")
     family = CosetFamily.parse(args.family)
     profile = trace_profile(family, args.n, field)
     weights = dual_weights(profile)
@@ -178,7 +181,11 @@ def cmd_weights(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_group(args) -> tuple[dict, list[list], int]:
-    field = _build_field(args)
+    # so2, o2 and Q(2, q) = SO^-(2, q) all run the circle enumeration
+    if not args.family and (args.set in ("so2", "o2") or (args.set == "q" and args.n == 1)):
+        field = _build_scan_field(args, "the SO^-(2, q) enumeration")
+    else:
+        field = _build_field(args)
     if args.family:
         family = CosetFamily.parse(args.family)
         if args.n is None:
@@ -207,7 +214,7 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_recursion(args) -> tuple[dict, list[list], int]:
-    field = _build_scan_field(args)
+    field = _build_scan_field(args, "the dual-weight scan")
     family = CosetFamily.parse(args.family)
     steps = args.hmax // 2 if family.even_moments else args.hmax
     if steps < 1:
@@ -242,7 +249,7 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_verify(args) -> tuple[dict, Iterable[list], int]:
-    field = _build_scan_field(args)
+    field = _build_scan_field(args, "the dual-weight scan")
     jobs = _default_jobs() if args.jobs is None else args.jobs
     report = full_verification(field, args.nmax, args.hmax, jobs=jobs)
     # one row per check, encoded only if the CSV writer asks for it
@@ -426,7 +433,16 @@ def _run(argv: list[str] | None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        _emit(payload, rows, args.format, sys.stdout)
+        try:
+            _emit(payload, rows, args.format, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone: send what is still buffered to devnull, so
+            # the flush at interpreter exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_BROKEN_PIPE
     return code
 
 

@@ -20,8 +20,13 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   programming over beta blocks: choose nu_beta ones and mu_beta twos per
   block subject to sum(nu + mu) = j and sum((nu - mu) beta) = 0, since a
   ternary word kills the functional exactly when the signed block sums
-  cancel.  The state is one row of q counts per number of coordinates
-  used, and each block updates whole rows at once;
+  cancel.  Two exact symmetries halve both the blocks and the state.
+  Negating one coordinate keeps the weight and turns u beta into
+  (-u)(-beta), so C_j reads only N(0) and N(beta) + N(-beta): (q + 1)/2
+  merged blocks.  Swapping every one and two of a partial word keeps its
+  weight and negates its signed sum, so the counts at s and -s are equal:
+  the state is one row of (q + 1)/2 counts, one per class {s, -s}, per
+  number of coordinates used, and each block updates whole rows at once;
 * the same prefix by the MacWilliams identity from the dual weights of the
   per-class column counts as printed in the source:
   C_j = (1/q) sum over a in F_q of K_j(w(c(a))), with the ternary
@@ -161,59 +166,76 @@ def check_injectivity(
 # -- weight distribution --------------------------------------------------------
 
 
-def _block_factors(n_beta: int, j_max: int) -> list[tuple[int, int, int]]:
-    """factors[k][d] = P_d[k]: ways to mark k of n_beta coordinates with nu
-    ones and mu twos, nu + mu = k, such that nu - mu = d (mod 3)."""
+def _block_factors(n_beta: int, j_max: int) -> list[tuple[int, int]]:
+    """factors[k] = (P_0[k], P_1[k]): ways to mark k of n_beta coordinates
+    with nu ones and mu twos, nu + mu = k, such that nu - mu = d (mod 3).
+
+    Swapping the ones and the twos sends d to -d, so P_2[k] = P_1[k] and
+    only the pair is returned.
+    """
     factors = []
     for k in range(j_max + 1):
         by_shift = [0, 0, 0]
         for nu in range(k + 1):
             by_shift[(2 * nu - k) % 3] += comb(k, nu)
         ways = comb(n_beta, k)  # multinomial(n_beta; nu, k - nu) = comb(n_beta, k) comb(k, nu)
-        factors.append(tuple(ways * s for s in by_shift))
+        factors.append((ways * by_shift[0], ways * by_shift[1]))
     return factors
 
 
 def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
-    """C_0..C_j_max by DP over beta blocks.
+    """C_0..C_j_max by DP over the classes {beta, -beta}.
 
-    State: rows[used][s] counts the partial words with `used` nonzero
-    coordinates whose signed sum is s in F_q (None for an all-zero row).
-    Block beta moves rows[used] to rows[used + k], shifted by d beta, with
-    weight P_d[k]; the shifts are index maps built once per block.
+    Negating one coordinate keeps the word's weight and turns u beta into
+    (-u)(-beta), so the blocks at beta and -beta merge into one block of
+    M = N(beta) + N(-beta) coordinates: (q + 1)/2 blocks.  A block sends a
+    row to f0 row(s) + f1 (row(s + beta) + row(s - beta)), with
+    (f0, f1) = (P_0[k], P_1[k]); that map commutes with s -> -s and the
+    start row is even, so every row is even and is stored once per class
+    {s, -s}.  State: rows[used][c] counts the partial words with `used`
+    nonzero coordinates whose signed sum lies in class c (None for an
+    all-zero row).  The shifts are class index maps built once per block,
+    and row(s + beta) + row(s - beta) is folded once per source row.
     """
-    q = field.q
-    rows: list[list[int] | None] = [None] * (j_max + 1)
-    rows[0] = [1] + [0] * (q - 1)
-    factor_cache: dict[int, list[tuple[int, int, int]]] = {}
+    # class index under s ~ -s, in order of first appearance: 0 is class 0
+    cls = [-1] * field.q
+    reps: list[int] = []
+    for s in field.elements():
+        if cls[s] < 0:
+            cls[s] = cls[field.neg(s)] = len(reps)
+            reps.append(s)
+    merged = [0] * len(reps)
     for beta in field.elements():
-        n_beta = counts[beta]
-        if n_beta == 0:
+        merged[cls[beta]] += counts[beta]
+    rows: list[list[int] | None] = [None] * (j_max + 1)
+    rows[0] = [1] + [0] * (len(reps) - 1)
+    factor_cache: dict[int, list[tuple[int, int]]] = {}
+    for beta, m_beta in zip(reps, merged):
+        if m_beta == 0:
             continue
-        factors = factor_cache.get(n_beta)
+        factors = factor_cache.get(m_beta)
         if factors is None:
-            factors = factor_cache[n_beta] = _block_factors(n_beta, j_max)
+            factors = factor_cache[m_beta] = _block_factors(m_beta, j_max)
         neg_beta = field.neg(beta)
-        plus_beta = [field.add(s, beta) for s in range(q)]
-        minus_beta = [field.add(s, neg_beta) for s in range(q)]
-        # shifted[used][d][s] = rows[used][s - d beta]
-        shifted = [
-            None if row is None else (row, [row[t] for t in minus_beta], [row[t] for t in plus_beta])
-            for row in rows
+        plus_beta = [cls[field.add(s, beta)] for s in reps]
+        minus_beta = [cls[field.add(s, neg_beta)] for s in reps]
+        # folded[used][c] = rows[used](s + beta) + rows[used](s - beta), s in class c
+        folded = [
+            None if row is None else [row[i] + row[k] for i, k in zip(plus_beta, minus_beta)]
+            for row in rows[:j_max]
         ]
         new_rows: list[list[int] | None] = [None] * (j_max + 1)
         for used in range(j_max + 1):
             acc = rows[used]  # k = 0 places nothing: P_0[0] = 1
             for k in range(1, used + 1):
-                source = shifted[used - k]
-                f0, f1, f2 = factors[k]
-                if source is None or not (f0 or f1 or f2):
+                row, fold = rows[used - k], folded[used - k]
+                f0, f1 = factors[k]
+                if row is None or not f1:  # f1 = 0 exactly when k > M, and then f0 = 0 too
                     continue
-                r0, r1, r2 = source
                 if acc is None:
-                    acc = [f0 * x + f1 * y + f2 * z for x, y, z in zip(r0, r1, r2)]
+                    acc = [f0 * x + f1 * y for x, y in zip(row, fold)]
                 else:
-                    acc = [a + f0 * x + f1 * y + f2 * z for a, x, y, z in zip(acc, r0, r1, r2)]
+                    acc = [a + f0 * x + f1 * y for a, x, y in zip(acc, row, fold)]
             new_rows[used] = acc
         rows = new_rows
     return [0 if row is None else row[0] for row in rows]
@@ -281,9 +303,20 @@ def check_printed_columns(profile: TraceProfile) -> list[CheckResult]:
     return out
 
 
-def krawtchouk(n_len: int, w: int, j: int) -> int:
-    """Ternary Krawtchouk K_j(w) = sum_i (-1)^i 2^(j-i) C(w, i) C(N - w, j - i)."""
-    return sum((-1) ** i * 2 ** (j - i) * comb(w, i) * comb(n_len - w, j - i) for i in range(j + 1))
+def _binomial_row(n: int, scale: int, j_max: int) -> list[int]:
+    """scale^i C(n, i) for i <= j_max, by C(n, i + 1) = C(n, i) (n - i) / (i + 1)."""
+    row = [1]
+    for i in range(j_max):
+        row.append(row[-1] * scale * (n - i) // (i + 1))  # exact: (i + 1) C(n, i + 1)
+    return row
+
+
+def krawtchouk_prefix(n_len: int, w: int, j_max: int) -> list[int]:
+    """Ternary Krawtchouk K_0(w)..K_j_max(w): the coefficients of
+    (1 - z)^w (1 + 2z)^(N - w), one truncated product of two binomial rows."""
+    ones = _binomial_row(w, -1, j_max)
+    twos = _binomial_row(n_len - w, 2, j_max)
+    return [sum(ones[i] * twos[j - i] for i in range(j + 1)) for j in range(j_max + 1)]
 
 
 def weight_prefix_macwilliams(profile: TraceProfile, j_max: int) -> list[int]:
@@ -297,10 +330,11 @@ def weight_prefix_macwilliams(profile: TraceProfile, j_max: int) -> list[int]:
     field = profile.field
     n_len = profile.length
     multiplicity = Counter(dual_weight_from_profile(profile, a) for a in field.elements())
-    return [
-        exact_div(sum(m * krawtchouk(n_len, w, j) for w, m in multiplicity.items()), field.q)
-        for j in range(j_max + 1)
-    ]
+    totals = [0] * (j_max + 1)
+    for w, m in multiplicity.items():
+        for j, k in enumerate(krawtchouk_prefix(n_len, w, j_max)):
+            totals[j] += m * k
+    return [exact_div(total, field.q) for total in totals]
 
 
 def weight_prefix_from_printed_columns(

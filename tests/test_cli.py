@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kloos.cli import main
+from kloos.cli import EXIT_BROKEN_PIPE, main
 from kloos.field import Field
 
 
@@ -169,6 +169,9 @@ def test_out_of_range_input_exits_2(capsys, argv):
         ("weights", "--r", "12", "--family", "DC1+", "--n", "2"),
         ("verify", "--r", "12", "--nmax", "3"),
         ("recursion", "--r", "12", "--family", "DC2+", "--n", "2"),
+        ("group", "--r", "12", "--set", "so2"),
+        ("group", "--r", "12", "--set", "o2"),
+        ("group", "--r", "12", "--set", "q", "--n", "1"),
     ],
 )
 def test_quadratic_scan_above_cap_exits_2(capsys, monkeypatch, argv):
@@ -186,8 +189,27 @@ def test_quadratic_scan_above_cap_exits_2(capsys, monkeypatch, argv):
     assert out == ""
     assert "capped at q <= 6561" in err
     assert time.perf_counter() - start < 30
-    if argv[0] != "group":  # weights, verify and recursion refuse before building the field
-        assert built == []
+    assert built == []  # refused before the field is built
+
+
+def test_group_above_cap_names_the_enumeration(capsys):
+    code, out, err = run_cli(capsys, "group", "--r", "12", "--set", "q", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: the SO^-(2, q) enumeration is O(q^2), capped at q <= 6561, got q=531441\n"
+
+
+def test_closed_stdout_exits_without_traceback():
+    # about 0.6 MB of JSON, more than a pipe holds: the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kloos.cli", "kloosterman", "--r", "9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert err == b""  # no BrokenPipeError traceback
 
 
 def test_kloosterman_table_above_scan_cap(capsys):

@@ -1,5 +1,5 @@
 from collections import Counter
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,7 @@ from kloos.codes import (
     dual_weight_from_profile,
     dual_weights,
     enumerate_code_tiny,
-    krawtchouk,
+    krawtchouk_prefix,
     printed_column_counts,
     trace_profile,
     weight_distribution_prefix,
@@ -184,9 +184,10 @@ def test_block_factors_match_multinomial_sum():
             expected = [0, 0, 0]
             for nu in range(k + 1):  # nu ones and mu = k - nu twos, shift nu - mu
                 expected[(2 * nu - k) % 3] += _multinomial(n_beta, nu, k - nu)
-            assert list(row) == expected, (n_beta, k)
+            assert expected[1] == expected[2], (n_beta, k)  # swapping ones and twos negates the shift
+            assert row == (expected[0], expected[1]), (n_beta, k)
     # 3 of 5 coordinates: all ones or all twos give shift 0, two ones shift 1, two twos shift 2
-    assert kloos.codes._block_factors(5, 3)[3] == (20, 30, 30)
+    assert kloos.codes._block_factors(5, 3)[3] == (20, 30)
 
 
 def test_weight_prefix_leading_terms():
@@ -256,9 +257,24 @@ def test_krawtchouk_generating_function():
     # sum_j K_j(w) z^j = (1 - z)^w (1 + 2z)^(N - w), checked at z = 1 and z = -1
     for n_len in range(6):
         for w in range(n_len + 1):
-            ks = [krawtchouk(n_len, w, j) for j in range(n_len + 1)]
+            ks = krawtchouk_prefix(n_len, w, n_len)
             assert sum(ks) == (0**w) * 3 ** (n_len - w)
             assert sum((-1) ** j * k for j, k in enumerate(ks)) == 2**w * (-1) ** (n_len - w)
+
+
+def _krawtchouk_direct(n_len, w, j):
+    """K_j(w) = sum_i (-1)^i 2^(j-i) C(w, i) C(N - w, j - i), each term from scratch."""
+    return sum((-1) ** i * 2 ** (j - i) * comb(w, i) * comb(n_len - w, j - i) for i in range(j + 1))
+
+
+def test_krawtchouk_prefix_matches_direct_sum():
+    for n_len in (0, 1, 2, 7, 13, 10**6, 3**40 + 5, 10**40):
+        for w in sorted({0, 1, 2, 5, n_len // 3, n_len // 2, n_len - 1, n_len}):
+            if not 0 <= w <= n_len:
+                continue
+            for j_max in (0, 1, 12):
+                expected = [_krawtchouk_direct(n_len, w, j) for j in range(j_max + 1)]
+                assert krawtchouk_prefix(n_len, w, j_max) == expected, (n_len, w, j_max)
 
 
 @st.composite
@@ -276,6 +292,61 @@ def test_prefix_routes_agree_on_random_profiles(profile, j_max):
     expected = (full + [0] * (j_max + 1))[: j_max + 1]
     assert weight_distribution_prefix(profile, j_max) == expected
     assert weight_prefix_macwilliams(profile, j_max) == expected
+
+
+def _prefix_dp_full_rows(field, counts, j_max):
+    """The DP over all q blocks, with full rows of q counts and three shifts per block:
+    rows[used][s] counts the partial words with `used` nonzero coordinates and signed sum s."""
+    rows = [[1] + [0] * (field.q - 1)] + [[0] * field.q for _ in range(j_max)]
+    for beta in field.elements():
+        shifts = (0, beta, field.neg(beta))  # d beta for d = nu - mu mod 3
+        new_rows = [[0] * field.q for _ in range(j_max + 1)]
+        for used, row in enumerate(rows):
+            for k in range(j_max + 1 - used):
+                ways = [0, 0, 0]
+                for nu in range(k + 1):
+                    ways[(2 * nu - k) % 3] += _multinomial(counts[beta], nu, k - nu)
+                for d in range(3):
+                    for s, count in enumerate(row):
+                        new_rows[used + k][field.add(s, shifts[d])] += ways[d] * count
+        rows = new_rows
+    return [row[0] for row in rows]
+
+
+@st.composite
+def asymmetric_profiles(draw):
+    field = draw(st.sampled_from((F3, F9, F27)))
+    counts = draw(
+        st.lists(
+            st.one_of(st.integers(0, 4), st.integers(0, 10**30)), min_size=field.q, max_size=field.q
+        )
+    )
+    beta = draw(st.integers(1, field.q - 1))
+    if counts[beta] == counts[field.neg(beta)]:
+        counts[beta] += 1  # N(beta) != N(-beta): the profile is not +-symmetric
+    return TraceProfile(field, tuple(counts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=asymmetric_profiles(), j_max=st.integers(0, 12))
+def test_prefix_matches_full_row_dp_on_asymmetric_profiles(profile, j_max):
+    expected = _prefix_dp_full_rows(profile.field, profile.counts, j_max)
+    assert weight_distribution_prefix(profile, j_max) == expected
+
+
+def test_prefix_depends_on_pair_sums_only():
+    # moving coordinates from beta to -beta negates them; C_j sees only N(beta) + N(-beta)
+    for field, base in ((F3, (1, 3, 0)), (F9, (1, 2, 0, 1, 0, 2, 0, 0, 1)), (F27, (0,) * 26 + (6,))):
+        for beta in field.units():
+            neg = field.neg(beta)
+            for moved in range(base[beta] + 1):
+                counts = list(base)
+                counts[beta] -= moved
+                counts[neg] += moved
+                profile = TraceProfile(field, tuple(counts))
+                full = enumerate_code_tiny(profile)
+                assert weight_distribution_prefix(profile, len(full) - 1) == full, (field.q, beta, moved)
+                assert full == enumerate_code_tiny(TraceProfile(field, base)), (field.q, beta, moved)
 
 
 def test_printed_prefix_fails_on_perturbed_column(monkeypatch):
