@@ -29,11 +29,10 @@ from .field import Field, char_sum, char_transform
 from .report import CheckResult
 
 DELTA_MAX_M = 4
-GL_BRUTE_MAX_T = 2
 GL_BRUTE_MAX_Q = 27
-# delta_counts, codes.dual_weights, the weight-prefix DP and the SO^-(2, q)
-# enumeration are O(q^2) scans, seconds to minutes each at 3^8; the
-# Kloosterman table is not one and runs for every r
+# delta_counts, the weight-prefix DP and the SO^-(2, q) enumeration are
+# O(q^2) scans, seconds to minutes each at 3^8; the Kloosterman table and
+# the dual weights of a profile are O(r q) transforms and run for every r
 TABLE_MAX_Q = 3**8
 
 

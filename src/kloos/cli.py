@@ -24,18 +24,20 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import itertools
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
-from .charsums import check_quadratic_scan, kloosterman_table, moment_series
-from .codes import dual_weights, trace_profile, weight_distribution_prefix
+from .charsums import kloosterman_table, moment_series
+from .codes import check_prefix_dp_q, dual_weights, trace_profile, weight_distribution_prefix
 from .constants import ALL_FAMILIES, CosetFamily, family_constants
 from .field import MAX_DEGREE, Field, poly_str
 from .groups import (
+    check_circle_scan,
+    check_double_coset_q,
+    check_q_enumeration,
     double_coset,
     enumerate_o2_minus,
     enumerate_q,
@@ -66,16 +68,11 @@ def _coeff_key(field: Field, a: int) -> str:
     return ",".join(str(c) for c in field.coeffs(a))
 
 
-def _build_field(args) -> Field:
-    return Field(args.r, _parse_modulus(args.modulus))
-
-
-def _build_scan_field(args, what: str) -> Field:
-    """The field of a command that runs the O(q^2) scan named ``what``,
-    refused above its cap before the field is built."""
+def _build_field(args, cap: Callable[[int], None] | None = None) -> Field:
+    """The command's field; ``cap(q)`` refuses q before the field is built."""
     modulus = _parse_modulus(args.modulus)
-    if 1 <= args.r <= MAX_DEGREE:
-        check_quadratic_scan(3**args.r, what)
+    if cap is not None and 1 <= args.r <= MAX_DEGREE:
+        cap(3**args.r)
     return Field(args.r, modulus)
 
 
@@ -158,7 +155,7 @@ def cmd_constants(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_weights(args) -> tuple[dict, list[list], int]:
-    field = _build_scan_field(args, "the dual-weight scan")
+    field = _build_field(args, check_prefix_dp_q)
     family = CosetFamily.parse(args.family)
     profile = trace_profile(family, args.n, field)
     weights = dual_weights(profile)
@@ -181,11 +178,12 @@ def cmd_weights(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_group(args) -> tuple[dict, list[list], int]:
-    # so2, o2 and Q(2, q) = SO^-(2, q) all run the circle enumeration
-    if not args.family and (args.set in ("so2", "o2") or (args.set == "q" and args.n == 1)):
-        field = _build_scan_field(args, "the SO^-(2, q) enumeration")
+    if args.family:
+        field = _build_field(args, check_double_coset_q)
+    elif args.set == "q" and args.n is not None:
+        field = _build_field(args, lambda q: check_q_enumeration(q, args.n))
     else:
-        field = _build_field(args)
+        field = _build_field(args, check_circle_scan if args.set in ("so2", "o2") else None)
     if args.family:
         family = CosetFamily.parse(args.family)
         if args.n is None:
@@ -214,7 +212,7 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_recursion(args) -> tuple[dict, list[list], int]:
-    field = _build_scan_field(args, "the dual-weight scan")
+    field = _build_field(args, check_prefix_dp_q)
     family = CosetFamily.parse(args.family)
     steps = args.hmax // 2 if family.even_moments else args.hmax
     if steps < 1:
@@ -249,7 +247,7 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_verify(args) -> tuple[dict, Iterable[list], int]:
-    field = _build_scan_field(args, "the dual-weight scan")
+    field = _build_field(args, check_prefix_dp_q)
     jobs = _default_jobs() if args.jobs is None else args.jobs
     report = full_verification(field, args.nmax, args.hmax, jobs=jobs)
     # one row per check, encoded only if the CSV writer asks for it
@@ -307,10 +305,7 @@ def _emit(payload, rows, fmt: str, out) -> None:
         out.write(json.dumps(payload, indent=2, sort_keys=True))
         out.write("\n")
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(rows)
-        out.write(buf.getvalue())
+        csv.writer(out, lineterminator="\n").writerows(rows)
     else:
         out.write(_render_text(payload))
         out.write("\n")

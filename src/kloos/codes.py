@@ -12,7 +12,9 @@ transform, through the fiber counts delta(p, q; .), and
 w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
 
 * dual weights w(c(a)) for each unit a, by two routes required equal:
-  the polynomial at the K table, and N minus the trace-kernel mass.
+  the polynomial at the K table, and N minus the trace-kernel mass
+  #{coordinates with tr(a beta) = 0}, the zero trace fiber of one radix-3
+  transform of the profile, O(r q) for every a at once.
   Both read the polynomial, so this compares the K table with the delta
   profile; `printed_columns` and `printed_prefix`, from the printed
   column counts, are the independent checks on the polynomial;
@@ -43,13 +45,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .charsums import check_quadratic_scan, delta1_closed, delta_counts, kloosterman_table
 from .constants import CosetFamily, FamilyConstants, FamilyPolynomial, exact_div, family_constants
 from .constants import family_polynomial
-from .field import Field
+from .field import Field, char_fibers
 from .report import CheckResult
 
 PREFIX_MAX_J = 12
@@ -110,26 +111,11 @@ def _dual_weight_closed(consts: FamilyConstants, poly: FamilyPolynomial, field: 
     return exact_div(2 * (consts.N - poly.coset_sum(consts.A, k)), 3)
 
 
-@lru_cache(maxsize=64)
-def _trace_kernel_units(field: Field) -> tuple[int, ...]:
-    """The nonzero x with tr(x) = 0."""
-    return tuple(x for x in field.units() if field.trace(x) == 0)
-
-
-def dual_weight_from_profile(profile: TraceProfile, a: int) -> int:
-    """w(c(a)) = N minus the coordinates whose functional lands in ker tr.
-
-    tr(a beta) = 0 exactly when beta = x / a for some x in ker tr, so only
-    those q/3 classes are read.
-    """
-    if a == 0:
-        return 0
-    field = profile.field
-    a_inv = field.inv(a)
-    kernel_mass = profile.counts[0]
-    for x in _trace_kernel_units(field):
-        kernel_mass += profile.counts[field.mul(x, a_inv)]
-    return profile.length - kernel_mass
+def dual_weights_from_profile(profile: TraceProfile) -> list[int]:
+    """w(c(a)) for every a in F_q (0 at a = 0): N minus the kernel mass
+    #{coordinates with tr(a beta) = 0}, the zero trace fiber of the counts."""
+    n_len = profile.length
+    return [n_len - kernel_mass for kernel_mass in char_fibers(profile.field, profile.counts)[0]]
 
 
 def dual_weights(profile: TraceProfile) -> dict[int, int]:
@@ -137,19 +123,14 @@ def dual_weights(profile: TraceProfile) -> dict[int, int]:
     if profile.family is None or profile.n is None:
         raise ValueError("dual weights need a family-tagged profile")
     field = profile.field
-    check_quadratic_scan(field.q, "the dual-weight scan")
     consts = family_constants(profile.family, profile.n, field.q)
     poly = family_polynomial(profile.family, field.q)
-    out = {}
+    direct = dual_weights_from_profile(profile)
     for a in field.units():
         closed = _dual_weight_closed(consts, poly, field, a)
-        direct = dual_weight_from_profile(profile, a)
-        if closed != direct:
-            raise ArithmeticError(
-                f"dual weight mismatch at a={a}: closed {closed} vs profile {direct}"
-            )
-        out[a] = closed
-    return out
+        if closed != direct[a]:
+            raise ArithmeticError(f"dual weight mismatch at a={a}: closed {closed} vs profile {direct[a]}")
+    return {a: direct[a] for a in field.units()}
 
 
 def check_injectivity(
@@ -241,11 +222,16 @@ def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
     return [0 if row is None else row[0] for row in rows]
 
 
+def check_prefix_dp_q(q: int) -> None:
+    """Refuse the O(q^2) weight-prefix DP above charsums.TABLE_MAX_Q."""
+    check_quadratic_scan(q, "the weight-prefix DP")
+
+
 def weight_distribution_prefix(profile: TraceProfile, j_max: int) -> list[int]:
     """C_0..C_j_max for the code of the profile."""
     if not 0 <= j_max <= PREFIX_MAX_J:
         raise ValueError(f"prefix length capped at j_max <= {PREFIX_MAX_J}, got {j_max}")
-    check_quadratic_scan(profile.field.q, "the weight-prefix DP")
+    check_prefix_dp_q(profile.field.q)
     return _prefix_dp(profile.field, profile.counts, j_max)
 
 
@@ -327,14 +313,13 @@ def weight_prefix_macwilliams(profile: TraceProfile, j_max: int) -> list[int]:
     """
     if not 0 <= j_max <= PREFIX_MAX_J:
         raise ValueError(f"prefix length capped at j_max <= {PREFIX_MAX_J}, got {j_max}")
-    field = profile.field
     n_len = profile.length
-    multiplicity = Counter(dual_weight_from_profile(profile, a) for a in field.elements())
+    multiplicity = Counter(dual_weights_from_profile(profile))
     totals = [0] * (j_max + 1)
     for w, m in multiplicity.items():
         for j, k in enumerate(krawtchouk_prefix(n_len, w, j_max)):
             totals[j] += m * k
-    return [exact_div(total, field.q) for total in totals]
+    return [exact_div(total, profile.field.q) for total in totals]
 
 
 def weight_prefix_from_printed_columns(

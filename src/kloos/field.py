@@ -17,10 +17,11 @@ character sum into the triple of trace-fiber counts (N0, N1, N2); since
 1 + omega + omega^2 = 0 the sum is N0 - N1 when N1 == N2, and
 :func:`real_char_value` raises ArithmeticError on any triple that is not
 real.  Every sum the paper needs is a real integer, so no value of Z[omega]
-is ever formed.  :func:`char_transform` evaluates S(a) = sum_beta f(beta)
-lambda(a beta) for every a at once: the radix-3 (Vilenkin-Chrestenson)
-transform, r butterfly passes over fiber triples, O(r q) additions, each
-output collapsed through the same :func:`real_char_value`.
+is ever formed.  :func:`char_fibers` gives the trace fibers of
+sum_beta f(beta) lambda(a beta) for every a at once: the radix-3
+(Vilenkin-Chrestenson) transform, r butterfly passes over fiber triples,
+O(r q) additions.  :func:`char_transform` collapses each triple through the
+same :func:`real_char_value`.
 
 The modulus may be supplied explicitly (coefficients constant-term first)
 or defaulted from a shipped table of primitive polynomials, one per degree
@@ -423,17 +424,16 @@ def _sum3(x: list[int], y: list[int], z: list[int]) -> list[int]:
     return [u + v + w for u, v, w in zip(x, y, z)]
 
 
-def char_transform(field: Field, f: Sequence[int]) -> list[int]:
-    """S(a) = sum over beta of f(beta) lambda(a beta), for every a, as a list.
+def char_fibers(field: Field, f: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """(T0, T1, T2) with Tk[a] = sum of f(beta) over beta with tr(a beta) = k.
 
     The radix-3 (Vilenkin-Chrestenson) transform in r butterfly passes.
     Each value is a trace-fiber triple (coefficients of 1, omega, omega^2)
     held as three lists; multiplying by omega rotates a triple.  A pass
     splits the lowest index digit off with stride-3 slices and writes the
     three outputs as the top digit, so after r passes entry c holds
-    sum_beta f(beta) omega^(sum_j beta_j c_j), which is S(a) at c = c(a).
-    Every output collapses through :func:`real_char_value`, so an f whose
-    transform is not real (f(-beta) != f(beta)) raises ArithmeticError.
+    sum_beta f(beta) omega^(sum_j beta_j c_j), the fibers of a at c = c(a).
+    No realness is asked of f: T0[a] is the mass of f on ker(beta -> tr(a beta)).
     """
     if len(f) != field.q:
         raise ValueError(f"transform input has {len(f)} entries, expected q={field.q}")
@@ -447,6 +447,12 @@ def char_transform(field: Field, f: Sequence[int]) -> list[int]:
         t0 = _sum3(a0, b0, c0) + _sum3(a0, b2, c1) + _sum3(a0, b1, c2)
         t1 = _sum3(a1, b1, c1) + _sum3(a1, b0, c2) + _sum3(a1, b2, c0)
         t2 = _sum3(a2, b2, c2) + _sum3(a2, b1, c0) + _sum3(a2, b0, c1)
-    values = [real_char_value(t) for t in zip(t0, t1, t2)]
-    return [values[c] for c in _dual_index(field)]
+    index = _dual_index(field)
+    return [t0[c] for c in index], [t1[c] for c in index], [t2[c] for c in index]
 
+
+def char_transform(field: Field, f: Sequence[int]) -> list[int]:
+    """S(a) = sum over beta of f(beta) lambda(a beta), for every a, as a list:
+    each fiber triple of :func:`char_fibers` collapsed through
+    :func:`real_char_value`, so an f with f(-beta) != f(beta) raises."""
+    return [real_char_value(t) for t in zip(*char_fibers(field, f))]

@@ -33,10 +33,8 @@ from .report import CheckResult
 
 Matrix = tuple[tuple[int, ...], ...]
 
-Q_ENUM_MAX_N = 2
 Q_ENUM_MAX_Q_N2 = 9
 DOUBLE_COSET_Q = 3
-BLOCK_SUM_MAX_R = 2
 BLOCK_SUM_MAX_Q_R2 = 9
 
 
@@ -172,9 +170,29 @@ def _make_set(label: str, field: Field, eps: int, n: int, elements) -> GroupSet:
     return GroupSet(label, field, eps, n, tuple(sorted(set(elements))))
 
 
+def check_circle_scan(q: int) -> None:
+    """Refuse the O(q^2) SO^-(2, q) scan above charsums.TABLE_MAX_Q."""
+    check_quadratic_scan(q, "the SO^-(2, q) enumeration")
+
+
+def check_q_enumeration(q: int, n: int) -> None:
+    """Refuse Q(2n, q) unless n = 1 or 2, with q <= 9 when n = 2."""
+    if n not in (1, 2):
+        raise ValueError(f"Q enumeration supports n in {{1, 2}}, got n={n}")
+    if n == 2 and q > Q_ENUM_MAX_Q_N2:
+        raise ValueError(f"Q(4, q) enumeration capped at q <= {Q_ENUM_MAX_Q_N2}, got q={q}")
+    check_circle_scan(q)
+
+
+def check_double_coset_q(q: int) -> None:
+    """Refuse double coset enumeration at any q but 3."""
+    if q != DOUBLE_COSET_Q:
+        raise ValueError(f"double coset enumeration is q=3 only, got q={q}")
+
+
 def enumerate_so2_minus(field: Field, eps: int | None = None) -> GroupSet:
     """SO^-(2, q) = {[[a, b eps], [b, a]] : a^2 - eps b^2 = 1}, order q + 1."""
-    check_quadratic_scan(field.q, "the SO^-(2, q) enumeration")
+    check_circle_scan(field.q)
     eps = _resolve_eps(field, eps)
     out = []
     for a in field.elements():
@@ -237,10 +255,7 @@ def _enumerate_q_cached(field: Field, n: int, eps: int) -> GroupSet:
 
 def enumerate_q(field: Field, n: int, eps: int | None = None) -> GroupSet:
     """The parabolic piece Q(2n, q); n = 1 or 2, with q <= 9 when n = 2."""
-    if n not in (1, 2):
-        raise ValueError(f"Q enumeration supports n in {{1, 2}}, got n={n}")
-    if n == 2 and field.q > Q_ENUM_MAX_Q_N2:
-        raise ValueError(f"Q(4, q) enumeration capped at q <= {Q_ENUM_MAX_Q_N2}, got q={field.q}")
+    check_q_enumeration(field.q, n)
     return _enumerate_q_cached(field, n, _resolve_eps(field, eps))
 
 
@@ -262,8 +277,7 @@ def _double_coset_cached(field: Field, family: CosetFamily, n: int, eps: int) ->
 
 def double_coset(field: Field, family: CosetFamily, n: int, eps: int | None = None) -> GroupSet:
     """Literal double coset enumeration; q = 3 and n <= 2 only."""
-    if field.q != DOUBLE_COSET_Q:
-        raise ValueError(f"double coset enumeration is q=3 only, got q={field.q}")
+    check_double_coset_q(field.q)
     if n > 2:
         raise ValueError(f"double coset enumeration capped at n <= 2, got n={n}")
     if not family.valid_n(n):
@@ -273,8 +287,7 @@ def double_coset(field: Field, family: CosetFamily, n: int, eps: int | None = No
 
 def bruhat_pieces(field: Field, eps: int | None = None) -> dict[str, GroupSet]:
     """The four cells tiling the full minus-type group at n = 2, q = 3."""
-    if field.q != DOUBLE_COSET_Q:
-        raise ValueError("Bruhat tiling enumeration is q=3 only")
+    check_double_coset_q(field.q)
     eps = _resolve_eps(field, eps)
     qset = _enumerate_q_cached(field, 2, eps)
     # DC1+ at n = 2 is Q sigma_1 Q with no reflection

@@ -13,6 +13,20 @@ from kloos.cli import EXIT_BROKEN_PIPE, main
 from kloos.field import Field
 
 
+@pytest.fixture
+def built_fields(monkeypatch):
+    """The r of every Field built while the test runs."""
+    built = []
+    build = Field.__init__
+
+    def spy(self, r, *args, **kwargs):
+        built.append(r)
+        build(self, r, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", spy)
+    return built
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -174,22 +188,34 @@ def test_out_of_range_input_exits_2(capsys, argv):
         ("group", "--r", "12", "--set", "q", "--n", "1"),
     ],
 )
-def test_quadratic_scan_above_cap_exits_2(capsys, monkeypatch, argv):
-    built = []
-    build = Field.__init__
-
-    def spy(self, r, *args, **kwargs):
-        built.append(r)
-        build(self, r, *args, **kwargs)
-
-    monkeypatch.setattr(Field, "__init__", spy)
+def test_quadratic_scan_above_cap_exits_2(capsys, built_fields, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "capped at q <= 6561" in err
     assert time.perf_counter() - start < 30
-    assert built == []  # refused before the field is built
+    assert built_fields == []  # refused before the field is built
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("group", "--r", "12", "--family", "DC1+", "--n", "2"), "double coset enumeration is q=3 only"),
+        (("group", "--r", "12", "--set", "q", "--n", "2"), "Q(4, q) enumeration capped at q <= 9"),
+    ],
+)
+def test_group_refusals_before_field(capsys, built_fields, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}, got q=531441\n"
+    assert built_fields == []
+
+
+def test_weights_above_cap_names_the_prefix_dp(capsys):
+    code, out, err = run_cli(capsys, "weights", "--r", "9", "--family", "DC2-", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: the weight-prefix DP is O(q^2), capped at q <= 6561, got q=19683\n"
 
 
 def test_group_above_cap_names_the_enumeration(capsys):
@@ -210,6 +236,20 @@ def test_closed_stdout_exits_without_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == EXIT_BROKEN_PIPE
     assert err == b""  # no BrokenPipeError traceback
+
+
+def test_truncated_csv_exits_broken_pipe():
+    # about 2 MB of CSV rows: the reader takes one line and closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kloos.cli", "verify", "--r", "1", "--nmax", "22", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"name,status,lhs,rhs\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 def test_kloosterman_table_above_scan_cap(capsys):

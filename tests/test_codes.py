@@ -10,8 +10,8 @@ from kloos.codes import (
     TraceProfile,
     check_injectivity,
     check_printed_columns,
-    dual_weight_from_profile,
     dual_weights,
+    dual_weights_from_profile,
     enumerate_code_tiny,
     krawtchouk_prefix,
     printed_column_counts,
@@ -99,8 +99,38 @@ def test_dual_weights_two_routes_agree():
             for n in family.valid_ns(6):
                 profile = trace_profile(family, n, field)
                 weights = dual_weights(profile)  # asserts agreement internally
-                for a, w in weights.items():
-                    assert w == dual_weight_from_profile(profile, a)
+                assert dual_weights_from_profile(profile) == [0] + [weights[a] for a in field.units()]
+
+
+FIELDS_R1_TO_R5 = (F3, F9, F27, Field(4), Field(5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(FIELDS_R1_TO_R5), data=st.data())
+def test_dual_weights_from_profile_match_kernel_count(field, data):
+    # random profiles, asymmetric in general: the zero fiber needs no realness
+    counts = data.draw(
+        st.lists(st.one_of(st.integers(0, 4), st.integers(0, 10**30)), min_size=field.q, max_size=field.q)
+    )
+    profile = TraceProfile(field, tuple(counts))
+    weights = dual_weights_from_profile(profile)
+    assert len(weights) == field.q
+    for a in field.elements():  # a = 0 included: its kernel is all of F_q
+        kernel_mass = sum(counts[b] for b in field.elements() if field.trace(field.mul(a, b)) == 0)
+        assert weights[a] == profile.length - kernel_mass, a
+
+
+def test_dual_weights_raise_on_moved_coordinate():
+    family, n, field = CosetFamily(2, 1), 2, F9
+    honest = trace_profile(family, n, field)
+    # move one coordinate from beta = 1 to beta = 0: same N, other code
+    counts = list(honest.counts)
+    counts[1] -= 1
+    counts[0] += 1
+    moved = TraceProfile(field, tuple(counts), family, n)
+    assert moved.length == honest.length
+    with pytest.raises(ArithmeticError, match="dual weight mismatch"):
+        dual_weights(moved)
 
 
 def test_dual_weights_computes_family_constants_once(monkeypatch):

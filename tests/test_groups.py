@@ -1,7 +1,8 @@
 import pytest
 
+from kloos.codes import trace_profile
 from kloos.constants import CosetFamily, coset_orders
-from kloos.field import Field
+from kloos.field import Field, char_transform
 from kloos.groups import (
     bruhat_pieces,
     check_orthogonal_relation,
@@ -211,10 +212,12 @@ def test_coset_character_sums_match_closed_forms():
     ]
     for family, n in cases:
         dc = double_coset(F3, family, n)
+        # the transform of the profile: S(a) = sum_beta N(beta) lambda(a beta)
+        via_profile = char_transform(F3, trace_profile(family, n, F3).counts)
         for a in F3.units():
-            got = coset_character_sum(dc, a)
-            want = coset_character_sum_closed(family, n, F3, a)
-            assert got == want, (family.label, a, got, want)
+            enumerated = coset_character_sum(dc, a)
+            closed = coset_character_sum_closed(family, n, F3, a)
+            assert enumerated == closed == via_profile[a], (family.label, a)
 
 
 def test_eps_independence_at_q9():
