@@ -34,12 +34,22 @@ GL_BRUTE_MAX_Q = 27
 # O(q^2) scans, seconds to minutes each at 3^8; the Kloosterman table and
 # the dual weights of a profile are O(r q) transforms and run for every r
 TABLE_MAX_Q = 3**8
+# a moment series prints 2 h_max integers of up to h_max log2(2 sqrt q) bits
+SERIES_MAX_H = 1000
 
 
 def check_quadratic_scan(q: int, what: str) -> None:
     """Refuse an O(q^2) scan named ``what`` above q = TABLE_MAX_Q."""
     if q > TABLE_MAX_Q:
         raise ValueError(f"{what} is O(q^2), capped at q <= {TABLE_MAX_Q}, got q={q}")
+
+
+def check_series_h(h_max: int) -> None:
+    """Refuse a moment series order bound outside 0..SERIES_MAX_H."""
+    if h_max < 0:
+        raise ValueError(f"moment order bound must be nonnegative, got {h_max}")
+    if h_max > SERIES_MAX_H:
+        raise ValueError(f"moment order bound capped at h_max <= {SERIES_MAX_H}, got {h_max}")
 
 
 def kloosterman(field: Field, a: int) -> int:
@@ -118,8 +128,7 @@ def mk_moment(field: Field, h: int) -> int:
 
 def moment_series(field: Field, h_max: int) -> tuple[list[int], list[int]]:
     """(SK^0..SK^h_max, MK^0..MK^h_max)."""
-    if h_max < 0:
-        raise ValueError(f"moment order bound must be nonnegative, got {h_max}")
+    check_series_h(h_max)
     return (
         [sk_moment(field, h) for h in range(h_max + 1)],
         [mk_moment(field, h) for h in range(h_max + 1)],

@@ -30,7 +30,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable
 
-from .charsums import kloosterman_table, moment_series
+from .charsums import check_series_h, kloosterman_table, moment_series
 from .codes import check_prefix_dp_q, dual_weights, trace_profile, weight_distribution_prefix
 from .constants import ALL_FAMILIES, CosetFamily, family_constants
 from .field import MAX_DEGREE, Field, poly_str
@@ -46,6 +46,7 @@ from .groups import (
 from .moments import (
     build_instance,
     full_verification,
+    moment_steps,
     sk_oracle_series,
     sk_via_pless,
     sk_via_printed_recursion,
@@ -106,7 +107,7 @@ def cmd_field(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_kloosterman(args) -> tuple[dict, list[list], int]:
-    field = _build_field(args)
+    field = _build_field(args, lambda q: check_series_h(args.hmax))
     table = kloosterman_table(field)
     sk, mk = moment_series(field, args.hmax)
     payload = {
@@ -121,7 +122,7 @@ def cmd_kloosterman(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_moments(args) -> tuple[dict, list[list], int]:
-    field = _build_field(args)
+    field = _build_field(args, lambda q: check_series_h(args.hmax))
     sk, mk = moment_series(field, args.hmax)
     payload = {"q": field.q, "modulus": list(field.modulus), "SK": sk[1:], "MK": mk[1:]}
     rows = [["q", "h", "SK", "MK"]]
@@ -167,12 +168,12 @@ def cmd_weights(args) -> tuple[dict, list[list], int]:
         "q": field.q,
         "N": profile.length,
         "profile": {_coeff_key(field, b): c for b, c in profile.as_dict().items()},
-        "dual_weights": {_coeff_key(field, a): w for a, w in weights.items()},
+        "dual_weights": {_coeff_key(field, a): weights[a] for a in field.units()},
         "C_prefix": prefix,
     }
     rows = [["section", "key", "value"]]
     rows += [["profile", _coeff_key(field, b), c] for b, c in profile.as_dict().items()]
-    rows += [["dual_weight", _coeff_key(field, a), w] for a, w in weights.items()]
+    rows += [["dual_weight", _coeff_key(field, a), weights[a]] for a in field.units()]
     rows += [["C", j, c] for j, c in enumerate(prefix)]
     return payload, rows, 0
 
@@ -214,13 +215,13 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
 def cmd_recursion(args) -> tuple[dict, list[list], int]:
     field = _build_field(args, check_prefix_dp_q)
     family = CosetFamily.parse(args.family)
-    steps = args.hmax // 2 if family.even_moments else args.hmax
+    steps = moment_steps(family, args.hmax)
     if steps < 1:
         raise ValueError(f"--hmax {args.hmax} leaves no solvable moment for {family.label}")
     instance = build_instance(family, args.n, field, steps)
-    derived = sk_via_pless(family, args.n, field, steps, instance=instance)
-    printed, defects = sk_via_printed_recursion(family, args.n, field, steps, instance=instance)
-    oracle = sk_oracle_series(family, args.n, field, steps)
+    derived = sk_via_pless(instance, steps)
+    printed, defects = sk_via_printed_recursion(instance, steps)
+    oracle = sk_oracle_series(instance, steps)
     match = printed is not None and derived.values == printed.values == oracle.values
     payload = {
         "family": family.label,
@@ -233,16 +234,9 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
         "printed_defects": defects,
         "match": match,
     }
+    printed_values = [""] * len(derived.orders) if printed is None else printed.values
     rows = [["h", "SK", "SK_printed", "SK_oracle"]]
-    for idx, h in enumerate(derived.orders):
-        rows.append(
-            [
-                h,
-                derived.values[idx],
-                "" if printed is None else printed.values[idx],
-                oracle.values[idx],
-            ]
-        )
+    rows += [list(row) for row in zip(derived.orders, derived.values, printed_values, oracle.values)]
     return payload, rows, 0 if match else 1
 
 

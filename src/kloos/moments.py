@@ -18,6 +18,10 @@ scaled to an integer, and each step of the solve is one numerator over one
 denominator with a single exact division; a Fraction is built only to word
 the message when that division leaves a remainder.
 
+One PlessInstance per (family, n, q) holds what each route, the oracle
+included, reads; its dual weights are multiplicities w -> m over the units
+(w depends on a only through K(a^2)), so the moment side is sum m w^h.
+
 Two routes share the prefix sum and the solve, and differ only in the
 coefficient inside the sum:
 
@@ -36,6 +40,8 @@ so identities run for h >= 1 and SK^0 = (q-1)/2 seeds the solve directly.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -76,24 +82,21 @@ def _stirling_weights(h: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class PlessInstance:
     """Everything the identity needs for one (family, n, q), built once;
-    the C prefix and the Pless right sides cover moment orders h <= h_max."""
+    weights[w] counts the units a of dual weight w, and the C prefix and
+    the Pless right sides cover moment orders h <= h_max."""
 
     family: CosetFamily
     n: int
     field: Field
     consts: FamilyConstants
     profile: TraceProfile
-    weights: dict[int, int]
+    weights: Counter
     c_prefix: list[int]
     h_max: int
 
     @property
     def length(self) -> int:
         return self.profile.length
-
-    @property
-    def dual_dimension(self) -> int:
-        return self.field.r
 
     @cached_property
     def binomials(self) -> tuple[tuple[int, ...], ...]:
@@ -114,14 +117,14 @@ def build_instance(family: CosetFamily, n: int, field: Field, h_max: int = MAX_H
         raise ValueError(f"h_max capped at {MAX_H}, got {h_max}")
     consts = family_constants(family, n, field.q)
     profile = trace_profile(family, n, field)
-    weights = dual_weights(profile)
+    weights = Counter(dual_weights(profile)[1:])  # the units a = 1..q-1
     c_prefix = weight_distribution_prefix(profile, min(profile.length, h_max))
     return PlessInstance(family, n, field, consts, profile, weights, c_prefix, h_max)
 
 
 def pless_lhs(instance: PlessInstance, h: int) -> int:
-    """Sum of w(c(a))^h over units a; the moment side."""
-    return sum(w**h for w in instance.weights.values())
+    """Sum of w(c(a))^h over units a, that is of m w^h over the distinct weights; the moment side."""
+    return sum(m * w**h for w, m in instance.weights.items())
 
 
 def _prefix_side(instance: PlessInstance, h: int, coefficient: Callable[[int, int, int], int]) -> int:
@@ -150,7 +153,7 @@ def pless_rhs(instance: PlessInstance, h: int) -> int:
     times 3^h, 3^(k - t + h) 2^(t - j), and is divided by 3^h once; the
     total must be integral.
     """
-    k_dim = instance.dual_dimension
+    k_dim = instance.field.r  # the dual code's dimension
     scaled = _prefix_side(instance, h, lambda h, t, j: 3 ** (k_dim - t + h) * 2 ** (t - j))
     total, remainder = divmod(scaled, 3**h)
     if remainder:
@@ -194,14 +197,20 @@ class MomentSeries:
         }
 
 
+def moment_steps(family: CosetFamily, h_max: int) -> int:
+    """Recursion steps whose moment orders stay <= h_max: SK^1..SK^h_max
+    for families 1, 3, SK^2..SK^(2 (h_max // 2)) for families 2, 4."""
+    return h_max // 2 if family.even_moments else h_max
+
+
 def _series_orders(family: CosetFamily, steps: int) -> tuple[int, ...]:
     stride = 2 if family.even_moments else 1
     return tuple(stride * h for h in range(1, steps + 1))
 
 
 def _solve(
-    instance: PlessInstance, steps: int, target: Callable[[int], tuple[int, int]]
-) -> MomentSeries | tuple[int, Fraction]:
+    instance: PlessInstance, steps: int, defect: str, target: Callable[[int], tuple[int, int]]
+) -> MomentSeries | str:
     """Back-substitute the dual-weight expansion for steps 1..steps.
 
     The dual weight is (2/3)(N - S) with S = sigma A (K^p + c) the family
@@ -210,8 +219,8 @@ def _solve(
     2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l the l-th
     entry of the moment series; target(h) is that sum over l, as a pair
     (numerator, positive denominator) of integers.  Each step is one exact
-    division.  Returns the series, or (h, value) for the first step whose
-    value is not an integer, with value the exact Fraction.
+    division.  Returns the series, or for the first step whose value is not
+    an integer the message "<defect> at step h for <instance>: <Fraction>".
     """
     if not 1 <= steps <= instance.h_max:
         raise ValueError(f"h_max must be in 1..{instance.h_max}, got {steps}")
@@ -225,34 +234,28 @@ def _solve(
         num = tau**h * (num - rest * den)  # tau^-h == tau^h for tau = +-1
         value, remainder = divmod(num, den)
         if remainder:
-            return h, Fraction(num, den)
+            where = f"{family.label}, n={instance.n}, q={q}"
+            return f"{defect} at step {h} for {where}: {Fraction(num, den)}"
         solved.append(value)
     return MomentSeries(family, instance.n, q, _series_orders(family, steps), tuple(solved[1:]))
 
 
-def sk_via_pless(
-    family: CosetFamily, n: int, field: Field, h_max: int, instance: PlessInstance | None = None
-) -> MomentSeries:
+def sk_via_pless(instance: PlessInstance, steps: int) -> MomentSeries:
     """Moment series solved from the Pless identity, exactly.
 
-    h_max counts recursion steps: families 1, 3 produce SK^1..SK^h_max,
-    families 2, 4 produce SK^2, SK^4, .., SK^(2 h_max).
+    steps counts recursion steps: families 1, 3 produce SK^1..SK^steps,
+    families 2, 4 produce SK^2, SK^4, .., SK^(2 steps).
     """
-    if instance is None:
-        instance = build_instance(family, n, field, h_max)
-    a_const = instance.consts.A
-    solved = _solve(instance, h_max, lambda h: (instance.rhs[h] * 3**h, 2 ** (h + 1) * a_const**h))
-    if isinstance(solved, MomentSeries):
-        return solved
-    h, value = solved
-    raise ArithmeticError(
-        f"solved moment not integral at step {h} for {family.label}, n={n}, q={field.q}: {value}"
+    rhs, a_const = instance.rhs, instance.consts.A
+    solved = _solve(
+        instance, steps, "solved moment not integral", lambda h: (rhs[h] * 3**h, 2 ** (h + 1) * a_const**h)
     )
+    if isinstance(solved, str):
+        raise ArithmeticError(solved)
+    return solved
 
 
-def sk_via_printed_recursion(
-    family: CosetFamily, n: int, field: Field, h_max: int, instance: PlessInstance | None = None
-) -> tuple[MomentSeries | None, list[str]]:
+def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[MomentSeries | None, list[str]]:
     """Moment series from the recursion exactly as printed.
 
     Evaluates tau^h M_h = -sum_{l<h} tau^l C(h,l) B^(h-l) M_l
@@ -260,24 +263,22 @@ def sk_via_printed_recursion(
     binom(N-j, N-t), using its own previous values.  Returns the series
     plus a list of defects (non-integral steps); a defect aborts the walk.
     """
-    if instance is None:
-        instance = build_instance(family, n, field, h_max)
-    q, a_const = field.q, instance.consts.A
+    q, a_const = instance.field.q, instance.consts.A
     solved = _solve(
         instance,
-        h_max,
+        steps,
+        "printed recursion non-integral",
         lambda h: (q * _prefix_side(instance, h, _printed_coefficient), 2 ** (2 * h + 1) * a_const**h),
     )
-    if isinstance(solved, MomentSeries):
-        return solved, []
-    h, value = solved
-    return None, [f"printed recursion non-integral at step {h} for {family.label}, n={n}, q={q}: {value}"]
+    return (None, [solved]) if isinstance(solved, str) else (solved, [])
 
 
-def sk_oracle_series(family: CosetFamily, n: int, field: Field, h_max: int) -> MomentSeries:
-    """The same orders filled straight from the Kloosterman table."""
-    orders = _series_orders(family, h_max)
-    return MomentSeries(family, n, field.q, orders, tuple(sk_moment(field, h) for h in orders))
+def sk_oracle_series(instance: PlessInstance, steps: int) -> MomentSeries:
+    """The same orders filled straight from the Kloosterman table; reads the
+    instance's family, n and field only, never its weights or prefix."""
+    field, orders = instance.field, _series_orders(instance.family, steps)
+    values = tuple(sk_moment(field, h) for h in orders)
+    return MomentSeries(instance.family, instance.n, field.q, orders, values)
 
 
 # -- instance and whole-field verification ---------------------------------------
@@ -324,11 +325,10 @@ def verify_instance(
     label = f"{family.label},n={n},q={field.q}"
     instance = build_instance(family, n, field, h_max=max(h_max, identity_h_max))
     consts = instance.consts
-    printed_cols = check_printed_columns(instance.profile)
     checks = [
         check_constants_consistency(family, n, field.q, consts),
         CheckResult(f"profile_mass({label})", instance.length, consts.N),
-        CheckResult(f"printed_columns({label})", sum(0 if c.ok else 1 for c in printed_cols), 0),
+        check_printed_columns(instance.profile),
         CheckResult(
             f"printed_prefix({label})",
             weight_prefix_from_printed_columns(family, n, field, len(instance.c_prefix) - 1),
@@ -338,15 +338,15 @@ def verify_instance(
         *check_pless_identity(instance, identity_h_max),
     ]
 
-    steps = h_max // 2 if family.even_moments else h_max
+    steps = moment_steps(family, h_max)
     sk_series = None
     if steps >= 1:
-        sk_series = sk_via_pless(family, n, field, steps, instance=instance)
-        oracle = sk_oracle_series(family, n, field, steps)
+        sk_series = sk_via_pless(instance, steps)
+        oracle = sk_oracle_series(instance, steps)
         checks.append(
             CheckResult(f"sk_vs_oracle({label})", list(sk_series.values), list(oracle.values))
         )
-        printed_series, defects = sk_via_printed_recursion(family, n, field, steps, instance=instance)
+        printed_series, defects = sk_via_printed_recursion(instance, steps)
         checks.append(
             CheckResult(
                 f"printed_recursion({label})",
@@ -369,18 +369,22 @@ def _verify_worker(args: tuple) -> InstanceReport:
     return verify_instance(CosetFamily(i, sign), n, field, h_max, identity_h_max)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def full_verification(
     field: Field, n_max: int, h_max: int, jobs: int = 1, identity_h_max: int | None = None
 ) -> dict:
-    """Every valid (family, n <= n_max) instance, optionally fanned out.
+    """Every valid (family, n <= n_max) instance, optionally fanned out over
+    min(jobs, instances, available CPUs) worker processes.
 
     The reduce is deterministic: reports come back in instance-list order
     whatever the job count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if identity_h_max is None:
-        identity_h_max = h_max
     tasks = [
         (field.r, field.modulus, family.i, family.sign, n, h_max, identity_h_max)
         for family in ALL_FAMILIES
@@ -388,10 +392,11 @@ def full_verification(
     ]
     if not tasks:
         raise ValueError(f"no valid (family, n) instance with n <= {n_max}")
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks), _available_cpus())
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             reports = pool.map(_verify_worker, tasks)
     else:
         reports = [_verify_worker(t) for t in tasks]

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,9 +7,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kloos.moments
 from kloos.cli import EXIT_BROKEN_PIPE, main
 from kloos.field import Field
 
@@ -146,6 +151,21 @@ def test_env_jobs_fallback(capsys, monkeypatch):
         assert err.startswith("error:") and "KLOOS_JOBS" in err
 
 
+@settings(max_examples=6, deadline=None)
+@given(r=st.sampled_from((1, 2)), n_max=st.integers(1, 4), h_max=st.integers(1, 8))
+def test_job_count_never_changes_output(r, n_max, h_max):
+    argv = ["verify", "--r", str(r), "--nmax", str(n_max), "--hmax", str(h_max)]
+    outputs = []
+    # two CPUs, so that --jobs 2 runs a real pool of two workers on any machine
+    with mock.patch.object(kloos.moments, "_available_cpus", lambda: 2):
+        for jobs in ("1", "2"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--jobs", jobs])
+            outputs.append((code, out.getvalue().encode(), err.getvalue()))
+    assert outputs[0] == outputs[1]
+
+
 def test_guard_violation_exits_2(capsys):
     code, _, err = run_cli(capsys, "moments", "--r", "99", "--hmax", "4")
     assert code == 2
@@ -157,6 +177,8 @@ def test_guard_violation_exits_2(capsys):
     [
         ("moments", "--r", "1", "--hmax", "-1"),
         ("kloosterman", "--r", "1", "--hmax", "-3"),
+        ("moments", "--r", "1", "--hmax", "1001"),
+        ("kloosterman", "--r", "1", "--hmax", "1001"),
         ("verify", "--r", "1", "--nmax", "2", "--jobs", "0"),
         ("verify", "--r", "1", "--nmax", "2", "--jobs", "-3"),
         ("verify", "--r", "1", "--nmax", "0"),
@@ -209,6 +231,14 @@ def test_group_refusals_before_field(capsys, built_fields, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}, got q=531441\n"
+    assert built_fields == []
+
+
+@pytest.mark.parametrize("command", ["moments", "kloosterman"])
+def test_series_order_above_cap_refused_before_field(capsys, built_fields, command):
+    code, out, err = run_cli(capsys, command, "--r", "12", "--hmax", "1001")
+    assert (code, out) == (2, "")
+    assert err == "error: moment order bound capped at h_max <= 1000, got 1001\n"
     assert built_fields == []
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 from fractions import Fraction
 from math import comb, factorial
 
@@ -51,13 +52,13 @@ def test_pless_identity_h_up_to_10_small():
 
 
 def test_sk_via_pless_odd_family_q3():
-    series = sk_via_pless(CosetFamily(1, -1), 1, F3, 8)
+    series = sk_via_pless(build_instance(CosetFamily(1, -1), 1, F3, 8), 8)
     assert series.orders == (1, 2, 3, 4, 5, 6, 7, 8)
     assert series.values == (-1, 1, -1, 1, -1, 1, -1, 1)
 
 
 def test_sk_via_pless_even_family_q3():
-    series = sk_via_pless(CosetFamily(2, 1), 2, F3, 3)
+    series = sk_via_pless(build_instance(CosetFamily(2, 1), 2, F3, 3), 3)
     assert series.orders == (2, 4, 6)
     assert series.values == (1, 1, 1)
 
@@ -72,8 +73,9 @@ def test_sk_matches_oracle_across_fields():
             if not family.valid_n(n):
                 continue
             steps = 3 if family.even_moments else 6
-            series = sk_via_pless(family, n, field, steps)
-            oracle = sk_oracle_series(family, n, field, steps)
+            inst = build_instance(family, n, field, steps)
+            series = sk_via_pless(inst, steps)
+            oracle = sk_oracle_series(inst, steps)
             assert series.values == oracle.values, (family.label, n, field.q)
 
 
@@ -85,7 +87,7 @@ def test_sk_family_independence():
     for field in (F3, F9):
         for family in (CosetFamily(1, 1), CosetFamily(3, 1), CosetFamily(1, -1), CosetFamily(3, -1)):
             for n in family.valid_ns(5):
-                series = sk_via_pless(family, n, field, 6)
+                series = sk_via_pless(build_instance(family, n, field, 6), 6)
                 assert series.values == reference[field.q], (family.label, n)
 
 
@@ -100,22 +102,23 @@ def test_printed_recursion_agrees():
             (CosetFamily(4, -1), 3),
         ]:
             steps = 3 if family.even_moments else 6
-            derived = sk_via_pless(family, n, field, steps)
-            printed, defects = sk_via_printed_recursion(family, n, field, steps)
+            inst = build_instance(family, n, field, steps)
+            derived = sk_via_pless(inst, steps)
+            printed, defects = sk_via_printed_recursion(inst, steps)
             assert defects == []
             assert printed is not None and printed.values == derived.values
 
 
 def test_sk_guards():
     with pytest.raises(ValueError):
-        sk_via_pless(CosetFamily(1, -1), 1, F3, 11)
+        sk_via_pless(build_instance(CosetFamily(1, -1), 1, F3), 11)
     with pytest.raises(ValueError):
-        sk_via_pless(CosetFamily(1, -1), 1, F3, 0)
+        sk_via_pless(build_instance(CosetFamily(1, -1), 1, F3), 0)
     with pytest.raises(ValueError):
-        sk_via_pless(CosetFamily(1, 1), 3, F3, 4)
+        sk_via_pless(build_instance(CosetFamily(1, 1), 3, F3, 4), 4)
     # an instance built for orders <= 3 cannot solve a fifth step
     with pytest.raises(ValueError):
-        sk_via_pless(CosetFamily(1, -1), 1, F3, 5, instance=build_instance(CosetFamily(1, -1), 1, F3, 3))
+        sk_via_pless(build_instance(CosetFamily(1, -1), 1, F3, 3), 5)
 
 
 def test_verify_instance_report():
@@ -142,8 +145,37 @@ def test_full_verification_jobs_deterministic():
     assert seq == par
 
 
+def test_pool_size_bounded_by_tasks_and_cpus(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size asked for and maps in this process: no worker starts."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    assert kloos.moments._available_cpus() >= 1
+    serial = full_verification(F3, n_max=2, h_max=4)  # 4 instances
+    assert sizes == []
+    for cpus, jobs, expected in [(2, 5000, [2]), (64, 5000, [4]), (64, 3, [3]), (1, 5000, [])]:
+        monkeypatch.setattr(kloos.moments, "_available_cpus", lambda: cpus)
+        sizes.clear()
+        assert full_verification(F3, n_max=2, h_max=4, jobs=jobs) == serial
+        assert sizes == expected, (cpus, jobs)
+
+
 def test_moment_series_as_dict():
-    series = sk_via_pless(CosetFamily(2, 1), 2, F3, 2)
+    series = sk_via_pless(build_instance(CosetFamily(2, 1), 2, F3, 2), 2)
     assert series.as_dict() == {
         "family": "DC2+",
         "n": 2,
@@ -256,8 +288,8 @@ def _check_integer_route(inst):
     via_pless = _fraction_solve(inst, 10, lambda h: pless[h] * Fraction(3, 2) ** h / (2 * a_const**h))
     via_printed = _fraction_solve(inst, 10, lambda h: field.q * Fraction(1, a_const**h) * printed[h])
     assert all(v.denominator == 1 for v in via_pless + via_printed), label
-    assert list(sk_via_pless(inst.family, inst.n, field, 10, instance=inst).values) == via_pless, label
-    series, defects = sk_via_printed_recursion(inst.family, inst.n, field, 10, instance=inst)
+    assert list(sk_via_pless(inst, 10).values) == via_pless, label
+    series, defects = sk_via_printed_recursion(inst, 10)
     assert defects == [] and list(series.values) == via_printed, label
 
 
@@ -287,20 +319,20 @@ def test_non_integral_steps_keep_their_messages():
     with pytest.raises(ArithmeticError) as exc:
         pless_rhs(bad_prefix, 2)
     assert str(exc.value) == "Pless right side not integral at h=2: 26/3"
-    assert sk_via_printed_recursion(family, 1, F3, 4, instance=bad_prefix) == (
+    assert sk_via_printed_recursion(bad_prefix, 4) == (
         None,
         ["printed recursion non-integral at step 2 for DC1-, n=1, q=3: 7/4"],
     )
     bad_rhs = dataclasses.replace(inst)
     bad_rhs.__dict__["rhs"] = (3, 5, 20, 68, 260)  # the cached Pless right sides, rhs[1] = 4 + 1
     with pytest.raises(ArithmeticError) as exc:
-        sk_via_pless(family, 1, F3, 4, instance=bad_rhs)
+        sk_via_pless(bad_rhs, 4)
     assert str(exc.value) == "solved moment not integral at step 1 for DC1-, n=1, q=3: -1/4"
 
     family = CosetFamily(4, -1)
     inst = build_instance(family, 3, F9, 4)
     bad_prefix = dataclasses.replace(inst, c_prefix=[c + 1 for c in inst.c_prefix])
-    assert sk_via_printed_recursion(family, 3, F9, 2, instance=bad_prefix) == (
+    assert sk_via_printed_recursion(bad_prefix, 2) == (
         None,
         ["printed recursion non-integral at step 1 for DC4-, n=3, q=9: -6729224039/2361960"],
     )
