@@ -234,9 +234,16 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
         "printed_defects": defects,
         "match": match,
     }
-    printed_values = [""] * len(derived.orders) if printed is None else printed.values
     rows = [["h", "SK", "SK_printed", "SK_oracle"]]
-    rows += [list(row) for row in zip(derived.orders, derived.values, printed_values, oracle.values)]
+    for idx, h in enumerate(derived.orders):
+        rows.append(
+            [
+                h,
+                derived.values[idx],
+                "" if printed is None else printed.values[idx],
+                oracle.values[idx],
+            ]
+        )
     return payload, rows, 0 if match else 1
 
 

@@ -135,8 +135,14 @@ def dual_weights(profile: TraceProfile) -> list[int]:
     return direct
 
 
-def check_injectivity(family: CosetFamily, n: int, field: Field, weights: Counter) -> CheckResult:
-    """The dual map is injective iff no unit a has dual weight 0; weights[w] counts the units of weight w."""
+def check_injectivity(
+    family: CosetFamily, n: int, field: Field, weights: Counter
+) -> CheckResult:
+    """The dual map is injective iff no nonzero a has weight zero.
+
+    `weights` are the instance's cross-checked dual weights as
+    multiplicities: weights[w] counts the units a of weight w.
+    """
     return CheckResult(f"dual_injectivity({family.label},n={n},q={field.q})", weights[0], 0)
 
 

@@ -209,8 +209,8 @@ def _series_orders(family: CosetFamily, steps: int) -> tuple[int, ...]:
 
 
 def _solve(
-    instance: PlessInstance, steps: int, defect: str, target: Callable[[int], tuple[int, int]]
-) -> MomentSeries | str:
+    instance: PlessInstance, steps: int, target: Callable[[int], tuple[int, int]]
+) -> MomentSeries | tuple[int, Fraction]:
     """Back-substitute the dual-weight expansion for steps 1..steps.
 
     The dual weight is (2/3)(N - S) with S = sigma A (K^p + c) the family
@@ -219,8 +219,8 @@ def _solve(
     2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l the l-th
     entry of the moment series; target(h) is that sum over l, as a pair
     (numerator, positive denominator) of integers.  Each step is one exact
-    division.  Returns the series, or for the first step whose value is not
-    an integer the message "<defect> at step h for <instance>: <Fraction>".
+    division.  Returns the series, or (h, value) for the first step whose
+    value is not an integer, with value the exact Fraction.
     """
     if not 1 <= steps <= instance.h_max:
         raise ValueError(f"h_max must be in 1..{instance.h_max}, got {steps}")
@@ -234,8 +234,7 @@ def _solve(
         num = tau**h * (num - rest * den)  # tau^-h == tau^h for tau = +-1
         value, remainder = divmod(num, den)
         if remainder:
-            where = f"{family.label}, n={instance.n}, q={q}"
-            return f"{defect} at step {h} for {where}: {Fraction(num, den)}"
+            return h, Fraction(num, den)
         solved.append(value)
     return MomentSeries(family, instance.n, q, _series_orders(family, steps), tuple(solved[1:]))
 
@@ -247,12 +246,12 @@ def sk_via_pless(instance: PlessInstance, steps: int) -> MomentSeries:
     families 2, 4 produce SK^2, SK^4, .., SK^(2 steps).
     """
     rhs, a_const = instance.rhs, instance.consts.A
-    solved = _solve(
-        instance, steps, "solved moment not integral", lambda h: (rhs[h] * 3**h, 2 ** (h + 1) * a_const**h)
-    )
-    if isinstance(solved, str):
-        raise ArithmeticError(solved)
-    return solved
+    solved = _solve(instance, steps, lambda h: (rhs[h] * 3**h, 2 ** (h + 1) * a_const**h))
+    if isinstance(solved, MomentSeries):
+        return solved
+    h, value = solved
+    where = f"{instance.family.label}, n={instance.n}, q={instance.field.q}"
+    raise ArithmeticError(f"solved moment not integral at step {h} for {where}: {value}")
 
 
 def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[MomentSeries | None, list[str]]:
@@ -267,10 +266,13 @@ def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[Momen
     solved = _solve(
         instance,
         steps,
-        "printed recursion non-integral",
         lambda h: (q * _prefix_side(instance, h, _printed_coefficient), 2 ** (2 * h + 1) * a_const**h),
     )
-    return (None, [solved]) if isinstance(solved, str) else (solved, [])
+    if isinstance(solved, MomentSeries):
+        return solved, []
+    h, value = solved
+    where = f"{instance.family.label}, n={instance.n}, q={q}"
+    return None, [f"printed recursion non-integral at step {h} for {where}: {value}"]
 
 
 def sk_oracle_series(instance: PlessInstance, steps: int) -> MomentSeries:

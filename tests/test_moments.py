@@ -110,8 +110,9 @@ def test_printed_recursion_agrees():
 
 
 def test_sk_guards():
+    # build_instance refuses h_max above MAX_H
     with pytest.raises(ValueError):
-        sk_via_pless(build_instance(CosetFamily(1, -1), 1, F3), 11)
+        sk_via_pless(build_instance(CosetFamily(1, -1), 1, F3, 11), 11)
     with pytest.raises(ValueError):
         sk_via_pless(build_instance(CosetFamily(1, -1), 1, F3), 0)
     with pytest.raises(ValueError):
