@@ -29,7 +29,12 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   merged blocks.  Swapping every one and two of a partial word keeps its
   weight and negates its signed sum, so the counts at s and -s are equal:
   the state is one row of (q + 1)/2 counts, one per class {s, -s}, per
-  number of coordinates used, and each block updates whole rows at once;
+  number of coordinates used.  In the group ring a merged block at
+  beta != 0 is (1 - z)^M (1 + h_M(z) sigma), with sigma the sum over a
+  coset of <beta> (sigma^2 = 3 sigma), so the scalars (1 - z)^M and the
+  block at 0 are applied once at the end, and each block updates whole
+  rows through their coset sums: one multiplication per coset class, of
+  which there are (q/3 + 1)/2, per (used, k);
 * the same prefix by the MacWilliams identity from the dual weights of the
   per-class column counts as printed in the source:
   C_j = (1/q) sum over a in F_q of K_j(w(c(a))), with the ternary
@@ -149,36 +154,48 @@ def check_injectivity(
 # -- weight distribution --------------------------------------------------------
 
 
-def _block_factors(n_beta: int, j_max: int) -> list[tuple[int, int]]:
-    """factors[k] = (P_0[k], P_1[k]): ways to mark k of n_beta coordinates
-    with nu ones and mu twos, nu + mu = k, such that nu - mu = d (mod 3).
+def _coset_series(m: int, j_max: int) -> list[int]:
+    """h_M[0..j_max] with (1 + z T)^M = (1 - z)^M (1 + h_M(z) sigma) for a
+    merged block of M coordinates at {beta, -beta}:
+    h_M[k] = sum over i = 1..k of 3^(i - 1) C(M, i) C(k - 1, i - 1).
 
-    Swapping the ones and the twos sends d to -d, so P_2[k] = P_1[k] and
-    only the pair is returned.
+    T = shift(beta) + shift(-beta) satisfies T^2 = T + 2, so sigma = 1 + T,
+    the sum over a coset of <beta>, satisfies sigma^2 = 3 sigma; expanding
+    ((1 - z) + z sigma)^M and then (z / (1 - z))^i gives the sum.
     """
-    factors = []
-    for k in range(j_max + 1):
-        by_shift = [0, 0, 0]
-        for nu in range(k + 1):
-            by_shift[(2 * nu - k) % 3] += comb(k, nu)
-        ways = comb(n_beta, k)  # multinomial(n_beta; nu, k - nu) = comb(n_beta, k) comb(k, nu)
-        factors.append((ways * by_shift[0], ways * by_shift[1]))
-    return factors
+    binoms = [comb(m, i) for i in range(j_max + 1)]
+    return [0] + [
+        sum(3 ** (i - 1) * binoms[i] * comb(k - 1, i - 1) for i in range(1, k + 1))
+        for k in range(1, j_max + 1)
+    ]
+
+
+def _scalar_series(n_zero: int, n_rest: int, j_max: int) -> list[int]:
+    """(1 + 2z)^N(0) (1 - z)^(N - N(0)) to z^j_max: the block at beta = 0
+    times the (1 - z)^M of every other block."""
+    twos = [2**i * comb(n_zero, i) for i in range(j_max + 1)]
+    ones = [(-1) ** i * comb(n_rest, i) for i in range(j_max + 1)]
+    return [sum(twos[i] * ones[j - i] for i in range(j + 1)) for j in range(j_max + 1)]
 
 
 def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
-    """C_0..C_j_max by DP over the classes {beta, -beta}.
+    """C_0..C_j_max by DP over the classes {beta, -beta}, through coset sums.
 
     Negating one coordinate keeps the word's weight and turns u beta into
     (-u)(-beta), so the blocks at beta and -beta merge into one block of
-    M = N(beta) + N(-beta) coordinates: (q + 1)/2 blocks.  A block sends a
-    row to f0 row(s) + f1 (row(s + beta) + row(s - beta)), with
-    (f0, f1) = (P_0[k], P_1[k]); that map commutes with s -> -s and the
-    start row is even, so every row is even and is stored once per class
-    {s, -s}.  State: rows[used][c] counts the partial words with `used`
-    nonzero coordinates whose signed sum lies in class c (None for an
-    all-zero row).  The shifts are class index maps built once per block,
-    and row(s + beta) + row(s - beta) is folded once per source row.
+    M = N(beta) + N(-beta) coordinates: (q + 1)/2 blocks.  In the group
+    ring of F_q a block is (1 + z T)^M with T = shift(beta) + shift(-beta),
+    and for beta != 0 that is (1 - z)^M (1 + h_M(z) sigma), with sigma the
+    sum over the coset s + <beta> (see _coset_series).  Every (1 - z)^M and
+    the block at beta = 0, (1 + 2z)^N(0), are scalars: their product is
+    applied once, at the end, to the class-0 entries.  Each block then sends
+    row[used] to row[used] + sum over k of h_M[k] sigma row[used - k]: the
+    coset sums are taken once per row, one multiplication per coset class
+    per (used, k), and added back to every class of the coset.  The map
+    commutes with s -> -s and the start row is even, so each row is stored
+    once per class {s, -s}: rows[used][c] is the z^used coefficient, at
+    either element of class c, of the product of the (1 + h_M(z) sigma) so
+    far.
     """
     # class index under s ~ -s, in order of first appearance: 0 is class 0
     cls = [-1] * field.q
@@ -190,38 +207,34 @@ def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
     merged = [0] * len(reps)
     for beta in field.elements():
         merged[cls[beta]] += counts[beta]
-    rows: list[list[int] | None] = [None] * (j_max + 1)
-    rows[0] = [1] + [0] * (len(reps) - 1)
-    factor_cache: dict[int, list[tuple[int, int]]] = {}
-    for beta, m_beta in zip(reps, merged):
+    rows = [[1] + [0] * (len(reps) - 1)] + [[0] * len(reps) for _ in range(j_max)]
+    series_cache: dict[int, list[int]] = {}
+    for beta, m_beta in zip(reps[1:], merged[1:]):
         if m_beta == 0:
             continue
-        factors = factor_cache.get(m_beta)
-        if factors is None:
-            factors = factor_cache[m_beta] = _block_factors(m_beta, j_max)
+        h = series_cache.get(m_beta)
+        if h is None:
+            h = series_cache[m_beta] = _coset_series(m_beta, j_max)
+        # the cosets s + <beta> up to sign: the classes of s, s + beta, s - beta
+        # for one s per coset class, and the coset class of every class
         neg_beta = field.neg(beta)
-        plus_beta = [cls[field.add(s, beta)] for s in reps]
-        minus_beta = [cls[field.add(s, neg_beta)] for s in reps]
-        # folded[used][c] = rows[used](s + beta) + rows[used](s - beta), s in class c
-        folded = [
-            None if row is None else [row[i] + row[k] for i, k in zip(plus_beta, minus_beta)]
-            for row in rows[:j_max]
-        ]
-        new_rows: list[list[int] | None] = [None] * (j_max + 1)
-        for used in range(j_max + 1):
-            acc = rows[used]  # k = 0 places nothing: P_0[0] = 1
-            for k in range(1, used + 1):
-                row, fold = rows[used - k], folded[used - k]
-                f0, f1 = factors[k]
-                if row is None or not f1:  # f1 = 0 exactly when k > M, and then f0 = 0 too
-                    continue
-                if acc is None:
-                    acc = [f0 * x + f1 * y for x, y in zip(row, fold)]
-                else:
-                    acc = [a + f0 * x + f1 * y for a, x, y in zip(acc, row, fold)]
-            new_rows[used] = acc
-        rows = new_rows
-    return [0 if row is None else row[0] for row in rows]
+        coset_of = [-1] * len(reps)
+        cosets: list[tuple[int, int, int]] = []
+        for c, s in enumerate(reps):
+            if coset_of[c] < 0:
+                triple = (c, cls[field.add(s, beta)], cls[field.add(s, neg_beta)])
+                for member in triple:
+                    coset_of[member] = len(cosets)
+                cosets.append(triple)
+        sums = [[row[a] + row[b] + row[c] for a, b, c in cosets] for row in rows[:j_max]]
+        for used in range(1, j_max + 1):
+            acc = [h[1] * x for x in sums[used - 1]]
+            for k in range(2, used + 1):
+                h_k = h[k]
+                acc = [a + h_k * x for a, x in zip(acc, sums[used - k])]
+            rows[used] = [x + acc[i] for x, i in zip(rows[used], coset_of)]
+    scalar = _scalar_series(merged[0], sum(merged) - merged[0], j_max)
+    return [sum(scalar[i] * rows[j - i][0] for i in range(j + 1)) for j in range(j_max + 1)]
 
 
 def check_prefix_dp_q(q: int) -> None:
@@ -275,13 +288,12 @@ def printed_column_counts(family: CosetFamily, n: int, field: Field) -> TracePro
     return TraceProfile(field, tuple(counts), family, n)
 
 
-def check_printed_columns(profile: TraceProfile) -> CheckResult:
+def check_printed_columns(profile: TraceProfile, printed: TraceProfile) -> CheckResult:
     """Printed column counts against the instance's profile: the number of
     beta where they differ, required 0."""
-    family, n, field = profile.family, profile.n, profile.field
-    printed = printed_column_counts(family, n, field)
+    label = f"{profile.family.label},n={profile.n},q={profile.field.q}"
     mismatches = sum(1 for p, c in zip(printed.counts, profile.counts) if p != c)
-    return CheckResult(f"printed_columns({family.label},n={n},q={field.q})", mismatches, 0)
+    return CheckResult(f"printed_columns({label})", mismatches, 0)
 
 
 def _binomial_row(n: int, scale: int, j_max: int) -> list[int]:
@@ -317,11 +329,10 @@ def weight_prefix_macwilliams(profile: TraceProfile, j_max: int) -> list[int]:
     return [exact_div(total, profile.field.q) for total in totals]
 
 
-def weight_prefix_from_printed_columns(
-    family: CosetFamily, n: int, field: Field, j_max: int
-) -> list[int]:
-    """C_0..C_j_max by MacWilliams from the printed column counts."""
-    return weight_prefix_macwilliams(printed_column_counts(family, n, field), j_max)
+def weight_prefix_from_printed_columns(printed: TraceProfile, j_max: int) -> list[int]:
+    """C_0..C_j_max by MacWilliams from the printed column counts, as
+    `printed_column_counts` returns them."""
+    return weight_prefix_macwilliams(printed, j_max)
 
 
 def enumerate_code_tiny(profile: TraceProfile) -> list[int]:

@@ -54,6 +54,7 @@ from .codes import (
     check_injectivity,
     check_printed_columns,
     dual_weights,
+    printed_column_counts,
     trace_profile,
     weight_distribution_prefix,
     weight_prefix_from_printed_columns,
@@ -290,7 +291,7 @@ def sk_oracle_series(instance: PlessInstance, steps: int) -> MomentSeries:
 class InstanceReport:
     family: CosetFamily
     n: int
-    field: Field
+    q: int
     consts: FamilyConstants
     checks: list[CheckResult]
     sk: MomentSeries | None
@@ -304,7 +305,7 @@ class InstanceReport:
             "instance": {
                 "family": self.family.label,
                 "n": self.n,
-                "q": self.field.q,
+                "q": self.q,
                 "A": self.consts.A,
                 "B": self.consts.B,
                 "N": self.consts.N,
@@ -327,13 +328,14 @@ def verify_instance(
     label = f"{family.label},n={n},q={field.q}"
     instance = build_instance(family, n, field, h_max=max(h_max, identity_h_max))
     consts = instance.consts
+    printed = printed_column_counts(family, n, field)
     checks = [
         check_constants_consistency(family, n, field.q, consts),
         CheckResult(f"profile_mass({label})", instance.length, consts.N),
-        check_printed_columns(instance.profile),
+        check_printed_columns(instance.profile, printed),
         CheckResult(
             f"printed_prefix({label})",
-            weight_prefix_from_printed_columns(family, n, field, len(instance.c_prefix) - 1),
+            weight_prefix_from_printed_columns(printed, len(instance.c_prefix) - 1),
             instance.c_prefix,
         ),
         check_injectivity(family, n, field, instance.weights),
@@ -356,12 +358,12 @@ def verify_instance(
                 list(sk_series.values),
             )
         )
-    return InstanceReport(family, n, field, consts, checks, sk_series)
+    return InstanceReport(family, n, field.q, consts, checks, sk_series)
 
 
 @lru_cache(maxsize=8)
 def _worker_field(r: int, modulus: tuple[int, ...]) -> Field:
-    """One Field per (r, modulus) per process, shared by all its instances."""
+    """One Field per (r, modulus) per worker process, shared by all its instances."""
     return Field(r, modulus)
 
 
@@ -387,21 +389,22 @@ def full_verification(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [
-        (field.r, field.modulus, family.i, family.sign, n, h_max, identity_h_max)
-        for family in ALL_FAMILIES
-        for n in family.valid_ns(n_max)
-    ]
-    if not tasks:
+    instances = [(family, n) for family in ALL_FAMILIES for n in family.valid_ns(n_max)]
+    if not instances:
         raise ValueError(f"no valid (family, n) instance with n <= {n_max}")
-    workers = min(jobs, len(tasks), _available_cpus())
+    workers = min(jobs, len(instances), _available_cpus())
     if workers > 1:
         import multiprocessing
 
+        # workers build their own field once each: a pickled Field would be rebuilt per task
+        tasks = [
+            (field.r, field.modulus, family.i, family.sign, n, h_max, identity_h_max)
+            for family, n in instances
+        ]
         with multiprocessing.Pool(processes=workers) as pool:
             reports = pool.map(_verify_worker, tasks)
     else:
-        reports = [_verify_worker(t) for t in tasks]
+        reports = [verify_instance(family, n, field, h_max, identity_h_max) for family, n in instances]
     return {
         "q": field.q,
         "modulus": list(field.modulus),

@@ -21,6 +21,7 @@ from kloos.codes import (
     dual_weight_closed,
     dual_weights_from_profile,
     enumerate_code_tiny,
+    printed_column_counts,
     trace_profile,
     weight_distribution_prefix,
     weight_prefix_from_printed_columns,
@@ -266,7 +267,7 @@ def test_criterion_6_reference_distribution_three_ways(capsys):
     expected = [1, 4, 6, 8, 8]
     profile = trace_profile(family, 1, field)
     via_dp = weight_distribution_prefix(profile, profile.length)
-    via_printed = weight_prefix_from_printed_columns(family, 1, field, profile.length)
+    via_printed = weight_prefix_from_printed_columns(printed_column_counts(family, 1, field), profile.length)
     via_enum = enumerate_code_tiny(profile)
     ok = via_dp == via_printed == via_enum == expected
     _verdict(

@@ -367,3 +367,13 @@ def test_installed_entrypoint():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["SK"] == [-1, 1, -1, 1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_builds_one_field(capsys, monkeypatch, built_fields, jobs):
+    # with two jobs a real pool of two workers runs; their fields are built in the
+    # workers, and the reports they send back carry q, not a Field to rebuild
+    monkeypatch.setattr(kloos.moments, "_available_cpus", lambda: 2)
+    payload = run_json(capsys, "verify", "--r", "2", "--nmax", "6", "--jobs", jobs)
+    assert payload["passed"] and len(payload["instances"]) == 20
+    assert built_fields == [2]

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from math import comb, factorial
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kloos.codes
+import kloos.moments
 from kloos.codes import (
     TraceProfile,
     check_injectivity,
@@ -183,7 +185,7 @@ def test_weight_prefix_small_code_full_distribution():
     prefix = weight_distribution_prefix(profile, 4)
     assert prefix == [1, 4, 6, 8, 8]
     assert enumerate_code_tiny(profile) == [1, 4, 6, 8, 8]
-    printed = weight_prefix_from_printed_columns(CosetFamily(1, -1), 1, F3, 4)
+    printed = weight_prefix_from_printed_columns(printed_column_counts(CosetFamily(1, -1), 1, F3), 4)
     assert printed == [1, 4, 6, 8, 8]
     assert sum(prefix) == 3**3  # dual dimension r = 1: |code| = 3^(N-1)
 
@@ -208,17 +210,32 @@ def _multinomial(n, a, b):
     return falling // (factorial(a) * factorial(b))
 
 
-def test_block_factors_match_multinomial_sum():
-    for n_beta in (0, 1, 2, 5, 13, 10**50):
-        factors = kloos.codes._block_factors(n_beta, 12)
-        for k, row in enumerate(factors):
-            expected = [0, 0, 0]
-            for nu in range(k + 1):  # nu ones and mu = k - nu twos, shift nu - mu
-                expected[(2 * nu - k) % 3] += _multinomial(n_beta, nu, k - nu)
-            assert expected[1] == expected[2], (n_beta, k)  # swapping ones and twos negates the shift
-            assert row == (expected[0], expected[1]), (n_beta, k)
+def _times_one_minus_z(m, series):
+    """(1 - z)^m times series, truncated to the length of series."""
+    factor = [(-1) ** i * comb(m, i) for i in range(len(series))]
+    return [sum(factor[i] * series[j - i] for i in range(j + 1)) for j in range(len(series))]
+
+
+def test_coset_series_match_multinomial_sum():
+    # (1 + zT)^M = (1 - z)^M (1 + h_M sigma): the shift-0 and shift-1 coefficients
+    # are P_0 = (1 - z)^M (1 + h_M) and P_1 = (1 - z)^M h_M
+    for m in (0, 1, 2, 5, 13, 10**50):
+        for j_max in range(13):
+            h = kloos.codes._coset_series(m, j_max)
+            assert len(h) == j_max + 1 and h[0] == 0, (m, j_max)
+            expected = [[0, 0, 0] for _ in range(j_max + 1)]
+            for k in range(j_max + 1):
+                for nu in range(k + 1):  # nu ones and mu = k - nu twos, shift nu - mu
+                    expected[k][(2 * nu - k) % 3] += _multinomial(m, nu, k - nu)
+                assert expected[k][1] == expected[k][2], (m, k)  # swapping ones and twos negates the shift
+            p_1 = _times_one_minus_z(m, h)
+            p_0 = _times_one_minus_z(m, [1, *h[1:]])
+            assert p_0 == [row[0] for row in expected], (m, j_max)
+            assert p_1 == [row[1] for row in expected], (m, j_max)
     # 3 of 5 coordinates: all ones or all twos give shift 0, two ones shift 1, two twos shift 2
-    assert kloos.codes._block_factors(5, 3)[3] == (20, 30)
+    h = kloos.codes._coset_series(5, 3)
+    assert _times_one_minus_z(5, [1, *h[1:]])[3] == 20
+    assert _times_one_minus_z(5, h)[3] == 30
 
 
 def test_weight_prefix_leading_terms():
@@ -243,7 +260,8 @@ def test_printed_columns_agree_with_profile():
     for field in (F3, F9, F27):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
-                res = check_printed_columns(trace_profile(family, n, field))
+                printed = printed_column_counts(family, n, field)
+                res = check_printed_columns(trace_profile(family, n, field), printed)
                 assert res.ok, res
 
 
@@ -255,7 +273,8 @@ def test_printed_prefix_agrees_with_profile_prefix():
                 profile = trace_profile(family, n, field)
                 j_max = min(profile.length, 8)
                 dp = weight_distribution_prefix(profile, j_max)
-                assert weight_prefix_from_printed_columns(family, n, field, j_max) == dp
+                printed = printed_column_counts(family, n, field)
+                assert weight_prefix_from_printed_columns(printed, j_max) == dp
                 assert weight_prefix_macwilliams(profile, j_max) == dp
 
 
@@ -365,6 +384,26 @@ def test_prefix_matches_full_row_dp_on_asymmetric_profiles(profile, j_max):
     assert weight_distribution_prefix(profile, j_max) == expected
 
 
+@pytest.mark.parametrize("field", FIELDS_R1_TO_R5[2:4], ids=["q27", "q81"])
+def test_prefix_dp_edge_cases(field):
+    q, rng = field.q, random.Random(field.q)
+    # all mass at beta = 0: every word is a codeword, C = (1 + 2z)^N
+    n_len = 10**20 + 7
+    at_zero = TraceProfile(field, (n_len,) + (0,) * (q - 1))
+    # no mass at beta = 0: the scalar factor is (1 - z)^N alone
+    no_zero = TraceProfile(field, (0,) + tuple(rng.choice((0, 1, 3, 10**25)) for _ in range(q - 1)))
+    # N(0) = 0 and N = 8, checked word by word; j_max = 12 runs past N
+    tiny_counts = [0] * q
+    for beta in rng.sample(range(1, q), 4):
+        tiny_counts[beta] = 2
+    tiny = TraceProfile(field, tuple(tiny_counts))
+    full = enumerate_code_tiny(tiny) + [0] * 4
+    for j_max in (0, 12):
+        assert weight_distribution_prefix(at_zero, j_max) == [2**j * comb(n_len, j) for j in range(j_max + 1)]
+        assert weight_distribution_prefix(no_zero, j_max) == _prefix_dp_full_rows(field, no_zero.counts, j_max)
+        assert weight_distribution_prefix(tiny, j_max) == full[: j_max + 1]
+
+
 def test_prefix_depends_on_pair_sums_only():
     # moving coordinates from beta to -beta negates them; C_j sees only N(beta) + N(-beta)
     for field, base in ((F3, (1, 3, 0)), (F9, (1, 2, 0, 1, 0, 2, 0, 0, 1)), (F27, (0,) * 26 + (6,))):
@@ -391,7 +430,8 @@ def test_printed_prefix_fails_on_perturbed_column(monkeypatch):
         counts[0] += 1
         return TraceProfile(field, tuple(counts), family, n)
 
-    monkeypatch.setattr(kloos.codes, "printed_column_counts", perturbed)
+    for module in (kloos.codes, kloos.moments):  # verify_instance reads the name from kloos.moments
+        monkeypatch.setattr(module, "printed_column_counts", perturbed)
     report = verify_instance(family, n, field, h_max=4)
     status = {c.name.split("(")[0]: c.ok for c in report.checks}
     assert status["printed_prefix"] is False

@@ -232,6 +232,13 @@ def test_verify_instance_derives_each_quantity_once(monkeypatch):
         monkeypatch.undo()
 
 
+def test_verify_builds_printed_columns_once_per_instance(monkeypatch, capsys):
+    printed = _spy(monkeypatch, "printed_column_counts")
+    code = kloos.cli.main(["verify", "--r", "2", "--nmax", "6", "--jobs", "1"])
+    assert code == 0, capsys.readouterr().err
+    assert len(printed) == 20  # the 20 instances, each read by both printed checks
+
+
 def test_recursion_command_builds_one_instance(monkeypatch, capsys):
     builds = _spy(monkeypatch, "build_instance")
     code = kloos.cli.main(["recursion", "--r", "2", "--family", "DC1-", "--n", "3", "--hmax", "6"])
