@@ -17,13 +17,16 @@ the same invocation yields byte-identical bytes.  Exit codes: 0 success,
 1 verification failure, 2 usage or guard error, 141 (128 + SIGPIPE, as a
 shell reports a writer killed by a closed pipe) when writing stdout fails
 because its reader has closed it, as in ``kloos kloosterman --r 8 | head -1``.
+
+Each run is a fresh process, so ``groups``, ``moments`` and ``csv`` are
+imported inside the handlers that use them: ``kloosterman`` or ``field``
+then does not pay to load modules it never calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import os
@@ -34,23 +37,6 @@ from .charsums import check_series_h, kloosterman_table, moment_series
 from .codes import check_prefix_dp_q, dual_weights, trace_profile, weight_distribution_prefix
 from .constants import ALL_FAMILIES, CosetFamily, family_constants
 from .field import MAX_DEGREE, Field, poly_str
-from .groups import (
-    check_circle_scan,
-    check_double_coset_q,
-    check_q_enumeration,
-    double_coset,
-    enumerate_o2_minus,
-    enumerate_q,
-    enumerate_so2_minus,
-)
-from .moments import (
-    build_instance,
-    full_verification,
-    moment_steps,
-    sk_oracle_series,
-    sk_via_pless,
-    sk_via_printed_recursion,
-)
 
 FORMATS = ("json", "csv", "text")
 EXIT_BROKEN_PIPE = 141
@@ -106,18 +92,13 @@ def cmd_field(args) -> tuple[dict, list[list], int]:
     return payload, rows, 0
 
 
-def cmd_kloosterman(args) -> tuple[dict, list[list], int]:
+def cmd_kloosterman(args) -> tuple[dict, Iterable[list], int]:
     field = _build_field(args, lambda q: check_series_h(args.hmax))
-    table = kloosterman_table(field)
+    table = {_coeff_key(field, a): k for a, k in kloosterman_table(field).items()}
     sk, mk = moment_series(field, args.hmax)
-    payload = {
-        "q": field.q,
-        "modulus": list(field.modulus),
-        "K": {_coeff_key(field, a): k for a, k in table.items()},
-        "SK": sk[1:],
-        "MK": mk[1:],
-    }
-    rows = [["a", "K"]] + [[_coeff_key(field, a), k] for a, k in table.items()]
+    payload = {"q": field.q, "modulus": list(field.modulus), "K": table, "SK": sk[1:], "MK": mk[1:]}
+    # one row per unit, built only if the CSV writer asks for it
+    rows = itertools.chain([["a", "K"]], ([key, k] for key, k in table.items()))
     return payload, rows, 0
 
 
@@ -179,6 +160,16 @@ def cmd_weights(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_group(args) -> tuple[dict, list[list], int]:
+    from .groups import (
+        check_circle_scan,
+        check_double_coset_q,
+        check_q_enumeration,
+        double_coset,
+        enumerate_o2_minus,
+        enumerate_q,
+        enumerate_so2_minus,
+    )
+
     if args.family:
         field = _build_field(args, check_double_coset_q)
     elif args.set == "q" and args.n is not None:
@@ -213,6 +204,14 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_recursion(args) -> tuple[dict, list[list], int]:
+    from .moments import (
+        build_instance,
+        moment_steps,
+        sk_oracle_series,
+        sk_via_pless,
+        sk_via_printed_recursion,
+    )
+
     field = _build_field(args, check_prefix_dp_q)
     family = CosetFamily.parse(args.family)
     steps = moment_steps(family, args.hmax)
@@ -248,6 +247,8 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_verify(args) -> tuple[dict, Iterable[list], int]:
+    from .moments import full_verification
+
     field = _build_field(args, check_prefix_dp_q)
     jobs = _default_jobs() if args.jobs is None else args.jobs
     report = full_verification(field, args.nmax, args.hmax, jobs=jobs)
@@ -306,6 +307,8 @@ def _emit(payload, rows, fmt: str, out) -> None:
         out.write(json.dumps(payload, indent=2, sort_keys=True))
         out.write("\n")
     elif fmt == "csv":
+        import csv
+
         csv.writer(out, lineterminator="\n").writerows(rows)
     else:
         out.write(_render_text(payload))

@@ -377,3 +377,51 @@ def test_verify_builds_one_field(capsys, monkeypatch, built_fields, jobs):
     payload = run_json(capsys, "verify", "--r", "2", "--nmax", "6", "--jobs", jobs)
     assert payload["passed"] and len(payload["instances"]) == 20
     assert built_fields == [2]
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import kloos.cli
+
+def loaded():
+    return {name: name in sys.modules for name in ("kloos.groups", "kloos.moments", "csv")}
+
+stages = {"import": loaded()}
+codes = []
+for label, argv in [
+    ("kloosterman", ["kloosterman", "--r", "2"]),
+    ("verify", ["verify", "--r", "1", "--nmax", "2"]),
+    ("group", ["group", "--r", "1", "--set", "so2"]),
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(kloos.cli.main(argv))
+    stages[label] = loaded()
+print(json.dumps({"codes": codes, "stages": stages}))
+"""
+
+
+def test_each_subcommand_imports_only_what_it_runs():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0]
+    stages = result["stages"]
+    absent = {"kloos.groups": False, "kloos.moments": False, "csv": False}
+    assert stages["import"] == absent
+    assert stages["kloosterman"] == absent
+    assert stages["verify"]["kloos.moments"] and not stages["verify"]["kloos.groups"]
+    assert stages["group"]["kloos.groups"]
+
+
+@pytest.mark.parametrize("modulus", [None, (2, 1, 1)])
+def test_kloosterman_csv_rows_match_json_table(capsys, modulus):
+    field_args = ["--r", "2"] + ([] if modulus is None else ["--modulus", "2,1,1"])
+    table = run_json(capsys, "kloosterman", *field_args)["K"]
+    code, out, err = run_cli(capsys, "kloosterman", *field_args, "--format", "csv")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["a", "K"]
+    # JSON sorts its keys; the CSV lists the units in the field's order
+    field = Field(2, modulus)
+    assert [a for a, _ in rows[1:]] == [",".join(map(str, field.coeffs(a))) for a in field.units()]
+    assert {a: int(k) for a, k in rows[1:]} == table
