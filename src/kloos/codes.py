@@ -38,8 +38,12 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
 * the same prefix by the MacWilliams identity from the dual weights of the
   per-class column counts as printed in the source:
   C_j = (1/q) sum over a in F_q of K_j(w(c(a))), with the ternary
-  Krawtchouk polynomial K_j.  This route never enumerates words, so it is
-  an independent check on the DP (which never looks at dual weights);
+  Krawtchouk polynomial K_j.  This route never enumerates words and the DP
+  never looks at dual weights, so the two share only `_series`, which
+  takes every truncated (1 + 2z)^a (1 - z)^b here: K_j, and the DP's
+  scalars and coset series.  Checks that never call it also face the DP:
+  the left side of `pless_identity` (sum m w^h over the dual weights),
+  `sk_vs_oracle` and the literal sums of the tests;
 * for tiny N, the full distribution by literal enumeration of all 3^N words.
 
 The Pless identities and the moment solve consume the DP prefix only:
@@ -51,7 +55,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 
 from .charsums import check_quadratic_scan, delta1_closed, delta_counts, kloosterman_table
 from .constants import CosetFamily, FamilyConstants, FamilyPolynomial, exact_div, family_constants
@@ -154,28 +157,28 @@ def check_injectivity(
 # -- weight distribution --------------------------------------------------------
 
 
+def _series(a: int, b: int, j_max: int) -> list[int]:
+    """(1 + 2z)^a (1 - z)^b to z^j_max for any integers a, b, by the z^j
+    coefficient of (1 + z - 2z^2) f' = (2a - b - (2a + 2b) z) f:
+    (j + 1) f[j + 1] = (2a - b - j) f[j] + (2(j - 1) - 2a - 2b) f[j - 1]."""
+    f = [1]
+    for j in range(j_max):
+        num = (2 * a - b - j) * f[j] + (2 * (j - 1) - 2 * a - 2 * b) * (f[j - 1] if j else 0)
+        f.append(exact_div(num, j + 1))
+    return f
+
+
 def _coset_series(m: int, j_max: int) -> list[int]:
     """h_M[0..j_max] with (1 + z T)^M = (1 - z)^M (1 + h_M(z) sigma) for a
-    merged block of M coordinates at {beta, -beta}:
-    h_M[k] = sum over i = 1..k of 3^(i - 1) C(M, i) C(k - 1, i - 1).
+    merged block of M coordinates at {beta, -beta}: 1 + 3 h_M is the series
+    ((1 + 2z) / (1 - z))^M.
 
     T = shift(beta) + shift(-beta) satisfies T^2 = T + 2, so sigma = 1 + T,
-    the sum over a coset of <beta>, satisfies sigma^2 = 3 sigma; expanding
-    ((1 - z) + z sigma)^M and then (z / (1 - z))^i gives the sum.
+    the sum over a coset of <beta>, satisfies sigma^2 = 3 sigma; with
+    u = z / (1 - z), 1 + z T = (1 - z)(1 + u sigma) and
+    (1 + u sigma)^M = 1 + ((1 + 3u)^M - 1) sigma / 3.
     """
-    binoms = [comb(m, i) for i in range(j_max + 1)]
-    return [0] + [
-        sum(3 ** (i - 1) * binoms[i] * comb(k - 1, i - 1) for i in range(1, k + 1))
-        for k in range(1, j_max + 1)
-    ]
-
-
-def _scalar_series(n_zero: int, n_rest: int, j_max: int) -> list[int]:
-    """(1 + 2z)^N(0) (1 - z)^(N - N(0)) to z^j_max: the block at beta = 0
-    times the (1 - z)^M of every other block."""
-    twos = [2**i * comb(n_zero, i) for i in range(j_max + 1)]
-    ones = [(-1) ** i * comb(n_rest, i) for i in range(j_max + 1)]
-    return [sum(twos[i] * ones[j - i] for i in range(j + 1)) for j in range(j_max + 1)]
+    return [0] + [exact_div(c, 3) for c in _series(m, -m, j_max)[1:]]
 
 
 def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
@@ -233,7 +236,7 @@ def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
                 h_k = h[k]
                 acc = [a + h_k * x for a, x in zip(acc, sums[used - k])]
             rows[used] = [x + acc[i] for x, i in zip(rows[used], coset_of)]
-    scalar = _scalar_series(merged[0], sum(merged) - merged[0], j_max)
+    scalar = _series(merged[0], sum(merged) - merged[0], j_max)
     return [sum(scalar[i] * rows[j - i][0] for i in range(j + 1)) for j in range(j_max + 1)]
 
 
@@ -296,20 +299,10 @@ def check_printed_columns(profile: TraceProfile, printed: TraceProfile) -> Check
     return CheckResult(f"printed_columns({label})", mismatches, 0)
 
 
-def _binomial_row(n: int, scale: int, j_max: int) -> list[int]:
-    """scale^i C(n, i) for i <= j_max, by C(n, i + 1) = C(n, i) (n - i) / (i + 1)."""
-    row = [1]
-    for i in range(j_max):
-        row.append(row[-1] * scale * (n - i) // (i + 1))  # exact: (i + 1) C(n, i + 1)
-    return row
-
-
 def krawtchouk_prefix(n_len: int, w: int, j_max: int) -> list[int]:
     """Ternary Krawtchouk K_0(w)..K_j_max(w): the coefficients of
-    (1 - z)^w (1 + 2z)^(N - w), one truncated product of two binomial rows."""
-    ones = _binomial_row(w, -1, j_max)
-    twos = _binomial_row(n_len - w, 2, j_max)
-    return [sum(ones[i] * twos[j - i] for i in range(j + 1)) for j in range(j_max + 1)]
+    (1 + 2z)^(N - w) (1 - z)^w."""
+    return _series(n_len - w, w, j_max)
 
 
 def weight_prefix_macwilliams(profile: TraceProfile, j_max: int) -> list[int]:

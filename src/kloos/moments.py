@@ -22,16 +22,19 @@ One PlessInstance per (family, n, q) holds what each route, the oracle
 included, reads; its dual weights are multiplicities w -> m over the units
 (w depends on a only through K(a^2)), so the moment side is sum m w^h.
 
-Two routes share the prefix sum and the solve, and differ only in the
-coefficient inside the sum:
+Two routes share the binomial moments of the prefix,
+B_t = sum over j <= t of (-1)^j C_j 2^(t-j) binom(N-j, t-j) (by MacWilliams,
+the sum over the q dual words of binom(w, t) is 3^(k-t) B_t), the prefix
+sum sum_t t! S(h, t) c(h, t) B_t and the solve, and differ only in c(h, t),
+both with the 2^(t-j) moved into B_t:
 
 * :func:`sk_via_pless` uses the Pless right side, 3^(k-t) 2^(t-j) (the
-  derivation route), summed as 3^(k-t+h) 2^(t-j), that is times 3^h;
+  derivation route), summed as 3^(k-t+h), that is times 3^h;
 * :func:`sk_via_printed_recursion` uses the final recursion exactly as
-  printed in the source, q 3^(h-t) 2^(t-h-j-1), summed as
-  3^(h-t) 2^(t+h-j), that is times 2^(2h+1); it must produce the same
-  series, and a mismatch is reported, not raised, since it would
-  indicate a transcription defect in the printed form.
+  printed in the source, q 3^(h-t) 2^(t-h-j-1), summed as 3^(h-t) 2^h,
+  that is times 2^(2h+1); it must produce the same series, and a mismatch
+  is reported, not raised, since it would indicate a transcription defect
+  in the printed form.
 
 The h = 0 case is degenerate by convention (the identity's right side
 counts the zero dual word, the left side as summed over units does not),
@@ -51,6 +54,7 @@ from typing import Callable
 from .charsums import sk_moment
 from .codes import (
     TraceProfile,
+    _series,
     check_injectivity,
     check_printed_columns,
     dual_weights,
@@ -83,8 +87,8 @@ def _stirling_weights(h: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class PlessInstance:
     """Everything the identity needs for one (family, n, q), built once;
-    weights[w] counts the units a of dual weight w, and the C prefix and
-    the Pless right sides cover moment orders h <= h_max."""
+    weights[w] counts the units a of dual weight w, and the C prefix, its
+    binomial moments and the Pless right sides cover moment orders h <= h_max."""
 
     family: CosetFamily
     n: int
@@ -100,11 +104,17 @@ class PlessInstance:
         return self.profile.length
 
     @cached_property
-    def binomials(self) -> tuple[tuple[int, ...], ...]:
-        """binomials[j][t - j] = binom(N - j, N - t) = binom(N - j, t - j)
-        for j <= t <= min(N, h_max), each evaluated once."""
-        n_len, top = self.length, len(self.c_prefix) - 1
-        return tuple(tuple(comb(n_len - j, d) for d in range(top - j + 1)) for j in range(top + 1))
+    def binomial_moments(self) -> tuple[int, ...]:
+        """B_t = sum over j <= t of (-1)^j C_j 2^(t - j) binom(N - j, t - j) for
+        t <= top = min(N, h_max): sum_j C_j (-z)^j (1 + 2z)^(top - j) by
+        Horner's rule, times the series (1 + 2z)^(N - top)."""
+        top = len(self.c_prefix) - 1
+        horner = [self.c_prefix[0]]
+        for j in range(1, top + 1):
+            horner = [x + 2 * y for x, y in zip(horner + [0], [0] + horner)]
+            horner[j] += (-1) ** j * self.c_prefix[j]
+        x_power = _series(self.length - top, 0, top)
+        return tuple(sum(x_power[t - i] * horner[i] for i in range(t + 1)) for t in range(top + 1))
 
     @cached_property
     def rhs(self) -> tuple[int, ...]:
@@ -128,44 +138,39 @@ def pless_lhs(instance: PlessInstance, h: int) -> int:
     return sum(m * w**h for w, m in instance.weights.items())
 
 
-def _prefix_side(instance: PlessInstance, h: int, coefficient: Callable[[int, int, int], int]) -> int:
-    """Sum over j <= min(N, h) of (-1)^j C_j times
-    sum over t = j..min(N, h) of t! S(h, t) coefficient(h, t, j) binom(N - j, N - t),
-    with an integer coefficient, so an integer sum."""
+def _prefix_side(instance: PlessInstance, h: int, coefficient: Callable[[int, int], int]) -> int:
+    """Sum over t <= min(N, h) of t! S(h, t) coefficient(h, t) B_t, with the
+    instance's binomial moments B_t and an integer coefficient, so an
+    integer sum."""
     if h < 0:
         raise ValueError("moment order must be nonnegative")
     top = min(instance.length, h)
     if top >= len(instance.c_prefix):
         raise ValueError(f"instance prefix covers j <= {len(instance.c_prefix) - 1}, needs {top}")
-    weights = _stirling_weights(h)
-    total = 0
-    for j in range(top + 1):
-        binoms = instance.binomials[j]
-        inner = sum(weights[t] * coefficient(h, t, j) * binoms[t - j] for t in range(j, top + 1))
-        total += (-1) ** j * instance.c_prefix[j] * inner
-    return total
+    weights, moments = _stirling_weights(h), instance.binomial_moments
+    return sum(weights[t] * coefficient(h, t) * moments[t] for t in range(top + 1))
 
 
 def pless_rhs(instance: PlessInstance, h: int) -> int:
-    """The prefix side: sum over j <= min(N, h) of (-1)^j C_j times
-    sum over t of t! S(h, t) 3^(k - t) 2^(t - j) binom(N - j, N - t).
+    """The prefix side: sum over t <= min(N, h) of t! S(h, t) 3^(k - t) B_t.
 
     Terms with t > k are rational, so the sum runs with the coefficient
-    times 3^h, 3^(k - t + h) 2^(t - j), and is divided by 3^h once; the
-    total must be integral.
+    times 3^h, 3^(k - t + h), and is divided by 3^h once; the total must
+    be integral.
     """
     k_dim = instance.field.r  # the dual code's dimension
-    scaled = _prefix_side(instance, h, lambda h, t, j: 3 ** (k_dim - t + h) * 2 ** (t - j))
+    scaled = _prefix_side(instance, h, lambda h, t: 3 ** (k_dim - t + h))
     total, remainder = divmod(scaled, 3**h)
     if remainder:
         raise ArithmeticError(f"Pless right side not integral at h={h}: {Fraction(scaled, 3**h)}")
     return total
 
 
-def _printed_coefficient(h: int, t: int, j: int) -> int:
+def _printed_coefficient(h: int, t: int) -> int:
     """The inner coefficient of the recursion as printed, 3^(h-t) 2^(t-h-j-1),
-    times 2^(2h+1): 3^(h-t) 2^(t+h-j), an integer for t <= h, j <= t."""
-    return 3 ** (h - t) * 2 ** (t + h - j)
+    times 2^(2h+1) and without the 2^(t-j) that B_t carries: 3^(h-t) 2^h,
+    an integer for t <= h."""
+    return 3 ** (h - t) * 2**h
 
 
 def check_pless_identity(instance: PlessInstance, h_max: int) -> list[CheckResult]:

@@ -327,6 +327,25 @@ def test_krawtchouk_prefix_matches_direct_sum():
                 assert krawtchouk_prefix(n_len, w, j_max) == expected, (n_len, w, j_max)
 
 
+def _binomial(n, k):
+    """C(n, k) for any integer n: (-1)^k C(k - n - 1, k) when n < 0."""
+    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
+
+
+_EXPONENTS = st.integers(-(10**40), 10**40) | st.integers(-20, 20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_EXPONENTS, b=_EXPONENTS, j_max=st.integers(0, 12))
+def test_series_matches_binomial_convolution(a, b, j_max):
+    # (1 + 2z)^a (1 - z)^b, term by term from the two binomial rows
+    expected = [
+        sum(2**i * _binomial(a, i) * (-1) ** (j - i) * _binomial(b, j - i) for i in range(j + 1))
+        for j in range(j_max + 1)
+    ]
+    assert kloos.codes._series(a, b, j_max) == expected
+
+
 @st.composite
 def small_profiles(draw):
     field = draw(st.sampled_from((F3, F9, F27)))

@@ -187,9 +187,10 @@ def test_moment_series_as_dict():
 
 def test_printed_recursion_fails_on_perturbed_coefficient(monkeypatch):
     # the two routes share the prefix loop and the solve, not the coefficient
-    def perturbed(h, t, j):
-        # scaled by 2^(2h+1): 2^(t+h-j) is the printed 2^(t-h-j-1), so this is 2^(t-h-j)
-        return 3 ** (h - t) * 2 ** (t + h - j + 1)
+    def perturbed(h, t):
+        # scaled by 2^(2h+1), with B_t carrying 2^(t-j): 2^h is the printed 2^(t-h-j-1),
+        # so this is 2^(t-h-j)
+        return 3 ** (h - t) * 2 ** (h + 1)
 
     monkeypatch.setattr(kloos.moments, "_printed_coefficient", perturbed)
     for family, n, field in [(CosetFamily(1, -1), 3, F3), (CosetFamily(2, 1), 2, F9)]:
@@ -244,6 +245,21 @@ def test_recursion_command_builds_one_instance(monkeypatch, capsys):
     code = kloos.cli.main(["recursion", "--r", "2", "--family", "DC1-", "--n", "3", "--hmax", "6"])
     assert code == 0, capsys.readouterr().err
     assert len(builds) == 1
+
+
+def test_binomial_moments_count_dual_weight_binomials():
+    # sum over a in F_q of binom(w(c(a)), t) = 3^(r - t) B_t; a = 0 adds binom(0, t) = [t = 0]
+    cases = 0
+    for field in (F3, F9, F27):
+        for family in ALL_FAMILIES:
+            for n in family.valid_ns(4):
+                inst = build_instance(family, n, field)
+                assert len(inst.binomial_moments) == len(inst.c_prefix)
+                for t, b_t in enumerate(inst.binomial_moments):
+                    lhs = sum(m * comb(w, t) for w, m in inst.weights.items()) + (t == 0)
+                    assert 3**t * lhs == 3**field.r * b_t, (family.label, n, field.q, t)
+                    cases += 1
+    assert cases == 390  # 36 instances, t <= min(N, MAX_H)
 
 
 # -- the integer route against the formulas in exact rationals --------------------
