@@ -54,7 +54,7 @@ prefix would make those checks hold by construction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charsums import check_quadratic_scan, delta1_closed, delta_counts, kloosterman_table
 from .constants import CosetFamily, FamilyConstants, FamilyPolynomial, exact_div, family_constants
@@ -66,8 +66,7 @@ PREFIX_MAX_J = 12
 TINY_ENUM_MAX_WORDS = 10**6
 
 
-@dataclass(frozen=True)
-class TraceProfile:
+class TraceProfile(NamedTuple):
     """Coordinate counts per trace value beta, dense over F_q."""
 
     field: Field

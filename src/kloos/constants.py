@@ -17,7 +17,6 @@ nothing is rounded, and the guard survives ``python -O``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -65,18 +64,23 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-@dataclass(frozen=True, order=True)
-class CosetFamily:
-    """One of the eight code families: cell index i in 1..4 and a sign."""
-
+class _FamilyKey(NamedTuple):
     i: int
     sign: int  # +1 or -1
 
-    def __post_init__(self):
-        if self.i not in FAMILY_INDICES:
-            raise ValueError(f"family index must be in 1..4, got {self.i}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"family sign must be +1 or -1, got {self.sign}")
+
+class CosetFamily(_FamilyKey):
+    """One of the eight code families: cell index i in 1..4 and a sign,
+    checked on every construction, unpickling included."""
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, sign: int):
+        if i not in FAMILY_INDICES:
+            raise ValueError(f"family index must be in 1..4, got {i}")
+        if sign not in (1, -1):
+            raise ValueError(f"family sign must be +1 or -1, got {sign}")
+        return super().__new__(cls, i, sign)
 
     @classmethod
     def parse(cls, text: str) -> "CosetFamily":

@@ -23,8 +23,8 @@ sampled.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .charsums import check_quadratic_scan, kloosterman
 from .constants import CosetFamily, exact_div, family_constants, family_polynomial
@@ -133,8 +133,7 @@ def sigma_matrix(field: Field, n: int, r: int) -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
-@dataclass(frozen=True)
-class GroupSet:
+class GroupSet(NamedTuple):
     """A finite set of matrices over a fixed field, canonically ordered."""
 
     label: str

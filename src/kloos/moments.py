@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .charsums import sk_moment
 from .codes import (
@@ -84,12 +83,7 @@ def _stirling_weights(h: int) -> tuple[int, ...]:
     return tuple(factorial(t) * stirling2(h, t) for t in range(h + 1))
 
 
-@dataclass(frozen=True)
-class PlessInstance:
-    """Everything the identity needs for one (family, n, q), built once;
-    weights[w] counts the units a of dual weight w, and the C prefix, its
-    binomial moments and the Pless right sides cover moment orders h <= h_max."""
-
+class _PlessFields(NamedTuple):
     family: CosetFamily
     n: int
     field: Field
@@ -98,6 +92,13 @@ class PlessInstance:
     weights: Counter
     c_prefix: list[int]
     h_max: int
+
+
+class PlessInstance(_PlessFields):
+    """Everything the identity needs for one (family, n, q), built once;
+    weights[w] counts the units a of dual weight w, and the C prefix, its
+    binomial moments and the Pless right sides cover moment orders h <= h_max.
+    No __slots__: the cached properties live in the instance __dict__."""
 
     @property
     def length(self) -> int:
@@ -184,8 +185,7 @@ def check_pless_identity(instance: PlessInstance, h_max: int) -> list[CheckResul
     return out
 
 
-@dataclass(frozen=True)
-class MomentSeries:
+class MomentSeries(NamedTuple):
     """Solved SK moments: values[i] is SK^orders[i]."""
 
     family: CosetFamily
@@ -292,8 +292,7 @@ def sk_oracle_series(instance: PlessInstance, steps: int) -> MomentSeries:
 # -- instance and whole-field verification ---------------------------------------
 
 
-@dataclass
-class InstanceReport:
+class InstanceReport(NamedTuple):
     family: CosetFamily
     n: int
     q: int

@@ -1,4 +1,3 @@
-import dataclasses
 import multiprocessing
 from fractions import Fraction
 from math import comb, factorial
@@ -339,7 +338,7 @@ def test_non_integral_steps_keep_their_messages():
     family = CosetFamily(1, -1)
     inst = build_instance(family, 1, F3, 4)
     assert inst.c_prefix == [1, 4, 6, 8, 8]
-    bad_prefix = dataclasses.replace(inst, c_prefix=[1, 4, 7, 8, 8])
+    bad_prefix = inst._replace(c_prefix=[1, 4, 7, 8, 8])
     with pytest.raises(ArithmeticError) as exc:
         pless_rhs(bad_prefix, 2)
     assert str(exc.value) == "Pless right side not integral at h=2: 26/3"
@@ -347,7 +346,7 @@ def test_non_integral_steps_keep_their_messages():
         None,
         ["printed recursion non-integral at step 2 for DC1-, n=1, q=3: 7/4"],
     )
-    bad_rhs = dataclasses.replace(inst)
+    bad_rhs = inst._replace()
     bad_rhs.__dict__["rhs"] = (3, 5, 20, 68, 260)  # the cached Pless right sides, rhs[1] = 4 + 1
     with pytest.raises(ArithmeticError) as exc:
         sk_via_pless(bad_rhs, 4)
@@ -355,7 +354,7 @@ def test_non_integral_steps_keep_their_messages():
 
     family = CosetFamily(4, -1)
     inst = build_instance(family, 3, F9, 4)
-    bad_prefix = dataclasses.replace(inst, c_prefix=[c + 1 for c in inst.c_prefix])
+    bad_prefix = inst._replace(c_prefix=[c + 1 for c in inst.c_prefix])
     assert sk_via_printed_recursion(bad_prefix, 2) == (
         None,
         ["printed recursion non-integral at step 1 for DC4-, n=3, q=9: -6729224039/2361960"],
