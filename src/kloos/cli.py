@@ -35,7 +35,7 @@ from collections.abc import Callable, Iterable
 
 from .charsums import check_series_h, kloosterman_table, moment_series
 from .codes import check_prefix_dp_q, dual_weights, trace_profile, weight_distribution_prefix
-from .constants import ALL_FAMILIES, CosetFamily, family_constants
+from .constants import ALL_FAMILIES, CosetFamily, check_dimension, family_constants
 from .field import MAX_DEGREE, Field, poly_str
 
 FORMATS = ("json", "csv", "text")
@@ -115,6 +115,7 @@ def cmd_moments(args) -> tuple[dict, list[list], int]:
 def cmd_constants(args) -> tuple[dict, list[list], int]:
     if not 1 <= args.r <= MAX_DEGREE:
         raise ValueError(f"extension degree r={args.r} outside supported range 1..{MAX_DEGREE}")
+    check_dimension(args.nmax if args.n is None else args.n)
     q = 3**args.r
     families = [CosetFamily.parse(args.family)] if args.family else list(ALL_FAMILIES)
     entries = []
@@ -137,6 +138,7 @@ def cmd_constants(args) -> tuple[dict, list[list], int]:
 
 
 def cmd_weights(args) -> tuple[dict, list[list], int]:
+    check_dimension(args.n)
     field = _build_field(args, check_prefix_dp_q)
     family = CosetFamily.parse(args.family)
     profile = trace_profile(family, args.n, field)
@@ -212,6 +214,7 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
         sk_via_printed_recursion,
     )
 
+    check_dimension(args.n)
     field = _build_field(args, check_prefix_dp_q)
     family = CosetFamily.parse(args.family)
     steps = moment_steps(family, args.hmax)
@@ -249,6 +252,7 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
 def cmd_verify(args) -> tuple[dict, Iterable[list], int]:
     from .moments import full_verification
 
+    check_dimension(args.nmax)
     field = _build_field(args, check_prefix_dp_q)
     jobs = _default_jobs() if args.jobs is None else args.jobs
     report = full_verification(field, args.nmax, args.hmax, jobs=jobs)

@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .report import CheckResult
 
 FAMILY_INDICES = (1, 2, 3, 4)
+MAX_N = 64
 
 
 def exact_div(num: int, den: int) -> int:
@@ -30,6 +31,13 @@ def exact_div(num: int, den: int) -> int:
     if num % den != 0:
         raise ArithmeticError(f"expected {num} divisible by {den}")
     return num // den
+
+
+def check_dimension(n: int) -> None:
+    """Refuse a dimension n above MAX_N: the constants have about n^2 log q
+    bits, and a verify up to n builds about n of them per family."""
+    if n > MAX_N:
+        raise ValueError(f"dimension n capped at n <= {MAX_N}, got {n}")
 
 
 def q_binomial(n: int, r: int, q: int) -> int:
@@ -71,7 +79,7 @@ class _FamilyKey(NamedTuple):
 
 class CosetFamily(_FamilyKey):
     """One of the eight code families: cell index i in 1..4 and a sign,
-    checked on every construction, unpickling included."""
+    checked whenever it is constructed or unpickled."""
 
     __slots__ = ()
 

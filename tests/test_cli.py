@@ -13,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kloos.cli
+import kloos.codes
 import kloos.moments
 from kloos.cli import EXIT_BROKEN_PIPE, main
+from kloos.constants import MAX_N
 from kloos.field import Field
 
 
@@ -242,6 +245,31 @@ def test_series_order_above_cap_refused_before_field(capsys, built_fields, comma
     assert built_fields == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("constants", "--r", "1", "--nmax", str(MAX_N + 1)),
+        ("constants", "--r", "12", "--family", "DC1-", "--n", str(MAX_N + 1)),
+        ("weights", "--r", "1", "--family", "DC1-", "--n", str(MAX_N + 1)),
+        ("recursion", "--r", "1", "--family", "DC1-", "--n", str(MAX_N + 1)),
+        ("verify", "--r", "1", "--nmax", str(MAX_N + 1)),
+    ],
+)
+def test_dimension_above_cap_refused_before_field_or_constants(capsys, monkeypatch, built_fields, argv):
+    built_constants = []
+    for module in (kloos.cli, kloos.codes, kloos.moments):
+        monkeypatch.setattr(module, "family_constants", lambda *args: built_constants.append(args))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: dimension n capped at n <= {MAX_N}, got {MAX_N + 1}\n"
+    assert built_fields == [] and built_constants == []
+
+
+def test_dimension_cap_admits_max_n(capsys):
+    payload = run_json(capsys, "constants", "--r", "1", "--family", "DC1+", "--nmax", str(MAX_N))
+    assert payload["constants"][-1]["n"] == MAX_N
+
+
 def test_weights_above_cap_names_the_prefix_dp(capsys):
     code, out, err = run_cli(capsys, "weights", "--r", "9", "--family", "DC2-", "--n", "3")
     assert (code, out) == (2, "")
@@ -384,7 +412,8 @@ import contextlib, io, json, sys
 import kloos.cli
 
 def loaded():
-    return {name: name in sys.modules for name in ("kloos.groups", "kloos.moments", "csv")}
+    names = ("kloos.groups", "kloos.moments", "csv", "dataclasses", "inspect")
+    return {name: name in sys.modules for name in names}
 
 stages = {"import": loaded()}
 codes = []
@@ -392,6 +421,9 @@ for label, argv in [
     ("kloosterman", ["kloosterman", "--r", "2"]),
     ("verify", ["verify", "--r", "1", "--nmax", "2"]),
     ("group", ["group", "--r", "1", "--set", "so2"]),
+    ("weights", ["weights", "--r", "1", "--family", "DC1-", "--n", "3"]),
+    ("recursion", ["recursion", "--r", "1", "--family", "DC1-", "--n", "3"]),
+    ("verify_jobs2", ["verify", "--r", "1", "--nmax", "3", "--jobs", "2"]),
 ]:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(kloos.cli.main(argv))
@@ -404,13 +436,16 @@ def test_each_subcommand_imports_only_what_it_runs():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0] * 6
     stages = result["stages"]
-    absent = {"kloos.groups": False, "kloos.moments": False, "csv": False}
+    absent = dict.fromkeys(("kloos.groups", "kloos.moments", "csv", "dataclasses", "inspect"), False)
     assert stages["import"] == absent
     assert stages["kloosterman"] == absent
     assert stages["verify"]["kloos.moments"] and not stages["verify"]["kloos.groups"]
     assert stages["group"]["kloos.groups"]
+    # the records are NamedTuples: no run loads dataclasses, nor inspect behind it
+    for loaded in stages.values():
+        assert not loaded["dataclasses"] and not loaded["inspect"]
 
 
 @pytest.mark.parametrize("modulus", [None, (2, 1, 1)])

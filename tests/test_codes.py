@@ -423,6 +423,21 @@ def test_prefix_dp_edge_cases(field):
         assert weight_distribution_prefix(tiny, j_max) == full[: j_max + 1]
 
 
+def test_prefix_dp_per_field_maps_under_two_moduli():
+    # one process, GF(81) under two moduli, each DP run after the other field's
+    # maps are cached: every prefix equals that field's MacWilliams prefix
+    rng = random.Random(81)
+    fields = (Field(4), Field(4, (1, 0, 1, 1, 1)))
+    for field in fields + fields:
+        profiles = [trace_profile(family, family.valid_ns(4)[0], field) for family in ALL_FAMILIES]
+        counts = tuple(rng.choice((0, 1, 3, 10**25)) for _ in range(field.q))
+        profiles.append(TraceProfile(field, counts))
+        for profile in profiles:
+            assert weight_distribution_prefix(profile, 10) == weight_prefix_macwilliams(profile, 10)
+    # the maps read addition and negation only, which act digit by digit under every modulus
+    assert kloos.codes._class_cosets(fields[0]) == kloos.codes._class_cosets(fields[1])
+
+
 def test_prefix_depends_on_pair_sums_only():
     # moving coordinates from beta to -beta negates them; C_j sees only N(beta) + N(-beta)
     for field, base in ((F3, (1, 3, 0)), (F9, (1, 2, 0, 1, 0, 2, 0, 0, 1)), (F27, (0,) * 26 + (6,))):

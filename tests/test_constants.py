@@ -147,6 +147,17 @@ def test_family_parse_and_label():
         CosetFamily(1, 0)
 
 
+@pytest.mark.parametrize("i, sign", [(5, 1), (0, -1), (1, 0)])
+def test_family_rejects_bad_index_or_sign(i, sign):
+    with pytest.raises(ValueError):
+        CosetFamily(i, sign)
+
+
+def test_families_sort_by_index_then_sign():
+    labels = [f.label for f in sorted(ALL_FAMILIES)]
+    assert labels == ["DC1-", "DC1+", "DC2-", "DC2+", "DC3-", "DC3+", "DC4-", "DC4+"]
+
+
 def test_family_validity_grid():
     valid = {
         (1, 1): [2, 4, 6],

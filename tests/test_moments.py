@@ -1,4 +1,5 @@
 import multiprocessing
+import pickle
 from fractions import Fraction
 from math import comb, factorial
 
@@ -359,3 +360,24 @@ def test_non_integral_steps_keep_their_messages():
         None,
         ["printed recursion non-integral at step 1 for DC4-, n=3, q=9: -6729224039/2361960"],
     )
+
+
+def test_replace_recomputes_cached_sides():
+    inst = build_instance(CosetFamily(1, -1), 1, F3, 4)
+    moments, rhs = inst.binomial_moments, inst.rhs  # both cached on inst
+    # B_t and the Pless sides are linear in the prefix, and 3^4 C keeps every side integral
+    scaled = inst._replace(c_prefix=[81 * c for c in inst.c_prefix])
+    assert scaled.binomial_moments == tuple(81 * b for b in moments)
+    assert scaled.rhs == tuple(81 * v for v in rhs)
+    assert (inst.binomial_moments, inst.rhs) == (moments, rhs)
+
+
+def test_records_survive_pickle():
+    family = CosetFamily(4, -1)
+    report = verify_instance(family, 3, F9, h_max=4)
+    for record in (family, report.checks[0], report):
+        assert pickle.loads(pickle.dumps(record)) == record
+    # unpickling runs the family's checks: a family built around them is refused
+    forged = pickle.dumps(tuple.__new__(CosetFamily, (5, 1)))
+    with pytest.raises(ValueError, match="family index must be in 1..4, got 5"):
+        pickle.loads(forged)
