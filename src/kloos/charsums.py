@@ -14,8 +14,8 @@ Also here:
 * the GL(t, q) extension K_GL(t), both by its two-term recursion and by
   literal enumeration of invertible matrices (t <= 2) as an oracle;
 * delta(m, q; beta) = #{(a_1..a_m) in (F_q^*)^m : sum(a_i + 1/a_i) = beta},
-  computed by m-fold additive convolution of the fiber histogram of
-  x -> x + 1/x, plus the square-class closed form for m = 1;
+  the inverse transform of K(lambda; a^2)^m, one O(r q) transform of the
+  cached Kloosterman table;
 * power moments SK^h (square arguments) and MK^h (all arguments);
 * the two transform identities tying delta counts to Kloosterman powers.
 """
@@ -25,14 +25,15 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
+from .constants import exact_div
 from .field import Field, char_sum, char_transform
 from .report import CheckResult
 
 DELTA_MAX_M = 4
 GL_BRUTE_MAX_Q = 27
-# delta_counts, the weight-prefix DP and the SO^-(2, q) enumeration are
-# O(q^2) scans, seconds to minutes each at 3^8; the Kloosterman table and
-# the dual weights of a profile are O(r q) transforms and run for every r
+# the weight-prefix DP and the SO^-(2, q) enumeration are O(q^2) scans,
+# seconds to minutes each at 3^8; the Kloosterman table, delta(m) and the
+# dual weights of a profile are O(r q) transforms and run for every r
 TABLE_MAX_Q = 3**8
 # a moment series prints 2 h_max integers of up to h_max log2(2 sqrt q) bits
 SERIES_MAX_H = 1000
@@ -75,8 +76,15 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     #{x : x + b/x = beta} lambda(a beta), so transforming the histograms
     of x + 1/x and x + b0/x, b0 a fixed nonsquare, yields K at every
     square a^2 and every nonsquare a^2 b0.  Each value is checked against
-    the Weil bound, and one entry of each transform against the brute-force
-    :func:`kloosterman`.
+    the Weil bound, the table against the two closed moments below, and one
+    entry of each transform against the brute-force :func:`kloosterman`.
+
+    The moments (Lidl & Niederreiter, *Finite Fields*, ch. 5) need no
+    transform.  Sum over units a of K(a) = sum over units x of lambda(x)
+    times sum over units a of lambda(a/x), that is (-1)(-1) = 1.  K is real,
+    so K(a)^2 = sum over units x, y of lambda(x - y + a (1/x - 1/y)); summed
+    over a in F_q only x = y survives, giving q (q - 1), and K(0) = -1, so
+    the units give q^2 - q - 1.
     """
     q = field.q
     add, mul, inv = field.add, field.mul, field.inv
@@ -96,6 +104,9 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     for k in values:
         if k * k > 4 * q:
             raise ArithmeticError(f"Weil bound violated: K={k} at q={q}")
+    moments = (sum(values), sum(k * k for k in values))  # values[0] = 0
+    if moments != (1, q * q - q - 1):
+        raise ArithmeticError(f"K table moments {moments} != (1, {q * q - q - 1}) at q={q}")
     # a = q - 1 has every digit nonzero, so its index c(a) draws on the
     # trace of every basis element
     a2 = mul(q - 1, q - 1)
@@ -191,41 +202,19 @@ def gl_kloosterman_bruteforce(field: Field, t: int, a: int) -> int:
 
 @lru_cache(maxsize=256)
 def delta_counts(field: Field, m: int) -> tuple[int, ...]:
-    """delta(m, q; beta) for all beta, by convolving the x + 1/x histogram.
+    """delta(m, q; beta) for all beta, the inverse transform of K(a^2)^m.
 
     Index beta as a field element; m = 0 is the point mass at beta = 0.
+    Summing lambda(a (x_1 + 1/x_1 + ... + x_m + 1/x_m - beta)) over a in F_q
+    gives q delta(m; beta) = (q - 1)^m + sum over units of K(a^2)^m
+    lambda(-a beta), and the summand is even in a, so lambda(a beta) serves.
     """
     if not 0 <= m <= DELTA_MAX_M:
         raise ValueError(f"delta supports 0 <= m <= {DELTA_MAX_M}, got {m}")
-    check_quadratic_scan(field.q, "delta(m)")
     q = field.q
-    fiber = [0] * q
-    for x in field.units():
-        fiber[field.add(x, field.inv(x))] += 1
-    cur = [0] * q
-    cur[0] = 1
-    for _ in range(m):
-        nxt = [0] * q
-        for y in range(q):
-            fy = fiber[y]
-            if fy == 0:
-                continue
-            for s in range(q):
-                nxt[field.add(s, y)] += cur[s] * fy
-        cur = nxt
-    return tuple(cur)
-
-
-def delta1_closed(field: Field, beta: int) -> int:
-    """delta(1, q; beta) from the square class of beta^2 - 1.
-
-    The two solutions of x + 1/x = beta merge when beta^2 - 1 = 0 and
-    vanish when beta^2 - 1 is a nonsquare.
-    """
-    disc = field.sub(field.mul(beta, beta), 1)
-    if disc == 0:
-        return 1
-    return 2 if field.is_square(disc) else 0
+    table = kloosterman_table(field)
+    powers = [(q - 1) ** m] + [table[field.mul(a, a)] ** m for a in field.units()]
+    return tuple(exact_div(v, q) for v in char_transform(field, powers))
 
 
 def check_delta_to_kloosterman(field: Field, m: int, a: int) -> CheckResult:

@@ -15,10 +15,13 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   the polynomial at the K table, once per distinct K value, and N minus the
   trace-kernel mass #{coordinates with tr(a beta) = 0}, the zero trace
   fiber of one radix-3 transform of the profile, O(r q) for every a at once.
-  Both read the polynomial, so this compares the K table with the delta
-  profile; `printed_columns` (one comparison, counting the beta where the
-  printed counts differ from the profile) and `printed_prefix`, from the
-  printed column counts, are the independent checks on the polynomial;
+  Both read the polynomial, and the profile's fiber counts delta(p) are the
+  inverse transform of the K table, so this checks that transform pair.
+  The independent evidence on the profile is `printed_columns` (one
+  comparison, counting the beta where the printed counts differ; the
+  square classes for families 1 and 3), `pless_identity` and
+  `printed_prefix` through the DP, which never reads a character,
+  `sk_vs_oracle`, and the K table's brute-force entries and closed moments;
 * the number C_j of codewords of weight j for j <= j_max, by dynamic
   programming over beta blocks: choose nu_beta ones and mu_beta twos per
   block subject to sum(nu + mu) = j and sum((nu - mu) beta) = 0, since a
@@ -58,7 +61,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .charsums import check_quadratic_scan, delta1_closed, delta_counts, kloosterman_table
+from .charsums import check_quadratic_scan, delta_counts, kloosterman_table
 from .constants import CosetFamily, FamilyConstants, FamilyPolynomial, exact_div, family_constants
 from .constants import family_polynomial
 from .field import Field, char_fibers
@@ -90,10 +93,7 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
     q = field.q
     consts = family_constants(family, n, q)
     poly = family_polynomial(family, q)
-    if poly.power == 1:
-        fibers = [delta1_closed(field, beta) for beta in field.elements()]
-    else:
-        fibers = list(delta_counts(field, 2))
+    fibers = list(delta_counts(field, poly.power))
     fibers[0] += poly.shift  # with -c in the offset: c (q [beta = 0] - 1)
     sigma_a, offset = poly.sigma * consts.A, (q - 1) ** poly.power + poly.shift
     counts = [exact_div(consts.N + sigma_a * (q * d - offset), q) for d in fibers]

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from kloos.charsums import (
+    DELTA_MAX_M,
     TABLE_MAX_Q,
     check_delta_to_kloosterman,
     check_kloosterman_to_delta,
-    delta1_closed,
     delta_counts,
     gl_kloosterman,
     gl_kloosterman_bruteforce,
@@ -20,7 +20,7 @@ from kloos.field import Field, char_sum
 
 
 def naive_delta(field, m, beta):
-    """Literal m-fold loop over (F_q^*)^m; test oracle for the convolution."""
+    """Literal m-fold loop over (F_q^*)^m; test oracle for the delta counts."""
     count = 0
     for tup in itertools.product(field.units(), repeat=m):
         acc = 0
@@ -29,6 +29,36 @@ def naive_delta(field, m, beta):
         if acc == beta:
             count += 1
     return count
+
+
+def convolved_deltas(field, m_max):
+    """delta(0..m_max) by m-fold additive convolution of the x + 1/x
+    histogram, O(q^2) per step; test oracle for the transform."""
+    q = field.q
+    fiber = [0] * q
+    for x in field.units():
+        fiber[field.add(x, field.inv(x))] += 1
+    cur = [1] + [0] * (q - 1)
+    out = [tuple(cur)]
+    for _ in range(m_max):
+        nxt = [0] * q
+        for y in range(q):
+            if fiber[y]:
+                for s in range(q):
+                    nxt[field.add(s, y)] += cur[s] * fiber[y]
+        cur = nxt
+        out.append(tuple(cur))
+    return out
+
+
+def delta1_square_class(field, beta):
+    """delta(1; beta) from the square class of beta^2 - 1: the two solutions
+    of x + 1/x = beta merge when beta^2 - 1 = 0 and vanish when it is a
+    nonsquare."""
+    disc = field.sub(field.mul(beta, beta), 1)
+    if disc == 0:
+        return 1
+    return 2 if field.is_square(disc) else 0
 
 
 def test_kloosterman_gf3_values():
@@ -121,6 +151,13 @@ def test_gl_bruteforce_guards():
         gl_kloosterman_bruteforce(F81, 2, 1)
 
 
+@pytest.mark.parametrize("r", range(1, 6))
+def test_delta_transform_matches_convolution(r):
+    F = Field(r)
+    for m, expected in enumerate(convolved_deltas(F, DELTA_MAX_M)):
+        assert delta_counts(F, m) == expected
+
+
 def test_delta_convolution_matches_naive():
     for r in (1, 2):
         F = Field(r)
@@ -139,10 +176,10 @@ def test_delta_base_case_and_mass():
 
 
 def test_delta1_closed_form():
-    for r in (1, 2, 3):
+    for r in (1, 2, 3, 4, 5):
         F = Field(r)
         for beta in F.elements():
-            assert delta1_closed(F, beta) == delta_counts(F, 1)[beta]
+            assert delta1_square_class(F, beta) == delta_counts(F, 1)[beta]
 
 
 def test_delta2_bound_with_equality_at_zero():
@@ -170,8 +207,10 @@ def test_quadratic_tables_capped_at_q_3_8():
     sk, mk = moment_series(F, 2)
     assert sk[0] == (F.q - 1) // 2
     assert mk[0] == F.q - 1
-    with pytest.raises(ValueError, match="capped"):
-        delta_counts(F, 1)
+    d2 = delta_counts(F, 2)  # one transform of the table, no O(q^2) scan
+    assert len(d2) == F.q
+    assert sum(d2) == (F.q - 1) ** 2
+    assert d2[0] == 2 * F.q - 4
     with pytest.raises(ValueError, match="nonnegative"):
         moment_series(Field(1), -1)
 
@@ -242,3 +281,26 @@ def test_kloosterman_table_checks_transform_against_oracle(r, monkeypatch):
     monkeypatch.setattr(charsums, "char_transform", units_rotated)
     with pytest.raises(ArithmeticError, match="brute force disagrees"):
         kloosterman_table.__wrapped__(Field(r))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_kloosterman_table_checks_closed_moments(r, monkeypatch):
+    import kloos.charsums as charsums
+
+    real = charsums.char_transform
+    calls = []
+
+    def one_value_moved(field, f):  # K(1), still inside the Weil bound
+        out = real(field, f)
+        if not calls:  # the square transform; its entry at 2 = -1 becomes K(1)
+            out[2] += 3 if out[2] <= 0 else -3
+        calls.append(1)
+        return out
+
+    F = Field(r)
+    a2 = F.mul(F.q - 1, F.q - 1)
+    assert 1 not in (a2, F.mul(a2, F.first_nonsquare()))  # not a brute-force entry
+    monkeypatch.setattr(charsums, "char_transform", one_value_moved)
+    with pytest.raises(ArithmeticError, match="moments"):
+        kloosterman_table.__wrapped__(F)
+
