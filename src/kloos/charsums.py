@@ -17,7 +17,8 @@ Also here:
   the inverse transform of K(lambda; a^2)^m, one O(r q) transform of the
   cached Kloosterman table;
 * power moments SK^h (square arguments) and MK^h (all arguments);
-* the two transform identities tying delta counts to Kloosterman powers.
+* the two transform identities tying delta counts to Kloosterman powers,
+  each reading K from the brute-force :func:`kloosterman`.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .report import CheckResult
 
 DELTA_MAX_M = 4
 GL_BRUTE_MAX_Q = 27
-# the weight-prefix DP and the SO^-(2, q) enumeration are O(q^2) scans,
-# seconds to minutes each at 3^8; the Kloosterman table, delta(m) and the
-# dual weights of a profile are O(r q) transforms and run for every r
+# the weight-prefix DP, the SO^-(2, q) enumeration and the Kloosterman-to-delta
+# check are O(q^2) scans, seconds to minutes each at 3^8; the Kloosterman
+# table, delta(m) and the dual weights of a profile are O(r q) transforms and
+# run for every r
 TABLE_MAX_Q = 3**8
 # a moment series prints 2 h_max integers of up to h_max log2(2 sqrt q) bits
 SERIES_MAX_H = 1000
@@ -76,7 +78,7 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     #{x : x + b/x = beta} lambda(a beta), so transforming the histograms
     of x + 1/x and x + b0/x, b0 a fixed nonsquare, yields K at every
     square a^2 and every nonsquare a^2 b0.  Each value is checked against
-    the Weil bound, the table against the two closed moments below, and one
+    the Weil bound, the table against the four closed moments below, and one
     entry of each transform against the brute-force :func:`kloosterman`.
 
     The moments (Lidl & Niederreiter, *Finite Fields*, ch. 5) need no
@@ -85,6 +87,18 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     so K(a)^2 = sum over units x, y of lambda(x - y + a (1/x - 1/y)); summed
     over a in F_q only x = y survives, giving q (q - 1), and K(0) = -1, so
     the units give q^2 - q - 1.
+
+    The square half splits off through the quadratic character eta:
+    SK^h = (MK^h + sum over units a of eta(a) K(a)^h) / 2.  With the Gauss
+    sum G(eta), sum over units a of eta(a) lambda(a c) = eta(c) G(eta) for
+    c != 0, and G(eta)^2 = eta(-1) q = (-3)^r.  So sum eta(a) K(a) =
+    sum over units x of lambda(x) eta(x) G(eta) = (-3)^r.  In
+    sum eta(a) K(a)^2 = sum over units a, x, y of
+    eta(a) lambda(x + y + a (1/x + 1/y)), write 1/x + 1/y = s / (x y) with
+    s = x + y; s = 0 drops out, and sum over x of eta(x (s - x)) = -eta(-1)
+    for s != 0, so the sum is -eta(-1) G(eta) times sum over units s of
+    eta(s) lambda(s), that is -q.  Hence SK^1 = (1 + (-3)^r) / 2 and
+    SK^2 = (q^2 - 2q - 1) / 2.
     """
     q = field.q
     add, mul, inv = field.add, field.mul, field.inv
@@ -107,6 +121,11 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     moments = (sum(values), sum(k * k for k in values))  # values[0] = 0
     if moments != (1, q * q - q - 1):
         raise ArithmeticError(f"K table moments {moments} != (1, {q * q - q - 1}) at q={q}")
+    at_squares = [values[a] for a in field.squares()]
+    square_moments = (sum(at_squares), sum(k * k for k in at_squares))
+    expected = ((1 + (-3) ** field.r) // 2, (q * q - 2 * q - 1) // 2)
+    if square_moments != expected:
+        raise ArithmeticError(f"K table square moments {square_moments} != {expected} at q={q}")
     # a = q - 1 has every digit nonzero, so its index c(a) draws on the
     # trace of every basis element
     a2 = mul(q - 1, q - 1)
@@ -227,13 +246,15 @@ def check_delta_to_kloosterman(field: Field, m: int, a: int) -> CheckResult:
 
 def check_kloosterman_to_delta(field: Field, m: int, beta: int) -> CheckResult:
     """Sum over units of lambda(-a beta) K(lambda; a^2)^m against
-    q delta(m; beta) - (q-1)^m."""
-    table = kloosterman_table(field)
+    q delta(m; beta) - (q-1)^m.  K is the brute-force :func:`kloosterman`,
+    not the table delta(m) is built from, so the check is O(q^2) and
+    refused above q = TABLE_MAX_Q."""
+    check_quadratic_scan(field.q, "the Kloosterman-to-delta check")
     units = field.units()
     lhs = char_sum(
         field,
         (field.neg(field.mul(a, beta)) for a in units),
-        (table[field.mul(a, a)] ** m for a in units),
+        (kloosterman(field, field.mul(a, a)) ** m for a in units),
     )
     rhs = field.q * delta_counts(field, m)[beta] - (field.q - 1) ** m
     return CheckResult(f"kloosterman_to_delta(m={m},beta={beta})", lhs, rhs)

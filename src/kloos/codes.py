@@ -280,31 +280,17 @@ def printed_column_counts(family: CosetFamily, n: int, field: Field) -> TracePro
     consts = family_constants(family, n, q)
     a_const, b_const = consts.A, consts.B
     s = family.sign
-    counts = []
     if family.i in (1, 3):
-        for beta in field.elements():
-            disc = field.sub(field.mul(beta, beta), 1)
-            if disc == 0:
-                inner = b_const + s * 1
-            elif field.is_square(disc):
-                inner = b_const + s * (q + 1)
-            else:
-                inner = b_const + s * (1 - q)
-            counts.append(exact_div(a_const * inner, q))
+        discs = [field.sub(field.mul(beta, beta), 1) for beta in field.elements()]
+        inner = [b_const + s * (1 if d == 0 else q + 1 if field.is_square(d) else 1 - q) for d in discs]
     elif family.i == 2:
-        d2 = delta_counts(field, 2)
-        for beta in field.elements():
-            inner = b_const + s * ((q - 1) ** 2 - q * d2[beta])
-            counts.append(exact_div(a_const * inner, q))
+        inner = [b_const + s * ((q - 1) ** 2 - q * d) for d in delta_counts(field, 2)]
     else:
         d2 = delta_counts(field, 2)
-        for beta in field.elements():
-            if beta == 0:
-                inner = b_const - s * (q * d2[0] + (q - 1) ** 3)
-            else:
-                inner = b_const - s * (q * d2[beta] - (2 * q * q - 3 * q + 1))
-            counts.append(exact_div(a_const * inner, q))
-    return TraceProfile(field, tuple(counts), family, n)
+        inner = [b_const - s * (q * d - (2 * q * q - 3 * q + 1)) for d in d2]
+        inner[0] = b_const - s * (q * d2[0] + (q - 1) ** 3)
+    counts = tuple(exact_div(a_const * x, q) for x in inner)
+    return TraceProfile(field, counts, family, n)
 
 
 def check_printed_columns(profile: TraceProfile, printed: TraceProfile) -> CheckResult:

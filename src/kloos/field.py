@@ -150,8 +150,8 @@ class Field:
     ----------
     r : extension degree, 1 <= r <= 12.
     modulus : optional coefficients of a monic irreducible of degree r over
-        F_3, constant term first.  Defaults to the shipped primitive
-        polynomial for that degree.
+        F_3, constant term first; trailing zero coefficients are dropped.
+        Defaults to the shipped primitive polynomial for that degree.
     """
 
     def __init__(self, r: int, modulus: Sequence[int] | None = None):
@@ -159,7 +159,7 @@ class Field:
             raise ValueError(f"extension degree r={r} outside supported range 1..{MAX_DEGREE}")
         if modulus is None:
             modulus = DEFAULT_MODULI[r]
-        modulus = tuple(int(c) % 3 for c in modulus)
+        modulus = poly_trim([int(c) % 3 for c in modulus])
         if poly_degree(modulus) != r:
             raise ValueError(
                 f"modulus {poly_str(modulus)} has degree {poly_degree(modulus)}, expected {r}"
@@ -376,7 +376,13 @@ class Field:
         return f"Field(q=3^{self.r}, modulus={poly_str(self.modulus)})"
 
     def __reduce__(self):
-        return (Field, (self.r, self.modulus))
+        return (_unpickled_field, (self.r, self.modulus))
+
+
+@lru_cache(maxsize=8)
+def _unpickled_field(r: int, modulus: tuple[int, ...]) -> Field:
+    """One Field per (r, modulus) per process: a worker builds each field once, not once per task."""
+    return Field(r, modulus)
 
 
 def real_char_value(counts: Sequence[int]) -> int:

@@ -214,9 +214,13 @@ def _series_orders(family: CosetFamily, steps: int) -> tuple[int, ...]:
     return tuple(stride * h for h in range(1, steps + 1))
 
 
+class NonIntegralStep(ArithmeticError):
+    """A step of the moment solve whose value is not an integer."""
+
+
 def _solve(
-    instance: PlessInstance, steps: int, target: Callable[[int], tuple[int, int]]
-) -> MomentSeries | tuple[int, Fraction]:
+    instance: PlessInstance, steps: int, target: Callable[[int], tuple[int, int]], what: str
+) -> MomentSeries:
     """Back-substitute the dual-weight expansion for steps 1..steps.
 
     The dual weight is (2/3)(N - S) with S = sigma A (K^p + c) the family
@@ -225,8 +229,8 @@ def _solve(
     2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l the l-th
     entry of the moment series; target(h) is that sum over l, as a pair
     (numerator, positive denominator) of integers.  Each step is one exact
-    division.  Returns the series, or (h, value) for the first step whose
-    value is not an integer, with value the exact Fraction.
+    division; the first step whose value is not an integer raises
+    NonIntegralStep, worded "<what> at step h for <instance>: <Fraction>".
     """
     if not 1 <= steps <= instance.h_max:
         raise ValueError(f"h_max must be in 1..{instance.h_max}, got {steps}")
@@ -240,7 +244,8 @@ def _solve(
         num = tau**h * (num - rest * den)  # tau^-h == tau^h for tau = +-1
         value, remainder = divmod(num, den)
         if remainder:
-            return h, Fraction(num, den)
+            where = f"{family.label}, n={instance.n}, q={q}"
+            raise NonIntegralStep(f"{what} at step {h} for {where}: {Fraction(num, den)}")
         solved.append(value)
     return MomentSeries(family, instance.n, q, _series_orders(family, steps), tuple(solved[1:]))
 
@@ -249,15 +254,13 @@ def sk_via_pless(instance: PlessInstance, steps: int) -> MomentSeries:
     """Moment series solved from the Pless identity, exactly.
 
     steps counts recursion steps: families 1, 3 produce SK^1..SK^steps,
-    families 2, 4 produce SK^2, SK^4, .., SK^(2 steps).
+    families 2, 4 produce SK^2, SK^4, .., SK^(2 steps).  A non-integral
+    step raises NonIntegralStep.
     """
     rhs, a_const = instance.rhs, instance.consts.A
-    solved = _solve(instance, steps, lambda h: (rhs[h] * 3**h, 2 ** (h + 1) * a_const**h))
-    if isinstance(solved, MomentSeries):
-        return solved
-    h, value = solved
-    where = f"{instance.family.label}, n={instance.n}, q={instance.field.q}"
-    raise ArithmeticError(f"solved moment not integral at step {h} for {where}: {value}")
+    return _solve(
+        instance, steps, lambda h: (rhs[h] * 3**h, 2 ** (h + 1) * a_const**h), "solved moment not integral"
+    )
 
 
 def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[MomentSeries | None, list[str]]:
@@ -269,16 +272,16 @@ def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[Momen
     plus a list of defects (non-integral steps); a defect aborts the walk.
     """
     q, a_const = instance.field.q, instance.consts.A
-    solved = _solve(
-        instance,
-        steps,
-        lambda h: (q * _prefix_side(instance, h, _printed_coefficient), 2 ** (2 * h + 1) * a_const**h),
-    )
-    if isinstance(solved, MomentSeries):
-        return solved, []
-    h, value = solved
-    where = f"{instance.family.label}, n={instance.n}, q={q}"
-    return None, [f"printed recursion non-integral at step {h} for {where}: {value}"]
+    try:
+        series = _solve(
+            instance,
+            steps,
+            lambda h: (q * _prefix_side(instance, h, _printed_coefficient), 2 ** (2 * h + 1) * a_const**h),
+            "printed recursion non-integral",
+        )
+    except NonIntegralStep as defect:
+        return None, [str(defect)]
+    return series, []
 
 
 def sk_oracle_series(instance: PlessInstance, steps: int) -> MomentSeries:
@@ -365,16 +368,9 @@ def verify_instance(
     return InstanceReport(family, n, field.q, consts, checks, sk_series)
 
 
-@lru_cache(maxsize=8)
-def _worker_field(r: int, modulus: tuple[int, ...]) -> Field:
-    """One Field per (r, modulus) per worker process, shared by all its instances."""
-    return Field(r, modulus)
-
-
-def _verify_worker(args: tuple) -> InstanceReport:
-    r, modulus, i, sign, n, h_max, identity_h_max = args
-    field = _worker_field(r, modulus)
-    return verify_instance(CosetFamily(i, sign), n, field, h_max, identity_h_max)
+def _verify_task(task: tuple) -> InstanceReport:
+    """verify_instance on one (family, n, field, h_max, identity_h_max) task."""
+    return verify_instance(*task)
 
 
 def _available_cpus() -> int:
@@ -393,22 +389,19 @@ def full_verification(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    instances = [(family, n) for family in ALL_FAMILIES for n in family.valid_ns(n_max)]
-    if not instances:
+    tasks = [
+        (family, n, field, h_max, identity_h_max) for family in ALL_FAMILIES for n in family.valid_ns(n_max)
+    ]
+    if not tasks:
         raise ValueError(f"no valid (family, n) instance with n <= {n_max}")
-    workers = min(jobs, len(instances), _available_cpus())
+    workers = min(jobs, len(tasks), _available_cpus())
     if workers > 1:
         import multiprocessing
 
-        # workers build their own field once each: a pickled Field would be rebuilt per task
-        tasks = [
-            (field.r, field.modulus, family.i, family.sign, n, h_max, identity_h_max)
-            for family, n in instances
-        ]
         with multiprocessing.Pool(processes=workers) as pool:
-            reports = pool.map(_verify_worker, tasks)
+            reports = pool.map(_verify_task, tasks)
     else:
-        reports = [verify_instance(family, n, field, h_max, identity_h_max) for family, n in instances]
+        reports = list(map(_verify_task, tasks))
     return {
         "q": field.q,
         "modulus": list(field.modulus),

@@ -256,7 +256,7 @@ def test_criterion_5_delta_kloosterman_duality(capsys):
         capsys,
         5,
         ok,
-        f"{identity_points} convolution/Kloosterman dual identities hold (m<=3, q in 3/9/27); "
+        f"{identity_points} delta/Kloosterman dual identities hold with brute-force K (m<=3, q in 3/9/27); "
         f"delta(2) peak 2q-4 exactly at 0; Weil bound everywhere",
     )
 

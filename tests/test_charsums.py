@@ -211,6 +211,8 @@ def test_quadratic_tables_capped_at_q_3_8():
     assert len(d2) == F.q
     assert sum(d2) == (F.q - 1) ** 2
     assert d2[0] == 2 * F.q - 4
+    with pytest.raises(ValueError, match=r"Kloosterman-to-delta check is O\(q\^2\)"):
+        check_kloosterman_to_delta(F, 1, 0)  # reads the brute-force K at every unit
     with pytest.raises(ValueError, match="nonnegative"):
         moment_series(Field(1), -1)
 
@@ -255,6 +257,31 @@ def test_kloosterman_to_delta_identity():
             for beta in F.elements():
                 res = check_kloosterman_to_delta(F, m, beta)
                 assert res.ok, res
+
+
+def test_kloosterman_to_delta_fails_on_off_by_one_delta(monkeypatch):
+    import kloos.charsums as charsums
+
+    F, beta = Field(2), 1
+    d2 = delta_counts(F, 2)
+    moved = d2[:beta] + (d2[beta] + 1,) + d2[beta + 1 :]
+    monkeypatch.setattr(charsums, "delta_counts", lambda field, m: moved if m == 2 else delta_counts(field, m))
+    assert [check_kloosterman_to_delta(F, 2, b).ok for b in F.elements()] == [b != beta for b in F.elements()]
+
+
+def test_kloosterman_to_delta_reads_k_apart_from_the_table(monkeypatch):
+    import kloos.charsums as charsums
+
+    # delta(1) rebuilt from a table with two square entries swapped agrees with that table,
+    # so only a left side that does not read the table can tell
+    F = Field(2)
+    table = dict(kloosterman_table(F))
+    s = F.squares()[0]
+    t = next(a for a in F.squares() if table[a] != table[s])
+    table[s], table[t] = table[t], table[s]
+    monkeypatch.setattr(charsums, "kloosterman_table", lambda field: table)
+    monkeypatch.setattr(charsums, "delta_counts", delta_counts.__wrapped__)
+    assert not all(check_kloosterman_to_delta(F, 1, beta).ok for beta in F.elements())
 
 
 def test_identities_modulus_independent():
@@ -304,3 +331,27 @@ def test_kloosterman_table_checks_closed_moments(r, monkeypatch):
     with pytest.raises(ArithmeticError, match="moments"):
         kloosterman_table.__wrapped__(F)
 
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_kloosterman_table_checks_square_moments(r, monkeypatch):
+    import kloos.charsums as charsums
+
+    real = charsums.char_transform
+    outputs = []
+
+    def square_swapped(field, f):  # K(1) and K(b0) trade places: every MK moment still holds
+        out = real(field, f)
+        outputs.append(out)
+        if len(outputs) == 2:  # the nonsquare transform: its entries at 1, 2 (K(b0)) and the square's (K(1))
+            for a in (1, 2):
+                outputs[0][a], out[a] = out[a], outputs[0][a]
+        return out
+
+    F = Field(r)
+    b0 = F.first_nonsquare()
+    assert kloosterman_table(F)[1] != kloosterman_table(F)[b0]
+    a2 = F.mul(F.q - 1, F.q - 1)
+    assert not {1, b0} & {a2, F.mul(a2, b0)}  # neither is a brute-force entry
+    monkeypatch.setattr(charsums, "char_transform", square_swapped)
+    with pytest.raises(ArithmeticError, match="square moments"):
+        kloosterman_table.__wrapped__(F)

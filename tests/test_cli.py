@@ -332,6 +332,12 @@ def test_invalid_family_n_exits_2(capsys):
     assert code == 2
 
 
+def test_modulus_with_trailing_zeros(capsys):
+    code, out, err = run_cli(capsys, "verify", "--r", "2", "--nmax", "2", "--modulus", "2,1,1,0")
+    assert code == 0, err
+    assert json.loads(out)["modulus"] == [2, 1, 1]
+
+
 def test_bad_modulus_exits_2(capsys):
     code, _, _ = run_cli(capsys, "moments", "--r", "2", "--modulus", "1,x,1")
     assert code == 2

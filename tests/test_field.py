@@ -87,6 +87,7 @@ def test_wrong_degree_and_non_monic_rejected():
         Field(3, (1, 0, 1))
     with pytest.raises(ValueError, match="monic"):
         Field(2, (1, 0, 2))
+    assert Field(2, (2, 1, 1, 0)) == Field(2, (2, 1, 1))  # trailing zeros dropped first
     with pytest.raises(ValueError):
         Field(0)
     with pytest.raises(ValueError):
@@ -241,6 +242,7 @@ def test_field_identity_and_pickle():
     assert F != Field(2, (1, 0, 1))
     clone = pickle.loads(pickle.dumps(F))
     assert clone == F
+    assert pickle.loads(pickle.dumps(F)) is clone  # built once per process
     assert clone.trace(5) == F.trace(5)
 
 

@@ -146,6 +146,15 @@ def test_full_verification_jobs_deterministic():
     assert seq == par
 
 
+def test_full_verification_pool_matches_serial_custom_modulus(monkeypatch):
+    field = Field(2, (1, 0, 1))  # x^2 + 1: not primitive, so the tables come from a searched generator
+    serial = full_verification(field, n_max=3, h_max=6)
+    monkeypatch.setattr(kloos.moments, "_available_cpus", lambda: 2)
+    pooled = full_verification(field, n_max=3, h_max=6, jobs=2)  # workers unpickle the field
+    assert pooled == serial
+    assert pooled["modulus"] == [1, 0, 1] and pooled["passed"]
+
+
 def test_pool_size_bounded_by_tasks_and_cpus(monkeypatch):
     sizes = []
 
