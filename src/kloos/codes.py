@@ -22,36 +22,38 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   square classes for families 1 and 3), `pless_identity` and
   `printed_prefix` through the DP, which never reads a character,
   `sk_vs_oracle`, and the K table's brute-force entries and closed moments;
-* the number C_j of codewords of weight j for j <= j_max, by dynamic
-  programming over beta blocks: choose nu_beta ones and mu_beta twos per
-  block subject to sum(nu + mu) = j and sum((nu - mu) beta) = 0, since a
-  ternary word kills the functional exactly when the signed block sums
-  cancel.  Two exact symmetries halve both the blocks and the state.
-  Negating one coordinate keeps the weight and turns u beta into
-  (-u)(-beta), so C_j reads only N(0) and N(beta) + N(-beta): (q + 1)/2
-  merged blocks.  Swapping every one and two of a partial word keeps its
-  weight and negates its signed sum, so the counts at s and -s are equal:
-  the state is one row of (q + 1)/2 counts, one per class {s, -s}, per
-  number of coordinates used.  In the group ring a merged block at
-  beta != 0 is (1 - z)^M (1 + h_M(z) sigma), with sigma the sum over a
-  coset of <beta> (sigma^2 = 3 sigma), so the scalars (1 - z)^M and the
-  block at 0 are applied once at the end, and each block updates whole
-  rows through their coset sums: one multiplication per coset class, of
-  which there are (q/3 + 1)/2, per (used, k);
+* the number C_j of codewords of weight j for j <= j_max (the DP route):
+  the z^j coefficient at 0 of the product over coordinates of (1 + z T),
+  T = shift(beta) + shift(-beta) in the group ring Z[F_q], since a word
+  kills the functional exactly when its signed sum cancels.  Negating one
+  coordinate keeps the weight and turns u beta into (-u)(-beta), so C_j
+  reads only N(0) and M_c = N(beta) + N(-beta) per class c = {beta, -beta}.
+  With sigma_c the sum over <beta> (sigma_c^2 = 3 sigma_c) and
+  R = (1 + 2z) / (1 - z), a class c != {0} gives
+  (1 - z)^M_c R^(M_c sigma_c / 3), so with Y = sum of M_c sigma_c,
+  m_k = [Y^k]_0 and fixed integer polynomials Q_j,
+  C(z) = (1 + 2z)^N(0) (1 - z)^(N - N(0)) sum_j z^j (sum_k Q_j[k] m_k) / j!.
+  Y is even, so m_k pairs Y^(k // 2) with Y^(k - k // 2), and
+  ceil(j_max/2) - 1 passes over the (q - 1)/2 blocks, each through the
+  (q/3 + 1)/2 coset sums of a block, form all the powers needed;
 * the same prefix by the MacWilliams identity from the dual weights of the
   per-class column counts as printed in the source:
   C_j = (1/q) sum over a in F_q of K_j(w(c(a))), with the ternary
   Krawtchouk polynomial K_j.  This route never enumerates words and the DP
   never looks at dual weights, so the two share only `_series`, which
-  takes every truncated (1 + 2z)^a (1 - z)^b here: K_j, and the DP's
-  scalars and coset series.  Checks that never call it also face the DP:
-  the left side of `pless_identity` (sum m w^h over the dual weights),
-  `sk_vs_oracle` and the literal sums of the tests;
+  takes every truncated (1 + 2z)^a (1 - z)^b here: K_j and the DP's
+  scalars, and by its recurrence the Q_j.  Checks that never call it
+  also face the DP: the left side of `pless_identity` (sum m w^h over
+  the dual weights), `sk_vs_oracle` and the literal sums of the tests;
 * for tiny N, the full distribution by literal enumeration of all 3^N words.
 
 The Pless identities and the moment solve consume the DP prefix only:
 MacWilliams and Pless are equivalent, so feeding them the MacWilliams
-prefix would make those checks hold by construction.
+prefix would make those checks hold by construction.  The DP is that same
+equivalence evaluated by convolution instead of characters: under the
+transform, q m_k = 3^k sum over a in F_q of (N - N(0) - w(c(a)))^k, so
+`pless_identity` compares the dual-weight power moments computed twice, by
+convolution in Z[F_q] and through the radix-3 transform's dual weights.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from functools import lru_cache
+from math import factorial
 from typing import NamedTuple
 
 from .charsums import check_quadratic_scan, delta_counts, kloosterman_table
@@ -169,17 +172,16 @@ def _series(a: int, b: int, j_max: int) -> list[int]:
     return f
 
 
-def _coset_series(m: int, j_max: int) -> list[int]:
-    """h_M[0..j_max] with (1 + z T)^M = (1 - z)^M (1 + h_M(z) sigma) for a
-    merged block of M coordinates at {beta, -beta}: 1 + 3 h_M is the series
-    ((1 + 2z) / (1 - z))^M.
-
-    T = shift(beta) + shift(-beta) satisfies T^2 = T + 2, so sigma = 1 + T,
-    the sum over a coset of <beta>, satisfies sigma^2 = 3 sigma; with
-    u = z / (1 - z), 1 + z T = (1 - z)(1 + u sigma) and
-    (1 + u sigma)^M = 1 + ((1 + 3u)^M - 1) sigma / 3.
-    """
-    return [0] + [exact_div(c, 3) for c in _series(m, -m, j_max)[1:]]
+@lru_cache(maxsize=None)
+def _ratio_polynomials(j_max: int) -> tuple[tuple[int, ...], ...]:
+    """Q_0..Q_j_max as coefficient tuples, with sum_j Q_j(y) z^j / j! the
+    series ((1 + 2z) / (1 - z))^(y/3): `_series` at a = y/3, b = -y/3 gives
+    Q_0 = 1, Q_1 = y and Q_{j+1} = (y - j) Q_j + 2 j (j - 1) Q_{j-1}."""
+    polys = [[1], [0, 1]]
+    for j in range(1, j_max):
+        terms = zip([0, *polys[j]], polys[j] + [0], polys[j - 1] + [0, 0])
+        polys.append([a - j * b + 2 * j * (j - 1) * c for a, b, c in terms])
+    return tuple(map(tuple, polys[: j_max + 1]))
 
 
 @lru_cache(maxsize=8)
@@ -214,46 +216,44 @@ def _class_cosets(field: Field) -> tuple[tuple[int, ...], tuple]:
     return tuple(cls), tuple(blocks)
 
 
-def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
-    """C_0..C_j_max by DP over the classes {beta, -beta}, through coset sums.
+def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> list[int]:
+    """m_0..m_k_max, m_k = [Y^k]_0, the coefficient at 0 of the k-th power of
+    Y = sum of M_c sigma_c over the classes c = {beta, -beta} != {0}, with
+    M_c = N(beta) + N(-beta) and sigma_c the sum over <beta>.
 
-    Negating one coordinate keeps the word's weight and turns u beta into
-    (-u)(-beta), so the blocks at beta and -beta merge into one block of
-    M = N(beta) + N(-beta) coordinates: (q + 1)/2 blocks.  In the group
-    ring of F_q a block is (1 + z T)^M with T = shift(beta) + shift(-beta),
-    and for beta != 0 that is (1 - z)^M (1 + h_M(z) sigma), with sigma the
-    sum over the coset s + <beta> (see _coset_series).  Every (1 - z)^M and
-    the block at beta = 0, (1 + 2z)^N(0), are scalars: their product is
-    applied once, at the end, to the class-0 entries.  Each block then sends
-    row[used] to row[used] + sum over k of h_M[k] sigma row[used - k]: the
-    coset sums are taken once per row, one multiplication per coset class
-    per (used, k), and added back to every class of the coset.  The map
-    commutes with s -> -s and the start row is even, so each row is stored
-    once per class {s, -s}: rows[used][c] is the z^used coefficient, at
-    either element of class c, of the product of the (1 + h_M(z) sigma) so
-    far.
+    Y is even under s -> -s, as are its powers, so each is stored once per
+    class: Y_0 = N - N(0) and Y_c = M_c.  One multiplication by Y is one pass
+    over the blocks: the coset sums of the row, times M_c, added back to
+    every class of the coset.  Only Y^2..Y^ceil(k_max/2) are formed, since
+    m_k = 2 sum_c Y^a_c Y^b_c - Y^a_0 Y^b_0 with a = k // 2, b = k - a.
     """
     cls, blocks = _class_cosets(field)
     merged = [0] * (len(blocks) + 1)
     for beta in field.elements():
         merged[cls[beta]] += counts[beta]
-    rows = [[1] + [0] * (len(merged) - 1)] + [[0] * len(merged) for _ in range(j_max)]
-    series_cache: dict[int, list[int]] = {}
-    for m_beta, (cosets, coset_of) in zip(merged[1:], blocks):
-        if m_beta == 0:
-            continue
-        h = series_cache.get(m_beta)
-        if h is None:
-            h = series_cache[m_beta] = _coset_series(m_beta, j_max)
-        sums = [[row[a] + row[b] + row[c] for a, b, c in zip(*cosets)] for row in rows[:j_max]]
-        for used in range(1, j_max + 1):
-            acc = [h[1] * x for x in sums[used - 1]]
-            for k in range(2, used + 1):
-                h_k = h[k]
-                acc = [a + h_k * x for a, x in zip(acc, sums[used - k])]
-            rows[used] = [x + acc[i] for x, i in zip(rows[used], coset_of)]
-    scalar = _series(merged[0], sum(merged) - merged[0], j_max)
-    return [sum(scalar[i] * rows[j - i][0] for i in range(j + 1)) for j in range(j_max + 1)]
+    powers = [[1] + [0] * len(blocks), [sum(merged[1:]), *merged[1:]]]
+    while len(powers) <= (k_max + 1) // 2:
+        row, product = powers[-1], [0] * len(merged)
+        for m, (cosets, coset_of) in zip(merged[1:], blocks):
+            if m:
+                sums = [m * (row[a] + row[b] + row[c]) for a, b, c in zip(*cosets)]
+                product = [x + sums[i] for x, i in zip(product, coset_of)]
+        powers.append(product)
+    halves = [(powers[k // 2], powers[k - k // 2]) for k in range(k_max + 1)]
+    return [2 * sum(x * y for x, y in zip(u, v)) - u[0] * v[0] for u, v in halves]
+
+
+def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
+    """C_0..C_j_max by the closed form in the module docstring: the z^j
+    coefficient of R^(Y/3) at 0 is sum_k Q_j[k] m_k / j!, an exact
+    division, times the scalars (1 + 2z)^N(0) (1 - z)^(N - N(0))."""
+    moments = _zero_moments(field, counts, j_max)
+    at_zero = [
+        exact_div(sum(c * m for c, m in zip(poly, moments)), factorial(j))
+        for j, poly in enumerate(_ratio_polynomials(j_max))
+    ]
+    scalar = _series(counts[0], sum(counts) - counts[0], j_max)
+    return [sum(scalar[i] * at_zero[j - i] for i in range(j + 1)) for j in range(j_max + 1)]
 
 
 def check_prefix_dp_q(q: int) -> None:

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from math import comb, factorial
 
@@ -210,32 +211,60 @@ def _multinomial(n, a, b):
     return falling // (factorial(a) * factorial(b))
 
 
-def _times_one_minus_z(m, series):
-    """(1 - z)^m times series, truncated to the length of series."""
-    factor = [(-1) ** i * comb(m, i) for i in range(len(series))]
-    return [sum(factor[i] * series[j - i] for i in range(j + 1)) for j in range(len(series))]
-
-
-def test_coset_series_match_multinomial_sum():
-    # (1 + zT)^M = (1 - z)^M (1 + h_M sigma): the shift-0 and shift-1 coefficients
-    # are P_0 = (1 - z)^M (1 + h_M) and P_1 = (1 - z)^M h_M
+def test_ratio_polynomials_match_series():
+    # sum_j Q_j(y) z^j / j! = ((1 + 2z) / (1 - z))^(y/3): at y = 3M it is _series(M, -M)
+    polys = kloos.codes._ratio_polynomials(12)
+    assert len(polys) == 13
     for m in (0, 1, 2, 5, 13, 10**50):
-        for j_max in range(13):
-            h = kloos.codes._coset_series(m, j_max)
-            assert len(h) == j_max + 1 and h[0] == 0, (m, j_max)
-            expected = [[0, 0, 0] for _ in range(j_max + 1)]
-            for k in range(j_max + 1):
-                for nu in range(k + 1):  # nu ones and mu = k - nu twos, shift nu - mu
-                    expected[k][(2 * nu - k) % 3] += _multinomial(m, nu, k - nu)
-                assert expected[k][1] == expected[k][2], (m, k)  # swapping ones and twos negates the shift
-            p_1 = _times_one_minus_z(m, h)
-            p_0 = _times_one_minus_z(m, [1, *h[1:]])
-            assert p_0 == [row[0] for row in expected], (m, j_max)
-            assert p_1 == [row[1] for row in expected], (m, j_max)
-    # 3 of 5 coordinates: all ones or all twos give shift 0, two ones shift 1, two twos shift 2
-    h = kloos.codes._coset_series(5, 3)
-    assert _times_one_minus_z(5, [1, *h[1:]])[3] == 20
-    assert _times_one_minus_z(5, h)[3] == 30
+        series = kloos.codes._series(m, -m, 12)
+        for j, poly in enumerate(polys):
+            assert sum(c * (3 * m) ** k for k, c in enumerate(poly)) == factorial(j) * series[j], (m, j)
+    for j, poly in enumerate(polys):
+        assert len(poly) == j + 1 and poly[j] == 1, j  # monic of degree j
+        assert poly[0] == (j == 0), j  # Q_j(0) = 0 for j >= 1
+    assert kloos.codes._ratio_polynomials(3) == polys[:4]
+
+
+def _check_zero_moments(profile, k_max=12):
+    # q m_k = 3^k sum over a of (N - N(0) - w(a))^k: the Fourier image of Y at a
+    # is 3 #{coordinates at beta != 0 with tr(a beta) = 0}
+    q, n_len, at_zero = profile.field.q, profile.length, profile.counts[0]
+    moments = kloos.codes._zero_moments(profile.field, profile.counts, k_max)
+    images = [n_len - at_zero - w for w in dual_weights_from_profile(profile)]
+    assert len(moments) == k_max + 1
+    for k, m in enumerate(moments):
+        assert q * m == 3**k * sum(y**k for y in images), (q, k)
+
+
+def test_zero_moments_match_dual_weights_every_instance():
+    for field in FIELDS_R1_TO_R5[:4]:
+        for family in ALL_FAMILIES:
+            for n in family.valid_ns(4):
+                _check_zero_moments(trace_profile(family, n, field))
+
+
+def test_prefix_reads_no_character(monkeypatch):
+    # the DP route never calls a transform, the K table or delta: with all of
+    # them raising in every kloos module, each instance's prefix is unchanged
+    cases = []
+    for field in FIELDS_R1_TO_R5[2:4]:
+        for family in ALL_FAMILIES:
+            for n in family.valid_ns(4):
+                profile = trace_profile(family, n, field)
+                cases.append((profile, weight_prefix_macwilliams(profile, 8)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the weight-prefix DP reached a character route")
+
+    names = ("char_fibers", "char_transform", "char_sum", "kloosterman_table", "delta_counts")
+    for module in [m for name, m in sys.modules.items() if name == "kloos" or name.startswith("kloos.")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        dual_weights_from_profile(cases[0][0])
+    for profile, expected in cases:
+        assert weight_distribution_prefix(profile, 8) == expected, (profile.family.label, profile.n, profile.field.q)
 
 
 def test_weight_prefix_leading_terms():
@@ -401,6 +430,12 @@ def asymmetric_profiles(draw):
 def test_prefix_matches_full_row_dp_on_asymmetric_profiles(profile, j_max):
     expected = _prefix_dp_full_rows(profile.field, profile.counts, j_max)
     assert weight_distribution_prefix(profile, j_max) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=asymmetric_profiles())
+def test_zero_moments_match_dual_weights_on_asymmetric_profiles(profile):
+    _check_zero_moments(profile)
 
 
 @pytest.mark.parametrize("field", FIELDS_R1_TO_R5[2:4], ids=["q27", "q81"])
