@@ -21,6 +21,13 @@ because its reader has closed it, as in ``kloos kloosterman --r 8 | head -1``.
 Each run is a fresh process, so ``groups``, ``moments`` and ``csv`` are
 imported inside the handlers that use them: ``kloosterman`` or ``field``
 then does not pay to load modules it never calls.
+
+JSON goes through ``_json_text``, whose bytes are those of
+``json.dumps(payload, indent=2, sort_keys=True)``.  With ``indent`` set,
+``json`` drops its C encoder for a pure-Python one that calls the quadratic
+``int.__repr__`` on every integer, and every passing check carries two equal
+sides (up to 3,609 digits at q = 3, n = 22); ``_json_text`` converts each
+distinct integer once.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable
+from json.encoder import encode_basestring_ascii
 
 from .charsums import check_series_h, kloosterman_table, moment_series
 from .codes import check_prefix_dp_q, dual_weights, trace_profile, weight_distribution_prefix
@@ -306,9 +314,59 @@ def _flat_str(v) -> str:
     return str(v)
 
 
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, each distinct int converted once."""
+    parts: list[str] = []
+    _json_walk(payload, "", parts.append, {})
+    return "".join(parts)
+
+
+def _json_atom(v, digits: dict[int, str]) -> str:
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        text = digits.get(v)
+        if text is None:
+            text = digits[v] = int.__repr__(v)
+        return text
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_walk(v, pad: str, put: Callable[[str], None], digits: dict[int, str]) -> None:
+    # module-level, not a closure: a recursive closure is a reference cycle
+    # that would keep every part alive after the text is joined
+    if isinstance(v, dict):
+        # sorted on the keys themselves; a non-str key is quoted as its JSON atom
+        items = (
+            (encode_basestring_ascii(k if isinstance(k, str) else _json_atom(k, digits)) + ": ", x)
+            for k, x in sorted(v.items())
+        )
+        brackets = "{}"
+    elif isinstance(v, (list, tuple)):
+        items, brackets = (("", x) for x in v), "[]"
+    else:
+        put(_json_atom(v, digits))
+        return
+    if not v:
+        put(brackets)
+        return
+    inner = pad + "  "
+    put(brackets[0])
+    sep = "\n" + inner
+    for key, x in items:
+        put(sep + key)
+        sep = ",\n" + inner
+        _json_walk(x, inner, put, digits)
+    put("\n" + pad + brackets[1])
+
+
 def _emit(payload, rows, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True))
+        out.write(_json_text(payload))
         out.write("\n")
     elif fmt == "csv":
         import csv

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -131,6 +132,20 @@ def test_verify_huge_n_exceeds_int_str_limit(capsys):
     # the limit is lifted only while main runs
     if hasattr(sys, "get_int_max_str_digits"):
         assert sys.get_int_max_str_digits() == limit_before
+
+
+def test_verify_huge_n_json_exceeds_int_str_limit(capsys):
+    limit_before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "verify", "--r", "1", "--nmax", "24", "--hmax", "8")
+    assert code == 0, err
+    # the limit is lifted only while main runs
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert sys.get_int_max_str_digits() == limit_before
+    with kloos.cli._no_int_str_limit():
+        payload = json.loads(out)
+    assert payload["passed"] is True
+    checks = [chk for inst in payload["instances"] for chk in inst["checks"]]
+    assert max(chk["lhs"] for chk in checks if isinstance(chk["lhs"], int)) >= 10**4300  # over 4300 digits
 
 
 def test_json_byte_deterministic(capsys):
@@ -466,3 +481,70 @@ def test_kloosterman_csv_rows_match_json_table(capsys, modulus):
     field = Field(2, modulus)
     assert [a for a, _ in rows[1:]] == [",".join(map(str, field.coeffs(a))) for a in field.units()]
     assert {a: int(k) for a, k in rows[1:]} == table
+
+
+_JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t\u00e9\u2028\U0001f600a') | st.characters())
+# 10^4300 + k has 4301 digits; k is often small and the sign is free, so one
+# value often holds equal ints and +-x pairs
+_JSON_INT = (
+    st.integers()
+    | st.sampled_from((0, 7, -7))
+    | st.builds(
+        lambda sign, k: sign * (10**4300 + k),
+        st.sampled_from((1, -1)),
+        st.integers(0, 3) | st.integers(0, 10**9),
+    )
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _JSON_INT | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers() | st.booleans(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_JSON_VALUES)
+def test_json_text_matches_json_dumps(value):
+    with kloos.cli._no_int_str_limit():
+        assert kloos.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_leaves_no_reference_cycle():
+    # a cycle would keep every part of the text alive until the collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        kloos.cli._json_text({"a": [1, -1, {"b": None}], "c": "d"})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_SUBCOMMANDS = [
+    ["field", "--r", "2"],
+    ["kloosterman", "--r", "2"],
+    ["moments", "--r", "2"],
+    ["constants", "--r", "2"],
+    ["weights", "--r", "2", "--family", "DC2-", "--n", "3"],
+    ["group", "--r", "1", "--family", "DC1+", "--n", "2"],
+    ["group", "--r", "2", "--set", "o2"],
+    ["recursion", "--r", "1", "--family", "DC4-", "--n", "3"],
+    ["verify", "--r", "2", "--nmax", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_emit_json_matches_json_dumps(argv, capsys, tmp_path):
+    args = kloos.cli.build_parser().parse_args(argv)
+    payload, rows, _ = args.handler(args)
+    emitted = io.StringIO()
+    kloos.cli._emit(payload, rows, "json", emitted)
+    assert emitted.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # --output writes the bytes stdout gets
+    target = tmp_path / "out.json"
+    _, out, _ = run_cli(capsys, *argv)
+    _, empty, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert empty == "" and target.read_bytes() == out.encode() == emitted.getvalue().encode()

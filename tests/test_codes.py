@@ -4,7 +4,7 @@ from collections import Counter
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import kloos.codes
@@ -31,6 +31,7 @@ from kloos.moments import verify_instance
 F3 = Field(1)
 F9 = Field(2)
 F27 = Field(3)
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def test_profiles_match_enumerated_histograms():
@@ -383,7 +384,9 @@ def small_profiles(draw):
     return TraceProfile(field, tuple(hist[b] for b in field.elements()))
 
 
-@settings(max_examples=60, deadline=None)
+# no shrink phase: a failure here would shrink through the word-by-word
+# enumeration for minutes instead of failing in seconds
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(profile=small_profiles(), j_max=st.integers(0, 10))
 def test_prefix_routes_agree_on_random_profiles(profile, j_max):
     full = enumerate_code_tiny(profile)
@@ -395,6 +398,7 @@ def test_prefix_routes_agree_on_random_profiles(profile, j_max):
 def _prefix_dp_full_rows(field, counts, j_max):
     """The DP over all q blocks, with full rows of q counts and three shifts per block:
     rows[used][s] counts the partial words with `used` nonzero coordinates and signed sum s."""
+    add = [[field.add(s, t) for t in field.elements()] for s in field.elements()]
     rows = [[1] + [0] * (field.q - 1)] + [[0] * field.q for _ in range(j_max)]
     for beta in field.elements():
         shifts = (0, beta, field.neg(beta))  # d beta for d = nu - mu mod 3
@@ -406,7 +410,7 @@ def _prefix_dp_full_rows(field, counts, j_max):
                     ways[(2 * nu - k) % 3] += _multinomial(counts[beta], nu, k - nu)
                 for d in range(3):
                     for s, count in enumerate(row):
-                        new_rows[used + k][field.add(s, shifts[d])] += ways[d] * count
+                        new_rows[used + k][add[s][shifts[d]]] += ways[d] * count
         rows = new_rows
     return [row[0] for row in rows]
 
@@ -425,7 +429,9 @@ def asymmetric_profiles(draw):
     return TraceProfile(field, tuple(counts))
 
 
-@settings(max_examples=60, deadline=None)
+# no shrink phase: each example runs the O(q^2 j^2) oracle at q up to 27, so
+# shrinking a failure would take minutes where the first one takes seconds
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(profile=asymmetric_profiles(), j_max=st.integers(0, 12))
 def test_prefix_matches_full_row_dp_on_asymmetric_profiles(profile, j_max):
     expected = _prefix_dp_full_rows(profile.field, profile.counts, j_max)
