@@ -14,7 +14,8 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
 * dual weights w(c(a)) for each unit a, by two routes required equal:
   the polynomial at the K table, once per distinct K value, and N minus the
   trace-kernel mass #{coordinates with tr(a beta) = 0}, the zero trace
-  fiber of one radix-3 transform of the profile, O(r q) for every a at once.
+  fiber of one radix-3 transform of the profile's shape (below), O(r q) for
+  every a at once.
   Both read the polynomial, and the profile's fiber counts delta(p) are the
   inverse transform of the K table, so this checks that transform pair.
   The independent evidence on the profile is `printed_columns` (one
@@ -35,7 +36,8 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   C(z) = (1 + 2z)^N(0) (1 - z)^(N - N(0)) sum_j z^j (sum_k Q_j[k] m_k) / j!.
   Y is even, so m_k pairs Y^(k // 2) with Y^(k - k // 2), and
   ceil(j_max/2) - 1 passes over the (q - 1)/2 blocks, each through the
-  (q/3 + 1)/2 coset sums of a block, form all the powers needed;
+  (q/3 + 1)/2 coset sums of a block, form all the powers needed, once per
+  shape (below);
 * the same prefix by the MacWilliams identity from the dual weights of the
   per-class column counts as printed in the source:
   C_j = (1/q) sum over a in F_q of K_j(w(c(a))), with the ternary
@@ -46,6 +48,23 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   also face the DP: the left side of `pless_identity` (sum m w^h over
   the dual weights), `sk_vs_oracle` and the literal sums of the tests;
 * for tiny N, the full distribution by literal enumeration of all 3^N words.
+
+Both O(q^2 j) passes and the transform run once per profile shape, not once
+per instance.  Reading its counts alone, a profile splits into two integers
+and a normalized shape S: kappa = N(1), lam = +-gcd over beta != 0 of
+N(beta) - kappa, signed so that the first nonzero difference is positive
+(lam = 0 when there is none), and S(beta) = (N(beta) - kappa) / lam,
+S(0) = 0, so N(beta) = kappa + lam S(beta) for every beta != 0.  For a
+family, N(beta) - N(1) = sigma A (delta(p; beta) - delta(p; 1)), so one S
+serves every instance of a field with the same power p.  With J the sum of
+all elements (J X = eps(X) J for the augmentation eps, [J]_0 = 1 and
+eps(sigma_c) = 3), V = sum of sigma_c = ((q - 3)/2) [0] + J, and
+Y = 2 kappa V + lam Y_S = W + 2 kappa J with W = kappa (q - 3) [0] + lam Y_S.
+Hence m_k = sum_i C(k, i) (kappa (q - 3))^(k - i) lam^i [Y_S^i]_0
++ (eps(Y)^k - eps(W)^k) / q, eps(Y) = 3 (N - N(0)) and eps(W) = eps(Y) - 2 kappa q;
+and for a != 0 the kernel mass is N(0) + kappa (q/3 - 1) + lam T0_S[a], with
+T0_S the zero trace fiber of S.  The [Y_S^i]_0 and T0_S are cached per
+(field, shape), so an instance costs O(q) and O(j^2) big-integer operations.
 
 The Pless identities and the moment solve consume the DP prefix only:
 MacWilliams and Pless are equivalent, so feeding them the MacWilliams
@@ -61,7 +80,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, gcd
 from typing import NamedTuple
 
 from .charsums import check_quadratic_scan, delta_counts, kloosterman_table
@@ -121,11 +140,33 @@ def _dual_weight_closed(consts: FamilyConstants, poly: FamilyPolynomial, k: int)
     return exact_div(2 * (consts.N - poly.coset_sum(consts.A, k)), 3)
 
 
+def _split(counts: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """(kappa, lam, shape) with N(beta) = kappa + lam shape(beta) for every
+    beta != 0: kappa = N(1), lam the gcd of the N(beta) - kappa, signed so
+    that the first nonzero difference is positive, and shape(0) = 0 (shape
+    all zero when lam = 0)."""
+    kappa = counts[1]
+    diffs = [n - kappa for n in counts[1:]]
+    lam = gcd(*diffs)
+    if lam and next(d for d in diffs if d) < 0:
+        lam = -lam
+    return kappa, lam, (0, *(d // (lam or 1) for d in diffs))  # diffs are all 0 when lam = 0
+
+
+@lru_cache(maxsize=16)
+def _zero_fiber(field: Field, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """T0 of a shape, its mass on ker(beta -> tr(a beta)) for every a: one
+    transform per shape, shared by every profile of that shape."""
+    return tuple(char_fibers(field, shape)[0])
+
+
 def dual_weights_from_profile(profile: TraceProfile) -> list[int]:
     """w(c(a)) for every a in F_q (0 at a = 0): N minus the kernel mass
-    #{coordinates with tr(a beta) = 0}, the zero trace fiber of the counts."""
-    n_len = profile.length
-    return [n_len - kernel_mass for kernel_mass in char_fibers(profile.field, profile.counts)[0]]
+    #{coordinates with tr(a beta) = 0}, the zero trace fiber of the counts.
+    For a != 0 that mass is N(0) + kappa (q/3 - 1) + lam T0_shape[a]."""
+    kappa, lam, shape = _split(profile.counts)
+    rest = profile.length - profile.counts[0] - kappa * (profile.field.q // 3 - 1)
+    return [0] + [rest - lam * t for t in _zero_fiber(profile.field, shape)[1:]]
 
 
 def dual_weights(profile: TraceProfile) -> list[int]:
@@ -216,7 +257,8 @@ def _class_cosets(field: Field) -> tuple[tuple[int, ...], tuple]:
     return tuple(cls), tuple(blocks)
 
 
-def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> list[int]:
+@lru_cache(maxsize=16)
+def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> tuple[int, ...]:
     """m_0..m_k_max, m_k = [Y^k]_0, the coefficient at 0 of the k-th power of
     Y = sum of M_c sigma_c over the classes c = {beta, -beta} != {0}, with
     M_c = N(beta) + N(-beta) and sigma_c the sum over <beta>.
@@ -226,6 +268,7 @@ def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> list[int
     over the blocks: the coset sums of the row, times M_c, added back to
     every class of the coset.  Only Y^2..Y^ceil(k_max/2) are formed, since
     m_k = 2 sum_c Y^a_c Y^b_c - Y^a_0 Y^b_0 with a = k // 2, b = k - a.
+    The prefix calls it on shapes, so the cache holds a few per field.
     """
     cls, blocks = _class_cosets(field)
     merged = [0] * (len(blocks) + 1)
@@ -240,14 +283,28 @@ def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> list[int
                 product = [x + sums[i] for x, i in zip(product, coset_of)]
         powers.append(product)
     halves = [(powers[k // 2], powers[k - k // 2]) for k in range(k_max + 1)]
-    return [2 * sum(x * y for x, y in zip(u, v)) - u[0] * v[0] for u, v in halves]
+    return tuple(2 * sum(x * y for x, y in zip(u, v)) - u[0] * v[0] for u, v in halves)
+
+
+def _profile_moments(field: Field, counts: tuple[int, ...], k_max: int) -> list[int]:
+    """m_0..m_k_max of the counts from the [Y_S^i]_0 of their shape, by
+    Y = W + 2 kappa J as in the module docstring; e_ are augmentations."""
+    q = field.q
+    kappa, lam, shape = _split(counts)
+    c, e_y = kappa * (q - 3), 3 * (sum(counts) - counts[0])
+    e_w = e_y - 2 * kappa * q
+    scaled = [lam**i * u for i, u in enumerate(_zero_moments(field, shape, k_max))]
+    return [
+        sum(comb(k, i) * c ** (k - i) * s for i, s in enumerate(scaled[: k + 1])) + exact_div(e_y**k - e_w**k, q)
+        for k in range(k_max + 1)
+    ]
 
 
 def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
     """C_0..C_j_max by the closed form in the module docstring: the z^j
     coefficient of R^(Y/3) at 0 is sum_k Q_j[k] m_k / j!, an exact
     division, times the scalars (1 + 2z)^N(0) (1 - z)^(N - N(0))."""
-    moments = _zero_moments(field, counts, j_max)
+    moments = _profile_moments(field, counts, j_max)
     at_zero = [
         exact_div(sum(c * m for c, m in zip(poly, moments)), factorial(j))
         for j, poly in enumerate(_ratio_polynomials(j_max))

@@ -1,7 +1,7 @@
 import random
 import sys
 from collections import Counter
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -23,10 +23,10 @@ from kloos.codes import (
     weight_prefix_from_printed_columns,
     weight_prefix_macwilliams,
 )
-from kloos.constants import ALL_FAMILIES, CosetFamily, family_constants
-from kloos.field import Field
+from kloos.constants import ALL_FAMILIES, CosetFamily, family_constants, family_polynomial
+from kloos.field import Field, char_fibers
 from kloos.groups import double_coset
-from kloos.moments import verify_instance
+from kloos.moments import full_verification, verify_instance
 
 F3 = Field(1)
 F9 = Field(2)
@@ -246,7 +246,8 @@ def test_zero_moments_match_dual_weights_every_instance():
 
 def test_prefix_reads_no_character(monkeypatch):
     # the DP route never calls a transform, the K table or delta: with all of
-    # them raising in every kloos module, each instance's prefix is unchanged
+    # them raising in every kloos module and the per-shape caches cold, each
+    # instance's prefix is unchanged
     cases = []
     for field in FIELDS_R1_TO_R5[2:4]:
         for family in ALL_FAMILIES:
@@ -262,6 +263,8 @@ def test_prefix_reads_no_character(monkeypatch):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+    kloos.codes._zero_fiber.cache_clear()  # a warm cache would hide the refused transform
+    kloos.codes._zero_moments.cache_clear()
     with pytest.raises(AssertionError):
         dual_weights_from_profile(cases[0][0])
     for profile, expected in cases:
@@ -442,6 +445,65 @@ def test_prefix_matches_full_row_dp_on_asymmetric_profiles(profile, j_max):
 @given(profile=asymmetric_profiles())
 def test_zero_moments_match_dual_weights_on_asymmetric_profiles(profile):
     _check_zero_moments(profile)
+
+
+@st.composite
+def split_profiles(draw):
+    # asymmetric counts, counts constant off 0, and kappa + lam shape with lam != +-1
+    field = draw(st.sampled_from(FIELDS_R1_TO_R5[:4]))
+    q = field.q
+    near_1e30 = st.integers(10**30 - 10**6, 10**30 + 10**6)
+    entries = st.one_of(st.integers(0, 4), near_1e30)
+    kind = draw(st.sampled_from(("asymmetric", "flat", "scaled")))
+    if kind == "asymmetric":
+        return draw(asymmetric_profiles())
+    if kind == "flat":
+        return TraceProfile(field, (draw(entries),) + (draw(entries),) * (q - 1))
+    kappa, lam = draw(near_1e30), draw(st.integers(-(10**6), 10**6))
+    shape = draw(st.lists(st.integers(-3, 3), min_size=q - 1, max_size=q - 1))
+    return TraceProfile(field, (draw(entries), *(kappa + lam * s for s in shape)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(profile=split_profiles())
+def test_split_is_exact_and_normalized(profile):
+    field, counts = profile.field, profile.counts
+    kappa, lam, shape = kloos.codes._split(counts)
+    assert len(shape) == field.q and shape[0] == 0
+    assert all(counts[beta] == kappa + lam * shape[beta] for beta in field.units())
+    if lam:
+        assert gcd(*shape) == 1
+        assert next(s for s in shape if s) > 0
+    else:
+        assert not any(shape)
+    k_max = 12
+    assert kloos.codes._profile_moments(field, counts, k_max) == list(kloos.codes._zero_moments(field, counts, k_max))
+    kernel_masses = [profile.length - w for w in dual_weights_from_profile(profile)]
+    assert kernel_masses == char_fibers(field, counts)[0]
+
+
+def test_one_shape_per_family_power():
+    for r in range(1, 5):
+        field = Field(r)
+        shapes = {}
+        for family in ALL_FAMILIES:
+            power = family_polynomial(family, field.q).power
+            for n in family.valid_ns(6):
+                shapes.setdefault(power, set()).add(kloos.codes._split(trace_profile(family, n, field).counts)[2])
+        assert all(len(found) == 1 for found in shapes.values()), r
+
+
+def test_verification_runs_one_dp_per_shape():
+    # r = 3: two family powers, so at most two shapes, each run once per j_max
+    kloos.codes._zero_moments.cache_clear()
+    kloos.codes._zero_fiber.cache_clear()
+    n_max, h_max = 6, 8
+    assert full_verification(F27, n_max, h_max)["passed"]
+    j_maxes = {
+        min(family_constants(family, n, F27.q).N, h_max) for family in ALL_FAMILIES for n in family.valid_ns(n_max)
+    }
+    assert kloos.codes._zero_moments.cache_info().misses <= 2 * len(j_maxes)
+    assert kloos.codes._zero_fiber.cache_info().misses <= 2
 
 
 @pytest.mark.parametrize("field", FIELDS_R1_TO_R5[2:4], ids=["q27", "q81"])
