@@ -35,9 +35,9 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   m_k = [Y^k]_0 and fixed integer polynomials Q_j,
   C(z) = (1 + 2z)^N(0) (1 - z)^(N - N(0)) sum_j z^j (sum_k Q_j[k] m_k) / j!.
   Y is even, so m_k pairs Y^(k // 2) with Y^(k - k // 2), and
-  ceil(j_max/2) - 1 passes over the (q - 1)/2 blocks, each through the
-  (q/3 + 1)/2 coset sums of a block, form all the powers needed, once per
-  shape (below);
+  ceil(j_max/2) - 1 convolution passes, at one point per orbit of
+  <Frobenius, -1> and with no field addition, form all the powers needed,
+  once per shape (below);
 * the same prefix by the MacWilliams identity from the dual weights of the
   per-class column counts as printed in the source:
   C_j = (1/q) sum over a in F_q of K_j(w(c(a))), with the ternary
@@ -49,8 +49,8 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   the dual weights), `sk_vs_oracle` and the literal sums of the tests;
 * for tiny N, the full distribution by literal enumeration of all 3^N words.
 
-Both O(q^2 j) passes and the transform run once per profile shape, not once
-per instance.  Reading its counts alone, a profile splits into two integers
+The passes and the transform run once per profile shape, not once per
+instance.  Reading its counts alone, a profile splits into two integers
 and a normalized shape S: kappa = N(1), lam = +-gcd over beta != 0 of
 N(beta) - kappa, signed so that the first nonzero difference is positive
 (lam = 0 when there is none), and S(beta) = (N(beta) - kappa) / lam,
@@ -77,10 +77,10 @@ convolution in Z[F_q] and through the radix-3 transform's dual weights.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from functools import lru_cache
 from math import comb, factorial, gcd
+from operator import mul
 from typing import NamedTuple
 
 from .charsums import check_quadratic_scan, delta_counts, kloosterman_table
@@ -225,36 +225,40 @@ def _ratio_polynomials(j_max: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, polys[: j_max + 1]))
 
 
-@lru_cache(maxsize=8)
-def _class_cosets(field: Field) -> tuple[tuple[int, ...], tuple]:
-    """The DP's maps, which depend on the field alone: (cls, blocks).
+def _translates(r: int, s: int, t: int) -> list[int]:
+    """[s + t beta for beta in F_q], t in F_3, digit by digit with no field
+    addition: elements with top digit d follow those below it, as for the
+    trace table."""
+    out = [0]
+    for i in range(r):
+        digits = [(s // 3**i + t * d) % 3 * 3**i for d in range(3)]
+        out = [x + v for v in digits for x in out]
+    return out
 
-    cls[s] is the class of s under s ~ -s, numbered in order of first
-    appearance, so class 0 is {0}.  blocks[c - 1] = (cosets, coset_of) for the
-    class c of beta != 0: the cosets s + <beta> up to sign, as three arrays
-    that hold, for one s per coset class, the classes of s, s + beta and
-    s - beta, and the array of the coset class of every class.  About q^2 / 4
-    indices in all: 1.2 MB at q = 729, 10 MB at q = 2187.
-    """
-    cls = [-1] * field.q
-    reps: list[int] = []
+
+def _orbits(field: Field, y: list[int], neg: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(orbit_of, reps, sizes) for the group G that y is invariant under:
+    <Frobenius, -1> when y(beta^3) = y(beta) for every beta, else {+-1}
+    (neg, the map beta -> -beta, is digit by digit).  Frobenius is built
+    F_3-linearly from the images of the basis elements 3^i, so it is
+    additive by construction.  Orbit 0 is {0}."""
+    frob = [0]
+    for image in (field.pow(3**i, 3) for i in range(field.r)):
+        shifts = [_translates(field.r, d_image, 1) for d_image in (0, image, neg[image])]
+        frob = [shift[x] for shift in shifts for x in frob]
+    maps = [neg, frob] if [y[b] for b in frob] == y else [neg]
+    orbit_of, reps, sizes = [-1] * field.q, [], []
     for s in field.elements():
-        if cls[s] < 0:
-            cls[s] = cls[field.neg(s)] = len(reps)
+        if orbit_of[s] < 0:
+            orbit_of[s], orbit = len(reps), [s]
+            for x in orbit:
+                for g in maps:
+                    if orbit_of[g[x]] < 0:
+                        orbit_of[g[x]] = len(reps)
+                        orbit.append(g[x])
             reps.append(s)
-    blocks = []
-    for beta in reps[1:]:
-        neg_beta = field.neg(beta)
-        coset_of = [-1] * len(reps)
-        cosets: list[tuple[int, int, int]] = []
-        for c, s in enumerate(reps):
-            if coset_of[c] < 0:
-                triple = (c, cls[field.add(s, beta)], cls[field.add(s, neg_beta)])
-                for member in triple:
-                    coset_of[member] = len(cosets)
-                cosets.append(triple)
-        blocks.append((tuple(array("I", m) for m in zip(*cosets)), array("I", coset_of)))
-    return tuple(cls), tuple(blocks)
+            sizes.append(len(orbit))
+    return orbit_of, reps, sizes
 
 
 @lru_cache(maxsize=16)
@@ -263,27 +267,22 @@ def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> tuple[in
     Y = sum of M_c sigma_c over the classes c = {beta, -beta} != {0}, with
     M_c = N(beta) + N(-beta) and sigma_c the sum over <beta>.
 
-    Y is even under s -> -s, as are its powers, so each is stored once per
-    class: Y_0 = N - N(0) and Y_c = M_c.  One multiplication by Y is one pass
-    over the blocks: the coset sums of the row, times M_c, added back to
-    every class of the coset.  Only Y^2..Y^ceil(k_max/2) are formed, since
-    m_k = 2 sum_c Y^a_c Y^b_c - Y^a_0 Y^b_0 with a = k // 2, b = k - a.
+    Y(0) = N - N(0) and Y(beta) = M_c.  Multiplying by Y is the convolution
+    (Y f)(s) = sum of Y(beta) f(s - beta), evaluated at one s per orbit of
+    `_orbits`, whose maps are additive and fix Y, hence every power of Y.
+    Only Y^2..Y^ceil(k_max/2) are formed: m_k = sum over orbits of
+    |orbit| Y^a(rep) Y^b(rep), a = k // 2, b = k - a, as Y^b is even.
     The prefix calls it on shapes, so the cache holds a few per field.
     """
-    cls, blocks = _class_cosets(field)
-    merged = [0] * (len(blocks) + 1)
-    for beta in field.elements():
-        merged[cls[beta]] += counts[beta]
-    powers = [[1] + [0] * len(blocks), [sum(merged[1:]), *merged[1:]]]
+    neg = _translates(field.r, 0, 2)
+    y = [sum(counts) - counts[0], *(counts[b] + counts[neg[b]] for b in field.units())]
+    orbit_of, reps, sizes = _orbits(field, y, neg)
+    powers = [[1] + [0] * (len(reps) - 1), [y[s] for s in reps]]
     while len(powers) <= (k_max + 1) // 2:
-        row, product = powers[-1], [0] * len(merged)
-        for m, (cosets, coset_of) in zip(merged[1:], blocks):
-            if m:
-                sums = [m * (row[a] + row[b] + row[c]) for a, b, c in zip(*cosets)]
-                product = [x + sums[i] for x, i in zip(product, coset_of)]
-        powers.append(product)
+        f = [powers[-1][o] for o in orbit_of]
+        powers.append([sum(map(mul, y, map(f.__getitem__, _translates(field.r, s, 2)))) for s in reps])
     halves = [(powers[k // 2], powers[k - k // 2]) for k in range(k_max + 1)]
-    return tuple(2 * sum(x * y for x, y in zip(u, v)) - u[0] * v[0] for u, v in halves)
+    return tuple(sum(n * u * v for n, u, v in zip(sizes, a, b)) for a, b in halves)
 
 
 def _profile_moments(field: Field, counts: tuple[int, ...], k_max: int) -> list[int]:

@@ -537,8 +537,52 @@ def test_prefix_dp_per_field_maps_under_two_moduli():
         profiles.append(TraceProfile(field, counts))
         for profile in profiles:
             assert weight_distribution_prefix(profile, 10) == weight_prefix_macwilliams(profile, 10)
-    # the maps read addition and negation only, which act digit by digit under every modulus
-    assert kloos.codes._class_cosets(fields[0]) == kloos.codes._class_cosets(fields[1])
+
+
+def test_prefix_reads_no_field_addition(monkeypatch):
+    # the DP's index lists and group maps come from digits and field.mul alone:
+    # with every field addition raising and the per-shape cache cold, each
+    # instance's prefix is unchanged
+    cases = []
+    for field in FIELDS_R1_TO_R5[2:4]:
+        for family in ALL_FAMILIES:
+            for n in family.valid_ns(4):
+                profile = trace_profile(family, n, field)
+                cases.append((profile, weight_prefix_macwilliams(profile, 8)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the weight-prefix DP reached a field addition")
+
+    for name in ("add", "sub", "_add_digits"):
+        monkeypatch.setattr(Field, name, refuse)
+    kloos.codes._zero_moments.cache_clear()
+    with pytest.raises(AssertionError):
+        cases[0][0].field.add(1, 1)
+    for profile, expected in cases:
+        assert weight_distribution_prefix(profile, 8) == expected, (profile.family.label, profile.n, profile.field.q)
+
+
+@pytest.mark.parametrize("modulus", [None, (1, 0, 1, 1, 1)], ids=["default", "second"])
+def test_orbit_group_follows_frobenius_invariance(monkeypatch, modulus):
+    # GF(81): a family shape is invariant under beta -> beta^3 and splits into
+    # 14 orbits of <Frobenius, -1>; an even profile that Frobenius moves keeps
+    # the 41 classes {beta, -beta}; both prefixes equal the full-row DP
+    field = Field(4, modulus)
+    rng = random.Random(41)
+    even = [0] * field.q
+    for beta in field.elements():
+        even[beta] = even[field.neg(beta)] = rng.choice((0, 1, 3, 10**25))
+    even[3], even[field.neg(3)] = 2, 2  # beta = x and x^3 = 27 differ: Frobenius moves the profile
+    even[27], even[field.neg(27)] = 5, 5
+    found = []
+    orbits = kloos.codes._orbits
+    monkeypatch.setattr(kloos.codes, "_orbits", lambda *args: found.append(orbits(*args)) or found[-1])
+    for counts, n_orbits in ((trace_profile(CosetFamily(2, -1), 3, field).counts, 14), (tuple(even), 41)):
+        kloos.codes._zero_moments.cache_clear()
+        assert weight_distribution_prefix(TraceProfile(field, counts), 10) == _prefix_dp_full_rows(field, counts, 10)
+        orbit_of, reps, sizes = found[-1]
+        assert len(reps) == n_orbits and sum(sizes) == field.q
+        assert all(orbit_of[rep] == i for i, rep in enumerate(reps))
 
 
 def test_prefix_depends_on_pair_sums_only():
