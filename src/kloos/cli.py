@@ -71,14 +71,6 @@ def _build_field(args, cap: Callable[[int], None] | None = None) -> Field:
     return Field(args.r, modulus)
 
 
-def _default_jobs() -> int:
-    """KLOOS_JOBS, 1 when unset; ValueError unless it is a positive integer."""
-    env = os.environ.get("KLOOS_JOBS", "").strip() or "1"
-    if not env.isdigit() or int(env) < 1:
-        raise ValueError(f"KLOOS_JOBS must be a positive integer, got {env!r}")
-    return int(env)
-
-
 # -- command payload builders ----------------------------------------------------
 
 
@@ -262,8 +254,7 @@ def cmd_verify(args) -> tuple[dict, Iterable[list], int]:
 
     check_dimension(args.nmax)
     field = _build_field(args, check_prefix_dp_q)
-    jobs = _default_jobs() if args.jobs is None else args.jobs
-    report = full_verification(field, args.nmax, args.hmax, jobs=jobs)
+    report = full_verification(field, args.nmax, args.hmax, jobs=args.jobs)
     # one row per check, encoded only if the CSV writer asks for it
     rows = itertools.chain(
         [["name", "status", "lhs", "rhs"]],
@@ -297,7 +288,7 @@ def _render_text(payload, indent: str = "") -> str:
                 lines.append(f"{indent}- {item}")
     else:
         lines.append(f"{indent}{payload}")
-    return "\n".join(line for line in lines if line is not None)
+    return "\n".join(lines)
 
 
 def _is_flat(v) -> bool:
@@ -446,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(s)
     s.add_argument("--nmax", type=int, default=6)
     s.add_argument("--hmax", type=int, default=8)
-    s.add_argument("--jobs", type=int, default=None, help="parallel workers (env KLOOS_JOBS)")
+    s.add_argument("--jobs", type=int, default=1, help="parallel workers")
     s.set_defaults(handler=cmd_verify)
 
     return parser

@@ -43,6 +43,7 @@ so identities run for h >= 1 and SK^0 = (q-1)/2 seeds the solve directly.
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import Counter
 from fractions import Fraction
@@ -174,13 +175,11 @@ def _printed_coefficient(h: int, t: int) -> int:
     return 3 ** (h - t) * 2**h
 
 
-def check_pless_identity(instance: PlessInstance, h_max: int) -> list[CheckResult]:
-    """lhs == rhs for 1 <= h <= h_max, plus the h = 0 dimension check."""
-    if h_max > instance.h_max:
-        raise ValueError(f"instance covers h <= {instance.h_max}, got {h_max}")
+def check_pless_identity(instance: PlessInstance) -> list[CheckResult]:
+    """lhs == rhs for 1 <= h <= instance.h_max, plus the h = 0 dimension check."""
     label = f"{instance.family.label},n={instance.n},q={instance.field.q}"
     out = [CheckResult(f"pless_rhs_h0_counts_dual({label})", instance.rhs[0], instance.field.q)]
-    for h in range(1, h_max + 1):
+    for h in range(1, instance.h_max + 1):
         out.append(CheckResult(f"pless_identity({label},h={h})", pless_lhs(instance, h), instance.rhs[h]))
     return out
 
@@ -322,18 +321,11 @@ class InstanceReport(NamedTuple):
         }
 
 
-def verify_instance(
-    family: CosetFamily, n: int, field: Field, h_max: int = 8, identity_h_max: int | None = None
-) -> InstanceReport:
-    """Run every exact check for one instance.
-
-    h_max bounds the solved moment orders (SK^h with h <= h_max); the
-    identity itself is checked for h up to identity_h_max (default h_max).
-    """
-    if identity_h_max is None:
-        identity_h_max = h_max
+def verify_instance(family: CosetFamily, n: int, field: Field, h_max: int) -> InstanceReport:
+    """Run every exact check for one instance: the identity for h <= h_max
+    and the solved moment orders SK^h with h <= h_max."""
     label = f"{family.label},n={n},q={field.q}"
-    instance = build_instance(family, n, field, h_max=max(h_max, identity_h_max))
+    instance = build_instance(family, n, field, h_max)
     consts = instance.consts
     printed = printed_column_counts(family, n, field)
     checks = [
@@ -346,7 +338,7 @@ def verify_instance(
             instance.c_prefix,
         ),
         check_injectivity(family, n, field, instance.weights),
-        *check_pless_identity(instance, identity_h_max),
+        *check_pless_identity(instance),
     ]
 
     steps = moment_steps(family, h_max)
@@ -368,30 +360,22 @@ def verify_instance(
     return InstanceReport(family, n, field.q, consts, checks, sk_series)
 
 
-def _verify_task(task: tuple) -> InstanceReport:
-    """verify_instance on one (family, n, field, h_max, identity_h_max) task."""
-    return verify_instance(*task)
-
-
 def _available_cpus() -> int:
     """CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def full_verification(
-    field: Field, n_max: int, h_max: int, jobs: int = 1, identity_h_max: int | None = None
-) -> dict:
-    """Every valid (family, n <= n_max) instance, optionally fanned out over
-    min(jobs, instances, available CPUs) worker processes.
+def full_verification(field: Field, n_max: int, h_max: int, jobs: int = 1) -> dict:
+    """verify_instance on every valid (family, n <= n_max) instance with the
+    one bound h_max, optionally fanned out over min(jobs, instances,
+    available CPUs) worker processes.
 
     The reduce is deterministic: reports come back in instance-list order
     whatever the job count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [
-        (family, n, field, h_max, identity_h_max) for family in ALL_FAMILIES for n in family.valid_ns(n_max)
-    ]
+    tasks = [(family, n, field, h_max) for family in ALL_FAMILIES for n in family.valid_ns(n_max)]
     if not tasks:
         raise ValueError(f"no valid (family, n) instance with n <= {n_max}")
     workers = min(jobs, len(tasks), _available_cpus())
@@ -399,9 +383,9 @@ def full_verification(
         import multiprocessing
 
         with multiprocessing.Pool(processes=workers) as pool:
-            reports = pool.map(_verify_task, tasks)
+            reports = pool.starmap(verify_instance, tasks)
     else:
-        reports = list(map(_verify_task, tasks))
+        reports = list(itertools.starmap(verify_instance, tasks))
     return {
         "q": field.q,
         "modulus": list(field.modulus),

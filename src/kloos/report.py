@@ -20,16 +20,6 @@ class CheckResult(NamedTuple):
         return {
             "name": self.name,
             "status": "pass" if self.ok else "fail",
-            "lhs": _plain(self.lhs),
-            "rhs": _plain(self.rhs),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
         }
-
-
-def _plain(v: Any):
-    if isinstance(v, (int, str, bool)):
-        return v
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _plain(x) for k, x in v.items()}
-    return repr(v)

@@ -78,7 +78,7 @@ def verification():
     for r in (1, 2, 3):
         field = Field(r)
         start = time.perf_counter()
-        report = full_verification(field, N_MAX, H_MAX, identity_h_max=IDENTITY_H_MAX)
+        report = full_verification(field, N_MAX, IDENTITY_H_MAX)
         runs[field.q] = (report, time.perf_counter() - start)
     return runs
 
@@ -105,7 +105,7 @@ def test_criterion_1_moments_match_oracle(capsys, verification):
         ok,
         f"K table equals brute-force kloosterman() on every unit; identity-solved SK "
         f"series equals the oracle for {total} instances "
-        f"(n<={N_MAX}, h<={H_MAX}, q in 3/9/27); q=27 run {elapsed27:.1f}s < 120s",
+        f"(n<={N_MAX}, h<={IDENTITY_H_MAX}, q in 3/9/27); q=27 run {elapsed27:.1f}s < 120s",
     )
 
 
@@ -323,7 +323,7 @@ def test_criterion_8_representation_independence(capsys):
             weights_a = sorted(dual_weight_closed(family, n, base, a) for a in base.units())
             weights_b = sorted(dual_weight_closed(family, n, alt, a) for a in alt.units())
             ok &= weights_a == weights_b
-    alt_report = full_verification(alt, N_MAX, H_MAX, identity_h_max=IDENTITY_H_MAX)
+    alt_report = full_verification(alt, N_MAX, IDENTITY_H_MAX)
     ok &= alt_report["passed"]
     ok &= len(alt_report["instances"]) == INSTANCES_PER_Q
 

@@ -44,11 +44,9 @@ def test_pless_identity_h_up_to_10_small():
         (CosetFamily(2, 1), 2, F3),
         (CosetFamily(3, 1), 2, F9),
     ]:
-        inst = build_instance(family, n, field)
-        for res in check_pless_identity(inst, 10):
+        inst = build_instance(family, n, field, h_max=10)
+        for res in check_pless_identity(inst):
             assert res.ok, res
-    with pytest.raises(ValueError):
-        check_pless_identity(build_instance(CosetFamily(1, -1), 1, F3, 6), 7)
 
 
 def test_sk_via_pless_odd_family_q3():
@@ -123,7 +121,7 @@ def test_sk_guards():
 
 
 def test_verify_instance_report():
-    report = verify_instance(CosetFamily(1, -1), 1, F3, h_max=8, identity_h_max=10)
+    report = verify_instance(CosetFamily(1, -1), 1, F3, h_max=10)
     assert report.passed
     d = report.as_dict()
     assert d["instance"] == {"family": "DC1-", "n": 1, "q": 3, "A": 1, "B": 4, "N": 4}
@@ -170,8 +168,8 @@ def test_pool_size_bounded_by_tasks_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def starmap(self, fn, items):
+            return [fn(*item) for item in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     assert kloos.moments._available_cpus() >= 1
@@ -229,16 +227,16 @@ def _spy(monkeypatch, name):
 
 def test_verify_instance_derives_each_quantity_once(monkeypatch):
     names = ("trace_profile", "dual_weights", "weight_distribution_prefix", "pless_rhs")
-    for family, n, field, h_max, identity_h_max in [
-        (CosetFamily(1, -1), 1, F3, 6, 8),  # N = 4: the prefix stops at C_4
-        (CosetFamily(4, -1), 3, F9, 8, 5),
+    for family, n, field, h_max in [
+        (CosetFamily(1, -1), 1, F3, 6),  # N = 4: the prefix stops at C_4
+        (CosetFamily(4, -1), 3, F9, 8),
     ]:
         calls = {name: _spy(monkeypatch, name) for name in names}
-        assert verify_instance(family, n, field, h_max, identity_h_max).passed
+        assert verify_instance(family, n, field, h_max).passed
         assert len(calls["trace_profile"]) == 1
         assert len(calls["dual_weights"]) == 1
         assert len(calls["weight_distribution_prefix"]) == 1
-        assert [args[1] for args in calls["pless_rhs"]] == list(range(max(h_max, identity_h_max) + 1))
+        assert [args[1] for args in calls["pless_rhs"]] == list(range(h_max + 1))
         monkeypatch.undo()
 
 
@@ -341,7 +339,7 @@ def test_verify_instance_builds_no_fraction(monkeypatch):
     for field in (F3, F9):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
-                assert verify_instance(family, n, field, h_max=8, identity_h_max=10).passed
+                assert verify_instance(family, n, field, h_max=10).passed
 
 
 def test_non_integral_steps_keep_their_messages():
