@@ -86,7 +86,7 @@ from typing import NamedTuple
 from .charsums import check_quadratic_scan, delta_counts, kloosterman_table
 from .constants import CosetFamily, FamilyConstants, FamilyPolynomial, exact_div, family_constants
 from .constants import family_polynomial
-from .field import Field, char_fibers
+from .field import Field, char_fibers, linear_map, translates
 from .report import CheckResult
 
 PREFIX_MAX_J = 12
@@ -225,27 +225,13 @@ def _ratio_polynomials(j_max: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, polys[: j_max + 1]))
 
 
-def _translates(r: int, s: int, t: int) -> list[int]:
-    """[s + t beta for beta in F_q], t in F_3, digit by digit with no field
-    addition: elements with top digit d follow those below it, as for the
-    trace table."""
-    out = [0]
-    for i in range(r):
-        digits = [(s // 3**i + t * d) % 3 * 3**i for d in range(3)]
-        out = [x + v for v in digits for x in out]
-    return out
-
-
 def _orbits(field: Field, y: list[int], neg: list[int]) -> tuple[list[int], list[int], list[int]]:
     """(orbit_of, reps, sizes) for the group G that y is invariant under:
     <Frobenius, -1> when y(beta^3) = y(beta) for every beta, else {+-1}
-    (neg, the map beta -> -beta, is digit by digit).  Frobenius is built
-    F_3-linearly from the images of the basis elements 3^i, so it is
-    additive by construction.  Orbit 0 is {0}."""
-    frob = [0]
-    for image in (field.pow(3**i, 3) for i in range(field.r)):
-        shifts = [_translates(field.r, d_image, 1) for d_image in (0, image, neg[image])]
-        frob = [shift[x] for shift in shifts for x in frob]
+    (neg, the map beta -> -beta, is digit by digit).  Frobenius is the
+    `linear_map` of the images of the basis elements 3^i, so it is additive
+    by construction.  Orbit 0 is {0}."""
+    frob = linear_map([field.pow(3**i, 3) for i in range(field.r)])
     maps = [neg, frob] if [y[b] for b in frob] == y else [neg]
     orbit_of, reps, sizes = [-1] * field.q, [], []
     for s in field.elements():
@@ -274,13 +260,13 @@ def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> tuple[in
     |orbit| Y^a(rep) Y^b(rep), a = k // 2, b = k - a, as Y^b is even.
     The prefix calls it on shapes, so the cache holds a few per field.
     """
-    neg = _translates(field.r, 0, 2)
+    neg = translates(field.r, 0, 2)
     y = [sum(counts) - counts[0], *(counts[b] + counts[neg[b]] for b in field.units())]
     orbit_of, reps, sizes = _orbits(field, y, neg)
     powers = [[1] + [0] * (len(reps) - 1), [y[s] for s in reps]]
     while len(powers) <= (k_max + 1) // 2:
         f = [powers[-1][o] for o in orbit_of]
-        powers.append([sum(map(mul, y, map(f.__getitem__, _translates(field.r, s, 2)))) for s in reps])
+        powers.append([sum(map(mul, y, map(f.__getitem__, translates(field.r, s, 2)))) for s in reps])
     halves = [(powers[k // 2], powers[k - k // 2]) for k in range(k_max + 1)]
     return tuple(sum(n * u * v for n, u, v in zip(sizes, a, b)) for a, b in halves)
 

@@ -7,9 +7,11 @@ operation reads a fixed number of entries of q-entry tables, the same code
 for every r = 1..12: exp/log tables from a generator g for products, Zech
 logarithms zech[k] = log(1 + g^k) for sums (g^i + g^j = g^(i + zech[j - i]);
 Lidl & Niederreiter, Finite Fields, 9.4), the product with 2 = -1 for
-negation, and a trace table built by F_3-linearity.  ``_add_digits`` and
-``_mul_raw`` build the tables and are the test reference.  There is no
-floating point anywhere.
+negation, and a trace table.  The product by g that walks the exp table,
+the trace, the transform's dual index and Frobenius are F_3-linear maps, each
+built by :func:`linear_map` from its images of the digit basis 3^i = x^i.
+``_add_digits`` and ``_mul_raw`` give those images and are the test
+reference.  There is no floating point anywhere.
 
 The canonical additive character is lambda(a) = omega^tr(a), omega a
 primitive cube root of unity.  :func:`char_sum` adds the terms of a
@@ -32,6 +34,7 @@ names the offending factor on failure.
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -39,9 +42,9 @@ MAX_DEGREE = 12
 
 # Lexicographically first monic primitive polynomial of each degree over
 # F_3 (coefficients constant-term first).  Primitive means the class of x
-# generates the multiplicative group, which lets table construction walk
-# successive powers of x with O(r) work per step.  Each entry is re-checked
-# for irreducibility at construction time.
+# generates the multiplicative group, so the exp table, which walks the
+# first generator in element order, walks successive powers of x.  Each
+# entry is re-checked for irreducibility at construction time.
 DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
     1: (1, 1),
     2: (2, 1, 1),
@@ -143,6 +146,29 @@ def _factorize(m: int) -> list[int]:
     return primes
 
 
+def translates(r: int, s: int, t: int) -> list[int]:
+    """[s + t beta for beta in range(3**r)], t in F_3, digit by digit with no
+    field addition: elements with top digit d follow those below it."""
+    out = [0]
+    for i in range(r):
+        digits = [(s // 3**i + t * d) % 3 * 3**i for d in range(3)]
+        out = [x + v for v in digits for x in out]
+    return out
+
+
+def linear_map(images: Sequence[int]) -> list[int]:
+    """The F_3-linear map sending 3^i to images[i], at every element of
+    range(3**len(images)), with no field addition.  Elements with top digit
+    d follow those below it and take d times the image, read from one
+    translate table as wide as the largest image."""
+    width = next(w for w in itertools.count() if 3**w > max(images, default=0))
+    out = [0]
+    for image in images:
+        plus = translates(width, image, 1)
+        out += [plus[x] for x in out] + [plus[plus[x]] for x in out]
+    return out
+
+
 class Field:
     """GF(3^r) with int-encoded elements and exact table-driven arithmetic.
 
@@ -177,11 +203,7 @@ class Field:
         self._x_r = self.from_int_coeffs(-c for c in modulus[:-1])  # x^r reduced
         self._build_log_tables()
         self._trace_basis = self._build_trace_basis()
-        trace_table = [0]
-        for t in self._trace_basis:
-            # elements with top digit d follow those below it: index d*3^i + s
-            trace_table = [(s + d * t) % 3 for d in range(3) for s in trace_table]
-        self._trace = trace_table
+        self._trace = linear_map(self._trace_basis)
 
     # -- construction helpers -------------------------------------------------
 
@@ -223,25 +245,6 @@ class Field:
 
     def _build_log_tables(self) -> None:
         q = self.q
-        x_elt = self.element((0, 1))
-        exp = [1]
-        e = x_elt
-        while e != 1 and len(exp) < q:
-            exp.append(e)
-            e = self._mul_by_x(e)
-        if len(exp) != q - 1:
-            # class of x is not a generator; fall back to a searched one
-            exp = self._exp_from_searched_generator()
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp
-        self._log = log
-        # 1 + v bumps the constant digit of v; -1 marks 1 + g^k = 0 (g^k = 2)
-        self._zech = [-1 if v == 2 else log[v + 1 if v % 3 < 2 else v - 2] for v in exp]
-
-    def _exp_from_searched_generator(self) -> list[int]:
-        q = self.q
         primes = _factorize(q - 1)
 
         def raw_pow(a: int, e: int) -> int:
@@ -253,15 +256,21 @@ class Field:
                 e >>= 1
             return out
 
-        for g in range(2, q):
-            if all(raw_pow(g, (q - 1) // p) != 1 for p in primes):
-                exp = [1]
-                e = g
-                while e != 1:
-                    exp.append(e)
-                    e = self._mul_raw(e, g)
-                return exp
-        raise ValueError("no multiplicative generator found; modulus is not irreducible")
+        # the first generator in element order: 2 = -1 has order 2, so for
+        # r > 1 that is x = 3 whenever x generates
+        g = next(g for g in range(2, q) if all(raw_pow(g, (q - 1) // p) != 1 for p in primes))
+        times_g = linear_map([self._mul_raw(g, 3**i) for i in range(self.r)])
+        exp = [1]
+        for _ in range(q - 2):  # g has order q - 1
+            exp.append(times_g[exp[-1]])
+        del times_g
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp = exp
+        self._log = log
+        # 1 + v bumps the constant digit of v; -1 marks 1 + g^k = 0 (g^k = 2)
+        self._zech = [-1 if v == 2 else log[v + 1 if v % 3 < 2 else v - 2] for v in exp]
 
     def _build_trace_basis(self) -> tuple[int, ...]:
         # trace is F_3-linear, so tr(x^i) for i < r determines it everywhere
@@ -412,18 +421,15 @@ def char_sum(field: Field, values: Iterable[int], weights: Iterable[int] = itert
 
 
 @lru_cache(maxsize=64)
-def _dual_index(field: Field) -> tuple[int, ...]:
+def _dual_index(field: Field) -> array:
     """c(a) for every a: the int whose digit j is tr(a e_j), e_j = x^j = 3^j.
 
     tr(a beta) = sum_j beta_j c(a)_j for beta = sum_j beta_j e_j, and c is
-    F_3-linear in a, so it is built from c(e_i) like the trace table.
+    F_3-linear in a: the :func:`linear_map` of the images c(e_i).  It is
+    held as an array, which stores the q entries without an int object each.
     """
-    index = [0]
-    for i in range(field.r):
-        c = sum(field.trace(field.mul(3**i, 3**j)) * 3**j for j in range(field.r))
-        c2 = field.add(c, c)
-        index += [field.add(s, c) for s in index] + [field.add(s, c2) for s in index]
-    return tuple(index)
+    images = [sum(field.trace(field.mul(3**i, 3**j)) * 3**j for j in range(field.r)) for i in range(field.r)]
+    return array("l", linear_map(images))
 
 
 def _sum3(x: list[int], y: list[int], z: list[int]) -> list[int]:

@@ -2,31 +2,39 @@ import pickle
 import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kloos.charsums import kloosterman_table, moment_series
+from kloos.codes import _orbits
 from kloos.field import (
     DEFAULT_MODULI,
     Field,
+    _dual_index,
     _monic_polys,
     char_sum,
     char_transform,
     find_factor,
+    linear_map,
     poly_mod,
     poly_str,
+    translates,
 )
 
 # the default modulus of each small degree plus one whose x is not a
-# generator, so the searched-generator path is covered too
+# generator, so the exp table of a generator other than x is covered too
 REFERENCE_MODULI = [(1, None), (1, (2, 1)), (2, None), (2, (1, 0, 1)), (3, None), (3, (2, 2, 0, 1))]
 IRREDUCIBLE_MODULI = [m for r in (1, 2, 3, 4) for m in _monic_polys(r) if find_factor(m) is None]
 # (r, modulus) for the default modulus and every irreducible one, r <= 4
 FIELD_ARGS = [(r, None) for r in (1, 2, 3, 4)] + [(len(m) - 1, m) for m in IRREDUCIBLE_MODULI]
+LINEAR_ARGS = FIELD_ARGS + [(5, None)]
+# x is 0 at r = 1 under modulus x and 1 under x + 2; x^8 + x^2 + 2 is irreducible, not primitive
+GENERATOR_PINS = [((1, (0, 1)), 2), ((1, (2, 1)), 2), ((8, (2, 0, 1, 0, 0, 0, 0, 0, 1)), 38)]
 
 
 @lru_cache(maxsize=None)
@@ -45,6 +53,14 @@ def frobenius_trace(F, a):
     for _ in range(F.r - 1):
         conj = F._mul_raw(F._mul_raw(conj, conj), conj)
         acc = F._add_digits(acc, conj)
+    return acc
+
+
+def digitwise_combination(F, images, beta):
+    """sum of beta_i images[i] over the digits beta_i of beta, by digit sums."""
+    acc = 0
+    for d, image in zip(F.coeffs(beta), images):
+        acc = F._add_digits(acc, digitwise_scale(F, d, image))
     return acc
 
 
@@ -173,6 +189,52 @@ def test_random_modulus_matches_default(modulus, data):
     for a, b in pairs:
         assert_ops_match_reference(F, a, b)
         assert F.trace(a) == frobenius_trace(F, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_args=st.sampled_from(LINEAR_ARGS), data=st.data())
+def test_linear_map_and_translates_match_digit_sums(field_args, data):
+    F = cached_field(*field_args)
+    top = data.draw(st.sampled_from((2, F.q - 1)))  # images in F_3, as for the trace, or anywhere
+    images = data.draw(st.lists(st.integers(0, top), min_size=F.r, max_size=F.r))
+    assert linear_map(images) == [digitwise_combination(F, images, beta) for beta in F.elements()]
+    s, t = data.draw(st.integers(0, F.q - 1)), data.draw(st.integers(0, 2))
+    assert translates(F.r, s, t) == [F._add_digits(s, digitwise_scale(F, t, beta)) for beta in F.elements()]
+
+
+@pytest.mark.parametrize("r, modulus", LINEAR_ARGS)
+def test_linear_tables_match_their_definitions(r, modulus):
+    F = cached_field(r, modulus)
+    g = F._exp[1]
+    times_g = linear_map([F._mul_raw(g, 3**i) for i in range(r)])
+    frob = linear_map([F.pow(3**i, 3) for i in range(r)])
+    index = _dual_index(F)
+    # a constant y is Frobenius-invariant, so the orbits are those of <Frobenius, -1>
+    orbit_of = _orbits(F, [1] * F.q, translates(r, 0, 2))[0]
+    members = defaultdict(set)
+    for b in F.elements():
+        members[orbit_of[b]].add(b)
+    for b in F.elements():
+        assert times_g[b] == F._mul_raw(g, b)
+        assert F._trace[b] == frobenius_trace(F, b)
+        assert frob[b] == F.pow(b, 3)
+        assert members[orbit_of[b]] == {F.pow(c, 3**k) for c in (b, F.neg(b)) for k in range(r)}
+        assert [index[b] // 3**j % 3 for j in range(r)] == [frobenius_trace(F, F._mul_raw(b, 3**j)) for j in range(r)]
+    assert all(F._exp[k + 1] == F._mul_raw(F._exp[k], g) for k in range(F.q - 2))
+
+
+@pytest.mark.parametrize("r, modulus", LINEAR_ARGS + [args for args, _ in GENERATOR_PINS])
+def test_exp_walks_the_first_generator_in_element_order(r, modulus):
+    F = cached_field(r, modulus)
+    assert sorted(F._exp) == list(F.units())  # every unit exactly once
+    assert F._exp[1] == next(u for u in F.units() if gcd(F._log[u], F.q - 1) == 1)
+
+
+def test_generator_pins():
+    for r in range(1, 13):
+        assert cached_field(r)._exp[1] == cached_field(r).element((0, 1))  # every default modulus is primitive
+    for args, g in GENERATOR_PINS:
+        assert cached_field(*args)._exp[1] == g
 
 
 def test_trace_frobenius_invariant_and_additive():

@@ -145,7 +145,7 @@ def test_full_verification_jobs_deterministic():
 
 
 def test_full_verification_pool_matches_serial_custom_modulus(monkeypatch):
-    field = Field(2, (1, 0, 1))  # x^2 + 1: not primitive, so the tables come from a searched generator
+    field = Field(2, (1, 0, 1))  # x^2 + 1: not primitive, so the tables walk the generator 4 = x + 1
     serial = full_verification(field, n_max=3, h_max=6)
     monkeypatch.setattr(kloos.moments, "_available_cpus", lambda: 2)
     pooled = full_verification(field, n_max=3, h_max=6, jobs=2)  # workers unpickle the field
