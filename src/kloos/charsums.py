@@ -4,8 +4,9 @@ K(lambda; a) = sum over alpha in F_q^* of lambda(alpha + a/alpha), with
 lambda the canonical additive character omega^tr.  A single value is a
 brute-force O(q) sum through :func:`kloos.field.char_sum`, which counts
 trace fibers exactly and raises unless the sum is real; it is the oracle.
-The whole table comes from two O(r q) character transforms
-(:func:`kloos.field.char_transform`), with the same realness check.
+The whole table comes from two character transforms
+(:func:`kloos.field.char_transform`) of log-domain histograms, with the
+same realness check.
 Kloosterman values are also checked against the Weil bound
 |K| <= 2 sqrt(q).
 
@@ -77,9 +78,14 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     Substituting x -> x / a gives K(lambda; a^2 b) = sum over beta of
     #{x : x + b/x = beta} lambda(a beta), so transforming the histograms
     of x + 1/x and x + b0/x, b0 a fixed nonsquare, yields K at every
-    square a^2 and every nonsquare a^2 b0.  Each value is checked against
-    the Weil bound, the table against the four closed moments below, and one
-    entry of each transform against the brute-force :func:`kloosterman`.
+    square a^2 and every nonsquare a^2 b0.  Both histograms come from the
+    log tables with no field addition, x = g^i giving x + c/x =
+    g^(i + zech[log c - 2i]) (:meth:`Field.inverse_sum_histogram`), and
+    each value lands at c a^2 = g^(log c + 2 log a)
+    (:meth:`Field.times_squares`), units in element order.  Each value is
+    checked against the Weil bound, the table against the four closed
+    moments below, and one entry of each transform against the brute-force
+    :func:`kloosterman`.
 
     The moments (Lidl & Niederreiter, *Finite Fields*, ch. 5) need no
     transform.  Sum over units a of K(a) = sum over units x of lambda(x)
@@ -101,38 +107,33 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     SK^2 = (q^2 - 2q - 1) / 2.
     """
     q = field.q
-    add, mul, inv = field.add, field.mul, field.inv
     b0 = field.first_nonsquare()
-    square_hist, nonsquare_hist = [0] * q, [0] * q
-    for x in field.units():
-        x_inv = inv(x)
-        square_hist[add(x, x_inv)] += 1
-        nonsquare_hist[add(x, mul(b0, x_inv))] += 1
-    at_square = char_transform(field, square_hist)
-    at_nonsquare = char_transform(field, nonsquare_hist)
-    values = [0] * q
-    for a in field.units():
-        a2 = mul(a, a)
-        values[a2] = at_square[a]
-        values[mul(a2, b0)] = at_nonsquare[a]
+    at_square = char_transform(field, field.inverse_sum_histogram(1))
+    at_nonsquare = char_transform(field, field.inverse_sum_histogram(b0))
+    squares = field.times_squares(1)
+    # units in element order, so of a and -a the later one places K(a^2 b)
+    placed = dict(zip(squares, at_square[1:]))
+    placed.update(zip(field.times_squares(b0), at_nonsquare[1:]))
+    units = field.units()
+    values = [0, *map(placed.__getitem__, units)]
     for k in values:
         if k * k > 4 * q:
             raise ArithmeticError(f"Weil bound violated: K={k} at q={q}")
     moments = (sum(values), sum(k * k for k in values))  # values[0] = 0
     if moments != (1, q * q - q - 1):
         raise ArithmeticError(f"K table moments {moments} != (1, {q * q - q - 1}) at q={q}")
-    at_squares = [values[a] for a in field.squares()]
+    at_squares = [values[a] for a in set(squares)]
     square_moments = (sum(at_squares), sum(k * k for k in at_squares))
     expected = ((1 + (-3) ** field.r) // 2, (q * q - 2 * q - 1) // 2)
     if square_moments != expected:
         raise ArithmeticError(f"K table square moments {square_moments} != {expected} at q={q}")
     # a = q - 1 has every digit nonzero, so its index c(a) draws on the
     # trace of every basis element
-    a2 = mul(q - 1, q - 1)
-    for b in (a2, mul(a2, b0)):
+    a2 = field.mul(q - 1, q - 1)
+    for b in (a2, field.mul(a2, b0)):
         if values[b] != kloosterman(field, b):
             raise ArithmeticError(f"transform gives K={values[b]} at {b}, brute force disagrees, q={q}")
-    return {a: values[a] for a in field.units()}
+    return dict(zip(units, values[1:]))
 
 
 @lru_cache(maxsize=64)
@@ -232,7 +233,7 @@ def delta_counts(field: Field, m: int) -> tuple[int, ...]:
         raise ValueError(f"delta supports 0 <= m <= {DELTA_MAX_M}, got {m}")
     q = field.q
     table = kloosterman_table(field)
-    powers = [(q - 1) ** m] + [table[field.mul(a, a)] ** m for a in field.units()]
+    powers = [(q - 1) ** m] + [table[s] ** m for s in field.times_squares(1)]
     return tuple(exact_div(v, q) for v in char_transform(field, powers))
 
 

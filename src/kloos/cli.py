@@ -59,8 +59,13 @@ def _parse_modulus(text: str | None) -> tuple[int, ...] | None:
         raise ValueError(f"cannot parse modulus {text!r}: expected comma-separated digits") from exc
 
 
-def _coeff_key(field: Field, a: int) -> str:
-    return ",".join(str(c) for c in field.coeffs(a))
+def _element_keys(field: Field) -> list[str]:
+    """The output key of every element: its digits, constant term first,
+    joined by commas, built digit by digit like :func:`kloos.field.translates`."""
+    keys = ["0", "1", "2"]
+    for _ in range(field.r - 1):
+        keys = [key + digit for digit in (",0", ",1", ",2") for key in keys]
+    return keys
 
 
 def _build_field(args, cap: Callable[[int], None] | None = None) -> Field:
@@ -84,7 +89,8 @@ def cmd_field(args) -> tuple[dict, list[list], int]:
         "q": field.q,
         "modulus": list(field.modulus),
         "modulus_str": poly_str(field.modulus),
-        "first_nonsquare": _coeff_key(field, field.first_nonsquare()),
+        # one key: the q-entry table would cost 43 MB at r = 12
+        "first_nonsquare": ",".join(map(str, field.coeffs(field.first_nonsquare()))),
         "trace_fibers": fibers,
         "num_squares": len(field.squares()),
     }
@@ -94,7 +100,8 @@ def cmd_field(args) -> tuple[dict, list[list], int]:
 
 def cmd_kloosterman(args) -> tuple[dict, Iterable[list], int]:
     field = _build_field(args, lambda q: check_series_h(args.hmax))
-    table = {_coeff_key(field, a): k for a, k in kloosterman_table(field).items()}
+    values, keys = kloosterman_table(field), _element_keys(field)
+    table = dict(zip(map(keys.__getitem__, values), values.values()))
     sk, mk = moment_series(field, args.hmax)
     payload = {"q": field.q, "modulus": list(field.modulus), "K": table, "SK": sk[1:], "MK": mk[1:]}
     # one row per unit, built only if the CSV writer asks for it
@@ -145,18 +152,21 @@ def cmd_weights(args) -> tuple[dict, list[list], int]:
     weights = dual_weights(profile)
     j_max = min(profile.length, args.jmax)
     prefix = weight_distribution_prefix(profile, j_max)
+    keys = _element_keys(field)
+    keyed_profile = dict(zip(keys, profile.counts))
+    keyed_weights = dict(zip(keys[1:], weights[1:]))
     payload = {
         "family": family.label,
         "n": args.n,
         "q": field.q,
         "N": profile.length,
-        "profile": {_coeff_key(field, b): c for b, c in profile.as_dict().items()},
-        "dual_weights": {_coeff_key(field, a): weights[a] for a in field.units()},
+        "profile": keyed_profile,
+        "dual_weights": keyed_weights,
         "C_prefix": prefix,
     }
     rows = [["section", "key", "value"]]
-    rows += [["profile", _coeff_key(field, b), c] for b, c in profile.as_dict().items()]
-    rows += [["dual_weight", _coeff_key(field, a), weights[a]] for a in field.units()]
+    rows += [["profile", key, c] for key, c in keyed_profile.items()]
+    rows += [["dual_weight", key, w] for key, w in keyed_weights.items()]
     rows += [["C", j, c] for j, c in enumerate(prefix)]
     return payload, rows, 0
 
@@ -194,14 +204,16 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
     else:
         raise ValueError("group command needs --set or --family")
     histogram = gset.trace_histogram()
+    keys = _element_keys(field)
+    keyed_histogram = {keys[b]: c for b, c in histogram.items()}
     payload = {
         "label": gset.label,
         "q": field.q,
-        "eps": _coeff_key(field, gset.eps),
+        "eps": keys[gset.eps],
         "order": gset.order,
-        "histogram": {_coeff_key(field, b): c for b, c in histogram.items()},
+        "histogram": keyed_histogram,
     }
-    rows = [["beta", "count"]] + [[_coeff_key(field, b), c] for b, c in histogram.items()]
+    rows = [["beta", "count"]] + [[key, c] for key, c in keyed_histogram.items()]
     return payload, rows, 0
 
 
@@ -331,10 +343,11 @@ def _json_walk(v, pad: str, put: Callable[[str], None], digits: dict[int, str]) 
     # module-level, not a closure: a recursive closure is a reference cycle
     # that would keep every part alive after the text is joined
     if isinstance(v, dict):
-        # sorted on the keys themselves; a non-str key is quoted as its JSON atom
+        # sorted on the keys themselves, not on q (key, value) tuples; a
+        # non-str key is quoted as its JSON atom
         items = (
-            (encode_basestring_ascii(k if isinstance(k, str) else _json_atom(k, digits)) + ": ", x)
-            for k, x in sorted(v.items())
+            (encode_basestring_ascii(k if isinstance(k, str) else _json_atom(k, digits)) + ": ", v[k])
+            for k in sorted(v)
         )
         brackets = "{}"
     elif isinstance(v, (list, tuple)):

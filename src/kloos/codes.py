@@ -157,7 +157,7 @@ def _split(counts: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
 def _zero_fiber(field: Field, shape: tuple[int, ...]) -> tuple[int, ...]:
     """T0 of a shape, its mass on ker(beta -> tr(a beta)) for every a: one
     transform per shape, shared by every profile of that shape."""
-    return tuple(char_fibers(field, shape)[0])
+    return tuple(char_fibers(field, shape, (0,))[0])
 
 
 def dual_weights_from_profile(profile: TraceProfile) -> list[int]:

@@ -21,9 +21,10 @@ character sum into the triple of trace-fiber counts (N0, N1, N2); since
 real.  Every sum the paper needs is a real integer, so no value of Z[omega]
 is ever formed.  :func:`char_fibers` gives the trace fibers of
 sum_beta f(beta) lambda(a beta) for every a at once: the radix-3
-(Vilenkin-Chrestenson) transform, r butterfly passes over fiber triples,
-O(r q) additions.  :func:`char_transform` collapses each triple through the
-same :func:`real_char_value`.
+(Vilenkin-Chrestenson) transform, r in-place butterfly passes over three
+packed ints, one fixed-width slot per index, each pass about 50 big-int
+operations.  :func:`char_transform` asks realness of every a with one
+comparison of packed ints and hands a failing f to :func:`real_char_value`.
 
 The modulus may be supplied explicitly (coefficients constant-term first)
 or defaulted from a shipped table of primitive polynomials, one per degree
@@ -373,6 +374,23 @@ class Field:
         """Nonzero squares in element order."""
         return [a for a in self.units() if self.is_square(a)]
 
+    def times_squares(self, c: int) -> list[int]:
+        """[c a^2 for a in units()], c a unit: exp at log c + 2 log a < 3 (q - 1)."""
+        exp, lc = self._exp * 3, self._log[c]
+        return [exp[lc + 2 * i] for i in self._log[1:]]
+
+    def inverse_sum_histogram(self, c: int) -> list[int]:
+        """#{x unit : x + c/x = beta} for every beta, c a unit.
+
+        x = g^i gives x + c/x = g^i (1 + g^(log c - 2i)) = g^(i + zech[log c - 2i]),
+        and 0 where the Zech logarithm is -1."""
+        n, exp, zech, lc = self.q - 1, self._exp, self._zech, self._log[c]
+        hist = [0] * self.q
+        for i in range(n):
+            z = zech[(lc - 2 * i) % n]
+            hist[exp[(i + z) % n] if z >= 0 else 0] += 1
+        return hist
+
     # -- identity -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -432,39 +450,88 @@ def _dual_index(field: Field) -> array:
     return array("l", linear_map(images))
 
 
-def _sum3(x: list[int], y: list[int], z: list[int]) -> list[int]:
-    return [u + v + w for u, v, w in zip(x, y, z)]
+# the signed array typecode of each slot size up to 8 bytes
+_SIGNED = {array(t).itemsize: t for t in "bhiq"}
 
 
-def char_fibers(field: Field, f: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """(T0, T1, T2) with Tk[a] = sum of f(beta) over beta with tr(a beta) = k.
+def _pack(f: Sequence[int], size: int) -> int:
+    """f as one int: entry i in two's complement in the size-byte slot i."""
+    if size in _SIGNED:
+        data = array(_SIGNED[size], f).tobytes()
+    else:
+        data = b"".join(v.to_bytes(size, "little", signed=True) for v in f)
+    return int.from_bytes(data, "little")
 
-    The radix-3 (Vilenkin-Chrestenson) transform in r butterfly passes.
-    Each value is a trace-fiber triple (coefficients of 1, omega, omega^2)
-    held as three lists; multiplying by omega rotates a triple.  A pass
-    splits the lowest index digit off with stride-3 slices and writes the
-    three outputs as the top digit, so after r passes entry c holds
-    sum_beta f(beta) omega^(sum_j beta_j c_j), the fibers of a at c = c(a).
-    No realness is asked of f: T0[a] is the mass of f on ker(beta -> tr(a beta)).
-    """
-    if len(f) != field.q:
-        raise ValueError(f"transform input has {len(f)} entries, expected q={field.q}")
-    t0, t1, t2 = list(f), [0] * field.q, [0] * field.q
-    for _ in range(field.r):
-        a0, a1, a2 = t0[0::3], t1[0::3], t2[0::3]
-        b0, b1, b2 = t0[1::3], t1[1::3], t2[1::3]
-        c0, c1, c2 = t0[2::3], t1[2::3], t2[2::3]
+
+def _unpack(x: int, count: int, size: int) -> list[int]:
+    """The count two's complement size-byte slots of x, lowest first."""
+    data = x.to_bytes(count * size, "little")
+    if size in _SIGNED:
+        return array(_SIGNED[size], data).tolist()
+    return [int.from_bytes(data[i : i + size], "little", signed=True) for i in range(0, len(data), size)]
+
+
+def _butterfly(field: Field, f: Sequence[int]) -> tuple[list[int], int, int]:
+    """([X0, X1, X2], bias, size): the radix-3 transform of f, in place on
+    three packed ints.  Slot c of Xk, size bytes wide, holds Tk + bias, with
+    Tk = sum of f(beta) over beta with sum_j beta_j c_j = k (mod 3) and bias
+    one top bit per slot, 2^(w-1) for w = 8 size bits.  Every partial sum is
+    at most sum |f| < 2^(w-1) in size, so every slot stays in [0, 2^w) and a
+    mask reads a whole digit class at once."""
+    q = field.q
+    if len(f) != q:
+        raise ValueError(f"transform input has {len(f)} entries, expected q={q}")
+    size = (sum(map(abs, f)).bit_length() + 8) // 8
+    size = next((s for s in (1, 2, 4, 8) if s >= size), size)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * q, "little")
+    x = [_pack(f, size) ^ bias, bias, bias]
+    for j in range(field.r):
+        # digit j of the slot index: slots with digit d sit d * shift bits
+        # above the slot with digit 0 that they combine with
+        span = 3**j
+        shift = 8 * size * span
+        mask = int.from_bytes((b"\xff" * size * span + bytes(2 * size * span)) * (q // (3 * span)), "little")
+        low = [t & mask for t in x]
+        mid = [t >> shift & mask for t in x]
+        high = [t >> 2 * shift & mask for t in x]
+        twice = (bias & mask) << 1
+        low = [t - twice for t in low]
         # output digit d is A + omega^d B + omega^(2d) C; component k of
         # omega^m X is component k - m of X
-        t0 = _sum3(a0, b0, c0) + _sum3(a0, b2, c1) + _sum3(a0, b1, c2)
-        t1 = _sum3(a1, b1, c1) + _sum3(a1, b0, c2) + _sum3(a1, b2, c0)
-        t2 = _sum3(a2, b2, c2) + _sum3(a2, b1, c0) + _sum3(a2, b0, c1)
+        x = [
+            low[k] + mid[k] + high[k]
+            | (low[k] + mid[k - 1] + high[k - 2]) << shift
+            | (low[k] + mid[k - 2] + high[k - 1]) << 2 * shift
+            for k in range(3)
+        ]
+    return x, bias, size
+
+
+def char_fibers(field: Field, f: Sequence[int], ks: Sequence[int] = (0, 1, 2)) -> tuple[list[int], ...]:
+    """(Tk for k in ks), Tk[a] = sum of f(beta) over beta with tr(a beta) = k.
+
+    The radix-3 (Vilenkin-Chrestenson) transform in r butterfly passes on
+    packed ints (:func:`_butterfly`): entry c of f sits in slot c, and pass
+    j combines the three slots that differ in digit j only and writes output
+    digit d back at digit d, so after r passes slot c holds the fibers of
+    sum_beta f(beta) omega^(sum_j beta_j c_j), those of a at c = c(a).
+    No realness is asked of f: T0[a] is the mass of f on ker(beta -> tr(a beta)).
+    """
+    x, bias, size = _butterfly(field, f)
     index = _dual_index(field)
-    return [t0[c] for c in index], [t1[c] for c in index], [t2[c] for c in index]
+    return tuple(list(map(_unpack(x[k] ^ bias, field.q, size).__getitem__, index)) for k in ks)
 
 
 def char_transform(field: Field, f: Sequence[int]) -> list[int]:
-    """S(a) = sum over beta of f(beta) lambda(a beta), for every a, as a list:
-    each fiber triple of :func:`char_fibers` collapsed through
-    :func:`real_char_value`, so an f with f(-beta) != f(beta) raises."""
-    return [real_char_value(t) for t in zip(*char_fibers(field, f))]
+    """S(a) = sum over beta of f(beta) lambda(a beta), for every a, as a list.
+
+    The fibers of :func:`char_fibers` are real when T1 == T2, one comparison
+    of packed ints; S is then T0 - T1.  Otherwise each triple goes through
+    :func:`real_char_value`, so an f with f(-beta) != f(beta) raises at its
+    first offending a."""
+    (x0, x1, x2), bias, size = _butterfly(field, f)
+    if x1 != x2:
+        return [real_char_value(t) for t in zip(*char_fibers(field, f))]
+    # |T0 - T1| <= sum |f| < bias, so every slot of x0 - x1 + bias is in range
+    values = _unpack(x0 - x1 + bias ^ bias, field.q, size)
+    return list(map(values.__getitem__, _dual_index(field)))

@@ -15,8 +15,9 @@ brute-force oracle.
 All of it is integer arithmetic.  The only denominators are fixed powers
 of 2 and 3 and of A, so each prefix side is summed with its coefficient
 scaled to an integer, and each step of the solve is one numerator over one
-denominator with a single exact division; a Fraction is built only to word
-the message when that division leaves a remainder.
+denominator with a single exact division; a Fraction is built, and
+``fractions`` imported, only to word the message when that division leaves
+a remainder.
 
 One PlessInstance per (family, n, q) holds what each route, the oracle
 included, reads; its dual weights are multiplicities w -> m over the units
@@ -46,7 +47,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Callable, NamedTuple
@@ -164,6 +164,8 @@ def pless_rhs(instance: PlessInstance, h: int) -> int:
     scaled = _prefix_side(instance, h, lambda h, t: 3 ** (k_dim - t + h))
     total, remainder = divmod(scaled, 3**h)
     if remainder:
+        from fractions import Fraction  # imports decimal and numbers; only words the error
+
         raise ArithmeticError(f"Pless right side not integral at h={h}: {Fraction(scaled, 3**h)}")
     return total
 
@@ -243,6 +245,8 @@ def _solve(
         num = tau**h * (num - rest * den)  # tau^-h == tau^h for tau = +-1
         value, remainder = divmod(num, den)
         if remainder:
+            from fractions import Fraction
+
             where = f"{family.label}, n={instance.n}, q={q}"
             raise NonIntegralStep(f"{what} at step {h} for {where}: {Fraction(num, den)}")
         solved.append(value)

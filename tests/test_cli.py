@@ -425,12 +425,18 @@ def test_verify_builds_one_field(capsys, monkeypatch, built_fields, jobs):
     assert built_fields == [2]
 
 
+@pytest.mark.parametrize("r", range(1, 7))
+def test_element_keys_are_coefficient_strings(r):
+    field = Field(r)
+    assert kloos.cli._element_keys(field) == [",".join(map(str, field.coeffs(a))) for a in field.elements()]
+
+
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import kloos.cli
 
 def loaded():
-    names = ("kloos.groups", "kloos.moments", "csv", "dataclasses", "inspect")
+    names = ("kloos.groups", "kloos.moments", "csv", "dataclasses", "inspect", "fractions")
     return {name: name in sys.modules for name in names}
 
 stages = {"import": loaded()}
@@ -456,14 +462,15 @@ def test_each_subcommand_imports_only_what_it_runs():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 6
     stages = result["stages"]
-    absent = dict.fromkeys(("kloos.groups", "kloos.moments", "csv", "dataclasses", "inspect"), False)
+    absent = dict.fromkeys(("kloos.groups", "kloos.moments", "csv", "dataclasses", "inspect", "fractions"), False)
     assert stages["import"] == absent
     assert stages["kloosterman"] == absent
     assert stages["verify"]["kloos.moments"] and not stages["verify"]["kloos.groups"]
     assert stages["group"]["kloos.groups"]
-    # the records are NamedTuples: no run loads dataclasses, nor inspect behind it
+    # the records are NamedTuples: no run loads dataclasses, nor inspect behind
+    # it; fractions (with decimal) loads only to word a non-integral step
     for loaded in stages.values():
-        assert not loaded["dataclasses"] and not loaded["inspect"]
+        assert not loaded["dataclasses"] and not loaded["inspect"] and not loaded["fractions"]
 
 
 @pytest.mark.parametrize("modulus", [None, (2, 1, 1)])

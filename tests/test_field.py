@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -17,6 +18,7 @@ from kloos.field import (
     Field,
     _dual_index,
     _monic_polys,
+    char_fibers,
     char_sum,
     char_transform,
     find_factor,
@@ -35,6 +37,10 @@ FIELD_ARGS = [(r, None) for r in (1, 2, 3, 4)] + [(len(m) - 1, m) for m in IRRED
 LINEAR_ARGS = FIELD_ARGS + [(5, None)]
 # x is 0 at r = 1 under modulus x and 1 under x + 2; x^8 + x^2 + 2 is irreducible, not primitive
 GENERATOR_PINS = [((1, (0, 1)), 2), ((1, (2, 1)), 2), ((8, (2, 0, 1, 0, 0, 0, 0, 0, 1)), 38)]
+# the default modulus of each degree r <= 5 plus x^2 + 1, whose x is not a generator
+FIBER_ARGS = [(r, None) for r in range(1, 6)] + [(2, (1, 0, 1))]
+# the same up to r = 6, plus x^8 + x^2 + 2, whose first generator is 38
+LOG_DOMAIN_ARGS = [(r, None) for r in range(1, 7)] + [(2, (1, 0, 1)), (8, (2, 0, 1, 0, 0, 0, 0, 0, 1))]
 
 
 @lru_cache(maxsize=None)
@@ -380,6 +386,61 @@ def test_char_transform_guard_survives_optimize_flag():
     )
     assert proc.returncode != 0
     assert "ArithmeticError" in proc.stderr
+
+
+def fibers_by_definition(F, f):
+    """(T0, T1, T2) with Tk[a] the sum of f(beta) over beta with tr(a beta) = k."""
+    fibers = ([0] * F.q, [0] * F.q, [0] * F.q)
+    for a in F.elements():
+        for beta, v in enumerate(f):
+            fibers[F.trace(F.mul(a, beta))][a] += v
+    return fibers
+
+
+@pytest.mark.parametrize("r, modulus", FIBER_ARGS)
+@settings(max_examples=8, deadline=None)
+@given(bound=st.sampled_from([0, 10**6, 2**70]), seed=st.integers(0, 2**32))
+def test_char_fibers_match_their_definition(r, modulus, bound, seed):
+    # f is not symmetric, so T1 != T2; 2^70 needs slots wider than 8 bytes
+    F = cached_field(r, modulus)
+    rng = random.Random(seed)
+    f = [rng.randint(-bound, bound) for _ in F.elements()]
+    expected = fibers_by_definition(F, f)
+    assert char_fibers(F, f) == expected
+    assert char_fibers(F, tuple(f), (0,)) == expected[:1]
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 71, 72])
+def test_char_fibers_at_slot_width_boundaries(bits):
+    # sum |f| = 2^bits - 1 fits a slot of bits + 1 bits, so a width of 8, 16,
+    # 32 or 64 bits is either just wide enough or one bit short
+    F = cached_field(2)
+    for f in ([2**bits - 1, 0, 0, 0, 0, 0, 0, 0, 0], [-(2 ** (bits - 1)), 0, 0, 2 ** (bits - 1) - 1, 0, 0, 0, 0, 0]):
+        assert char_fibers(F, f) == fibers_by_definition(F, f)
+
+
+def test_char_transform_names_the_first_non_real_value():
+    F = cached_field(3)
+    rng = random.Random(3)
+    for _ in range(5):
+        f = [rng.randrange(-5, 6) for _ in F.elements()]
+        t0, t1, t2 = fibers_by_definition(F, f)
+        a = next(a for a in F.elements() if t1[a] != t2[a])
+        message = f"value {t0[a] - t2[a]} + {t1[a] - t2[a]}*omega is not real"
+        with pytest.raises(ArithmeticError, match=re.escape(message)) as exc:
+            char_transform(F, f)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("r, modulus", LOG_DOMAIN_ARGS)
+def test_log_domain_tables_match_field_arithmetic(r, modulus):
+    F = cached_field(r, modulus)
+    for c in sorted({1, F.first_nonsquare(), F.q - 1}):
+        hist = [0] * F.q
+        for x in F.units():
+            hist[F.add(x, F.mul(c, F.inv(x)))] += 1
+        assert F.inverse_sum_histogram(c) == hist, c
+        assert F.times_squares(c) == [F.mul(c, F.mul(a, a)) for a in F.units()], c
 
 
 def test_poly_helpers():

@@ -1,3 +1,4 @@
+import fractions
 import multiprocessing
 import pickle
 from fractions import Fraction
@@ -335,7 +336,8 @@ def test_verify_instance_builds_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("Fraction built on the success path")
 
-    monkeypatch.setattr(kloos.moments, "Fraction", no_fraction)
+    # moments imports Fraction only at its raise sites, from the module patched here
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
     for field in (F3, F9):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
