@@ -33,10 +33,10 @@ from .report import CheckResult
 
 DELTA_MAX_M = 4
 GL_BRUTE_MAX_Q = 27
-# the weight-prefix DP, the SO^-(2, q) enumeration and the Kloosterman-to-delta
-# check are O(q^2) scans, seconds each at 3^8 (the DP's passes 1.7 s once per
-# profile shape, 12 s at 3^9); the Kloosterman table, delta(m) and the dual
-# weights of a profile are O(r q) transforms and run for every r
+# the SO^-(2, q) enumeration and the Kloosterman-to-delta check are O(q^2)
+# scans, seconds each at 3^8; the weight-prefix DP has its own cap,
+# codes.DP_EXACT_MAX_Q; the Kloosterman table, delta(m) and the dual weights
+# of a profile are O(r q) transforms and run for every r
 TABLE_MAX_Q = 3**8
 # a moment series prints 2 h_max integers of up to h_max log2(2 sqrt q) bits
 SERIES_MAX_H = 1000

@@ -83,12 +83,15 @@ from math import comb, factorial, gcd
 from operator import mul
 from typing import NamedTuple
 
-from .charsums import check_quadratic_scan, delta_counts, kloosterman_table
+from .charsums import delta_counts, kloosterman_table
 from .constants import CosetFamily, FamilyConstants, FamilyPolynomial, exact_div, family_constants
 from .constants import family_polynomial
 from .field import Field, char_fibers, linear_map, translates
 from .report import CheckResult
 
+# the DP's passes take seconds per profile shape at 3^8 and about 12 s at 3^9
+# (two shapes per field); above 3^9 they run for minutes
+DP_EXACT_MAX_Q = 3**9
 PREFIX_MAX_J = 12
 TINY_ENUM_MAX_WORDS = 10**6
 
@@ -118,7 +121,9 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
     fibers = list(delta_counts(field, poly.power))
     fibers[0] += poly.shift  # with -c in the offset: c (q [beta = 0] - 1)
     sigma_a, offset = poly.sigma * consts.A, (q - 1) ** poly.power + poly.shift
-    counts = [exact_div(consts.N + sigma_a * (q * d - offset), q) for d in fibers]
+    # every numerator is N - sigma A offset mod q: one division decides them all
+    base = exact_div(consts.N - sigma_a * offset, q)
+    counts = [base + sigma_a * d for d in fibers]
     profile = TraceProfile(field, tuple(counts), family, n)
     if profile.length != consts.N:
         raise ArithmeticError(
@@ -299,8 +304,9 @@ def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
 
 
 def check_prefix_dp_q(q: int) -> None:
-    """Refuse the O(q^2) weight-prefix DP above charsums.TABLE_MAX_Q."""
-    check_quadratic_scan(q, "the weight-prefix DP")
+    """Refuse the O(q^2) weight-prefix DP above DP_EXACT_MAX_Q."""
+    if q > DP_EXACT_MAX_Q:
+        raise ValueError(f"the weight-prefix DP is O(q^2), capped at q <= {DP_EXACT_MAX_Q}, got q={q}")
 
 
 def weight_distribution_prefix(profile: TraceProfile, j_max: int) -> list[int]:

@@ -8,10 +8,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kloos.cli
@@ -211,12 +212,12 @@ def test_out_of_range_input_exits_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("weights", "--r", "9", "--family", "DC2-", "--n", "3"),
+        ("weights", "--r", "10", "--family", "DC2-", "--n", "3"),
         ("group", "--r", "9", "--set", "so2"),
         ("group", "--r", "9", "--set", "o2"),
-        ("weights", "--r", "9", "--family", "DC1+", "--n", "2"),
-        ("verify", "--r", "9", "--nmax", "3"),
-        ("recursion", "--r", "9", "--family", "DC1-", "--n", "1"),
+        ("weights", "--r", "10", "--family", "DC1+", "--n", "2"),
+        ("verify", "--r", "10", "--nmax", "3"),
+        ("recursion", "--r", "10", "--family", "DC1-", "--n", "1"),
         ("weights", "--r", "12", "--family", "DC1+", "--n", "2"),
         ("verify", "--r", "12", "--nmax", "3"),
         ("recursion", "--r", "12", "--family", "DC2+", "--n", "2"),
@@ -226,11 +227,13 @@ def test_out_of_range_input_exits_2(capsys, argv):
     ],
 )
 def test_quadratic_scan_above_cap_exits_2(capsys, built_fields, argv):
+    # the weight-prefix DP has its own cap, one degree above the group scans
+    cap = 6561 if argv[0] == "group" else 19683
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "capped at q <= 6561" in err
+    assert f"capped at q <= {cap}," in err
     assert time.perf_counter() - start < 30
     assert built_fields == []  # refused before the field is built
 
@@ -283,9 +286,9 @@ def test_dimension_cap_admits_max_n(capsys):
 
 
 def test_weights_above_cap_names_the_prefix_dp(capsys):
-    code, out, err = run_cli(capsys, "weights", "--r", "9", "--family", "DC2-", "--n", "3")
+    code, out, err = run_cli(capsys, "weights", "--r", "10", "--family", "DC2-", "--n", "3")
     assert (code, out) == (2, "")
-    assert err == "error: the weight-prefix DP is O(q^2), capped at q <= 6561, got q=19683\n"
+    assert err == "error: the weight-prefix DP is O(q^2), capped at q <= 19683, got q=59049\n"
 
 
 def test_group_above_cap_names_the_enumeration(capsys):
@@ -509,22 +512,94 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _emitted(payload, fmt: str) -> str:
+    out = io.StringIO()
+    kloos.cli._emit(payload, [], fmt, out)
+    return out.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(value=_JSON_VALUES)
 def test_json_text_matches_json_dumps(value):
     with kloos.cli._no_int_str_limit():
-        assert kloos.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert _emitted(value, "json") == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def test_json_text_leaves_no_reference_cycle():
-    # a cycle would keep every part of the text alive until the collector runs
+    # a cycle would keep the digit cache alive until the collector runs
     gc.collect()
     gc.disable()
     try:
-        kloos.cli._json_text({"a": [1, -1, {"b": None}], "c": "d"})
+        _emitted({"a": [1, -1, {"b": None}], "c": "d"}, "json")
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _joined_render_text(payload, indent: str = "") -> str:
+    """The text renderer that joins each level into one string: the
+    reference the streaming ``_render_text`` must match byte for byte."""
+    lines = []
+    if isinstance(payload, dict):
+        for k, v in payload.items():
+            if isinstance(v, (dict, list)) and v and not _joined_is_flat(v):
+                lines.append(f"{indent}{k}:")
+                lines.append(_joined_render_text(v, indent + "  "))
+            else:
+                lines.append(f"{indent}{k}: {_joined_flat_str(v)}")
+    elif isinstance(payload, list):
+        for item in payload:
+            if isinstance(item, (dict, list)):
+                lines.append(_joined_render_text(item, indent + "  "))
+                lines.append("")
+            else:
+                lines.append(f"{indent}- {item}")
+    else:
+        lines.append(f"{indent}{payload}")
+    return "\n".join(lines)
+
+
+def _joined_is_flat(v) -> bool:
+    if isinstance(v, list):
+        return all(not isinstance(x, (dict, list)) for x in v)
+    return False
+
+
+def _joined_flat_str(v) -> str:
+    if isinstance(v, list):
+        return "[" + ", ".join(str(x) for x in v) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{k}: {x}" for k, x in v.items()) + "}"
+    return str(v)
+
+
+_TEXT_SCALARS = st.none() | st.booleans() | st.integers() | st.text(max_size=3) | st.tuples(st.integers())
+_TEXT_VALUES = st.recursive(
+    _TEXT_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=2), _TEXT_VALUES, min_size=1, max_size=4))
+@example(payload={"a": [[], {}, [[]], [{}], 1, [1, [2]]]})
+@example(payload={"a": {"b": {}, "c": [], "d": [[], 3]}, "e": [{"f": []}]})
+def test_streamed_text_matches_joined_text(payload):
+    # every payload is a non-empty dict; an empty nested item keeps its blank line
+    assert _emitted(payload, "text") == _joined_render_text(payload) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_emit_writes_the_document_in_small_parts(fmt):
+    # a writer that builds the whole document before writing it shows up as
+    # one write of most of it
+    args = kloos.cli.build_parser().parse_args(["kloosterman", "--r", "6"])
+    payload, rows, _ = args.handler(args)
+    parts = []
+    kloos.cli._emit(payload, rows, fmt, SimpleNamespace(write=parts.append))
+    sizes = [len(part) for part in parts]
+    assert max(sizes) * 10 <= sum(sizes)
 
 
 _SUBCOMMANDS = [
