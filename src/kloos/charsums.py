@@ -12,8 +12,6 @@ Kloosterman values are also checked against the Weil bound
 
 Also here:
 
-* the GL(t, q) extension K_GL(t), both by its two-term recursion and by
-  literal enumeration of invertible matrices (t <= 2) as an oracle;
 * delta(m, q; beta) = #{(a_1..a_m) in (F_q^*)^m : sum(a_i + 1/a_i) = beta},
   the inverse transform of K(lambda; a^2)^m, one O(r q) transform of the
   cached Kloosterman table;
@@ -32,7 +30,6 @@ from .field import Field, char_sum, char_transform
 from .report import CheckResult
 
 DELTA_MAX_M = 4
-GL_BRUTE_MAX_Q = 27
 # the SO^-(2, q) enumeration and the Kloosterman-to-delta check are O(q^2)
 # scans, seconds each at 3^8; the weight-prefix DP has its own cap,
 # codes.DP_EXACT_MAX_Q; the Kloosterman table, delta(m) and the dual weights
@@ -164,57 +161,6 @@ def moment_series(field: Field, h_max: int) -> tuple[list[int], list[int]]:
         [sk_moment(field, h) for h in range(h_max + 1)],
         [mk_moment(field, h) for h in range(h_max + 1)],
     )
-
-
-# -- GL(t, q) Kloosterman sums ------------------------------------------------
-
-
-def gl_kloosterman(field: Field, t: int, a: int) -> int:
-    """K_GL(t)(lambda; a) by the two-term recursion.
-
-    K_GL(0) = 1, K_GL(1) = K(lambda; a), and for t >= 2
-    K_GL(t) = q^(t-1) K_GL(t-1) K + q^(2t-2) (q^(t-1) - 1) K_GL(t-2).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    q = field.q
-    k1 = kloosterman(field, a)
-    prev, cur = 1, k1  # K_GL(0), K_GL(1)
-    if t == 0:
-        return prev
-    for s in range(2, t + 1):
-        prev, cur = cur, q ** (s - 1) * cur * k1 + q ** (2 * s - 2) * (q ** (s - 1) - 1) * prev
-    return cur
-
-
-def gl_kloosterman_bruteforce(field: Field, t: int, a: int) -> int:
-    """K_GL(t)(lambda; a) by enumerating GL(t, q), t in {1, 2}.
-
-    Sums lambda(Tr w + a Tr w^-1) over invertible w.  For t = 2 the trace
-    of the inverse is Tr w / det w, so the scan is over raw 2x2 tuples.
-    """
-    if t not in (1, 2):
-        raise ValueError(f"brute force supports t in {{1, 2}}, got {t}")
-    if t == 2 and field.q > GL_BRUTE_MAX_Q:
-        raise ValueError(f"t=2 brute force capped at q <= {GL_BRUTE_MAX_Q}, got q={field.q}")
-    if t == 1:
-        return char_sum(field, (field.add(w, field.mul(a, field.inv(w))) for w in field.units()))
-
-    def arguments():
-        q = field.q
-        for w00 in range(q):
-            for w11 in range(q):
-                tr = field.add(w00, w11)
-                d = field.mul(w00, w11)
-                for w01 in range(q):
-                    for w10 in range(q):
-                        det = field.sub(d, field.mul(w01, w10))
-                        if det == 0:
-                            continue
-                        tr_inv = field.mul(tr, field.inv(det))
-                        yield field.add(tr, field.mul(a, tr_inv))
-
-    return char_sum(field, arguments())
 
 
 # -- delta counts --------------------------------------------------------------

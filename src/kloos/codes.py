@@ -49,8 +49,14 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   the dual weights), `sk_vs_oracle` and the literal sums of the tests;
 * for tiny N, the full distribution by literal enumeration of all 3^N words.
 
+Per-instance work reads field-level vectors only, each derived once per
+field, and combines them affinely with no field arithmetic: delta(p), the
+K table at every a^2 (through `Field.times_squares`), the square classes
+eta(beta^2 - 1), and each shape's passes and zero fiber.
+
 The passes and the transform run once per profile shape, not once per
-instance.  Reading its counts alone, a profile splits into two integers
+instance.  Reading its counts alone, a profile splits, once
+(`TraceProfile.split`), into two integers
 and a normalized shape S: kappa = N(1), lam = +-gcd over beta != 0 of
 N(beta) - kappa, signed so that the first nonzero difference is positive
 (lam = 0 when there is none), and S(beta) = (N(beta) - kappa) / lam,
@@ -78,7 +84,7 @@ convolution in Z[F_q] and through the radix-3 transform's dual weights.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, gcd
 from operator import mul
 from typing import NamedTuple
@@ -96,17 +102,25 @@ PREFIX_MAX_J = 12
 TINY_ENUM_MAX_WORDS = 10**6
 
 
-class TraceProfile(NamedTuple):
-    """Coordinate counts per trace value beta, dense over F_q."""
-
+class _ProfileFields(NamedTuple):
     field: Field
     counts: tuple[int, ...]
     family: CosetFamily | None = None
     n: int | None = None
 
-    @property
+
+class TraceProfile(_ProfileFields):
+    """Coordinate counts per trace value beta, dense over F_q; no __slots__,
+    so the length and the split, once per profile, live in its __dict__."""
+
+    @cached_property
     def length(self) -> int:
         return sum(self.counts)
+
+    @cached_property
+    def split(self) -> tuple[int, int, tuple[int, ...]]:
+        """(kappa, lam, shape) of the counts, by `_split`."""
+        return _split(self.counts)
 
     def as_dict(self) -> dict[int, int]:
         return {beta: self.counts[beta] for beta in self.field.elements()}
@@ -134,13 +148,6 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
     return profile
 
 
-def dual_weight_closed(family: CosetFamily, n: int, field: Field, a: int) -> int:
-    """w(c(a)) = (2/3)(N - S(a)) from the family polynomial at K(a^2)."""
-    q = field.q
-    k = kloosterman_table(field)[field.mul(a, a)]
-    return _dual_weight_closed(family_constants(family, n, q), family_polynomial(family, q), k)
-
-
 def _dual_weight_closed(consts: FamilyConstants, poly: FamilyPolynomial, k: int) -> int:
     return exact_div(2 * (consts.N - poly.coset_sum(consts.A, k)), 3)
 
@@ -155,7 +162,7 @@ def _split(counts: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
     lam = gcd(*diffs)
     if lam and next(d for d in diffs if d) < 0:
         lam = -lam
-    return kappa, lam, (0, *(d // (lam or 1) for d in diffs))  # diffs are all 0 when lam = 0
+    return kappa, lam, (0, *[d // (lam or 1) for d in diffs])  # diffs are all 0 when lam = 0
 
 
 @lru_cache(maxsize=16)
@@ -169,7 +176,7 @@ def dual_weights_from_profile(profile: TraceProfile) -> list[int]:
     """w(c(a)) for every a in F_q (0 at a = 0): N minus the kernel mass
     #{coordinates with tr(a beta) = 0}, the zero trace fiber of the counts.
     For a != 0 that mass is N(0) + kappa (q/3 - 1) + lam T0_shape[a]."""
-    kappa, lam, shape = _split(profile.counts)
+    kappa, lam, shape = profile.split
     rest = profile.length - profile.counts[0] - kappa * (profile.field.q // 3 - 1)
     return [0] + [rest - lam * t for t in _zero_fiber(profile.field, shape)[1:]]
 
@@ -183,13 +190,12 @@ def dual_weights(profile: TraceProfile) -> list[int]:
     field = profile.field
     consts = family_constants(profile.family, profile.n, field.q)
     poly = family_polynomial(profile.family, field.q)
-    table = kloosterman_table(field)
-    k_at = [table[field.mul(a, a)] for a in field.units()]
+    k_at = list(map(kloosterman_table(field).__getitem__, field.times_squares(1)))  # K(a^2), a = 1..q-1
     closed_at = {k: _dual_weight_closed(consts, poly, k) for k in set(k_at)}
-    direct = dual_weights_from_profile(profile)
-    for a, (k, w) in enumerate(zip(k_at, direct[1:]), start=1):
-        if closed_at[k] != w:
-            raise ArithmeticError(f"dual weight mismatch at a={a}: closed {closed_at[k]} vs profile {w}")
+    closed, direct = [0, *map(closed_at.__getitem__, k_at)], dual_weights_from_profile(profile)
+    if closed != direct:
+        a = next(a for a in field.units() if closed[a] != direct[a])
+        raise ArithmeticError(f"dual weight mismatch at a={a}: closed {closed[a]} vs profile {direct[a]}")
     return direct
 
 
@@ -276,12 +282,12 @@ def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> tuple[in
     return tuple(sum(n * u * v for n, u, v in zip(sizes, a, b)) for a, b in halves)
 
 
-def _profile_moments(field: Field, counts: tuple[int, ...], k_max: int) -> list[int]:
+def _profile_moments(profile: TraceProfile, k_max: int) -> list[int]:
     """m_0..m_k_max of the counts from the [Y_S^i]_0 of their shape, by
     Y = W + 2 kappa J as in the module docstring; e_ are augmentations."""
-    q = field.q
-    kappa, lam, shape = _split(counts)
-    c, e_y = kappa * (q - 3), 3 * (sum(counts) - counts[0])
+    field, q = profile.field, profile.field.q
+    kappa, lam, shape = profile.split
+    c, e_y = kappa * (q - 3), 3 * (profile.length - profile.counts[0])
     e_w = e_y - 2 * kappa * q
     scaled = [lam**i * u for i, u in enumerate(_zero_moments(field, shape, k_max))]
     return [
@@ -290,16 +296,16 @@ def _profile_moments(field: Field, counts: tuple[int, ...], k_max: int) -> list[
     ]
 
 
-def _prefix_dp(field: Field, counts: tuple[int, ...], j_max: int) -> list[int]:
+def _prefix_dp(profile: TraceProfile, j_max: int) -> list[int]:
     """C_0..C_j_max by the closed form in the module docstring: the z^j
     coefficient of R^(Y/3) at 0 is sum_k Q_j[k] m_k / j!, an exact
     division, times the scalars (1 + 2z)^N(0) (1 - z)^(N - N(0))."""
-    moments = _profile_moments(field, counts, j_max)
+    moments = _profile_moments(profile, j_max)
     at_zero = [
         exact_div(sum(c * m for c, m in zip(poly, moments)), factorial(j))
         for j, poly in enumerate(_ratio_polynomials(j_max))
     ]
-    scalar = _series(counts[0], sum(counts) - counts[0], j_max)
+    scalar = _series(profile.counts[0], profile.length - profile.counts[0], j_max)
     return [sum(scalar[i] * at_zero[j - i] for i in range(j + 1)) for j in range(j_max + 1)]
 
 
@@ -314,31 +320,37 @@ def weight_distribution_prefix(profile: TraceProfile, j_max: int) -> list[int]:
     if not 0 <= j_max <= PREFIX_MAX_J:
         raise ValueError(f"prefix length capped at j_max <= {PREFIX_MAX_J}, got {j_max}")
     check_prefix_dp_q(profile.field.q)
-    return _prefix_dp(profile.field, profile.counts, j_max)
+    return _prefix_dp(profile, j_max)
+
+
+@lru_cache(maxsize=64)
+def _square_classes(field: Field) -> tuple[int, ...]:
+    """eta(beta^2 - 1) for every beta: 0 at beta = +-1, 1 on a nonzero square, -1 off it."""
+    discs = (field.sub(field.mul(beta, beta), 1) for beta in field.elements())
+    return tuple(0 if d == 0 else 1 if field.is_square(d) else -1 for d in discs)
 
 
 def printed_column_counts(family: CosetFamily, n: int, field: Field) -> TraceProfile:
-    """The per-beta column counts in their printed square-class case shape.
-
-    Families 1, 3 split beta by the square class of beta^2 - 1; families
-    2, 4 quote the delta(2) fiber directly with the beta = 0 special case
-    for family 4.  Numerically this must reproduce trace_profile.
-    """
+    """The per-beta column counts in their printed case shape, A (B + s x) / q
+    with s the family sign: for families 1, 3, x = 1, q + 1 or 1 - q by the
+    square class v of beta^2 - 1, that is 1 + q v; for families 2, 4, with v
+    the delta(2) fiber, x = (q - 1)^2 - q v (family 2) or 2q^2 - 3q + 1 - q v
+    (family 4, and x = -(q - 1)^3 - q v at beta = 0).  So each count is
+    base + A (+-s) v(beta): one division for the base, a second at beta = 0
+    for family 4.  Numerically this must reproduce trace_profile."""
     q = field.q
     consts = family_constants(family, n, q)
-    a_const, b_const = consts.A, consts.B
     s = family.sign
     if family.i in (1, 3):
-        discs = [field.sub(field.mul(beta, beta), 1) for beta in field.elements()]
-        inner = [b_const + s * (1 if d == 0 else q + 1 if field.is_square(d) else 1 - q) for d in discs]
-    elif family.i == 2:
-        inner = [b_const + s * ((q - 1) ** 2 - q * d) for d in delta_counts(field, 2)]
+        v, x0, slope = _square_classes(field), 1, s * consts.A
     else:
-        d2 = delta_counts(field, 2)
-        inner = [b_const - s * (q * d - (2 * q * q - 3 * q + 1)) for d in d2]
-        inner[0] = b_const - s * (q * d2[0] + (q - 1) ** 3)
-    counts = tuple(exact_div(a_const * x, q) for x in inner)
-    return TraceProfile(field, counts, family, n)
+        v, slope = delta_counts(field, 2), -s * consts.A
+        x0 = (q - 1) ** 2 if family.i == 2 else 2 * q * q - 3 * q + 1
+    base = exact_div(consts.A * (consts.B + s * x0), q)
+    counts = [base + slope * e for e in v]
+    if family.i == 4:
+        counts[0] = exact_div(consts.A * (consts.B - s * (q - 1) ** 3), q) + slope * v[0]
+    return TraceProfile(field, tuple(counts), family, n)
 
 
 def check_printed_columns(profile: TraceProfile, printed: TraceProfile) -> CheckResult:

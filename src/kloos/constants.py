@@ -261,12 +261,3 @@ def check_constants_consistency(family: CosetFamily, n: int, q: int, consts: Fam
     """A B of one valid (family, n, q) against its double-coset order."""
     expected = coset_orders(n, q, family.sigma_index(n)).double_coset
     return CheckResult(f"constants_consistency({family.label},n={n},q={q})", consts.N, expected)
-
-
-def check_family_constants_consistency(n_max: int, q: int) -> list[CheckResult]:
-    """A B against the double-coset order for every valid family and n <= n_max."""
-    return [
-        check_constants_consistency(family, n, q, family_constants(family, n, q))
-        for family in ALL_FAMILIES
-        for n in family.valid_ns(n_max)
-    ]

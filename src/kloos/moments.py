@@ -103,7 +103,7 @@ class PlessInstance(_PlessFields):
 
     @property
     def length(self) -> int:
-        return self.profile.length
+        return self.consts.N  # trace_profile requires the counts to sum to N
 
     @cached_property
     def binomial_moments(self) -> tuple[int, ...]:
@@ -131,7 +131,7 @@ def build_instance(family: CosetFamily, n: int, field: Field, h_max: int = MAX_H
     consts = family_constants(family, n, field.q)
     profile = trace_profile(family, n, field)
     weights = Counter(dual_weights(profile)[1:])  # the units a = 1..q-1
-    c_prefix = weight_distribution_prefix(profile, min(profile.length, h_max))
+    c_prefix = weight_distribution_prefix(profile, min(consts.N, h_max))
     return PlessInstance(family, n, field, consts, profile, weights, c_prefix, h_max)
 
 
@@ -334,7 +334,7 @@ def verify_instance(family: CosetFamily, n: int, field: Field, h_max: int) -> In
     printed = printed_column_counts(family, n, field)
     checks = [
         check_constants_consistency(family, n, field.q, consts),
-        CheckResult(f"profile_mass({label})", instance.length, consts.N),
+        CheckResult(f"profile_mass({label})", instance.profile.length, consts.N),
         check_printed_columns(instance.profile, printed),
         CheckResult(
             f"printed_prefix({label})",

@@ -18,7 +18,6 @@ from kloos.charsums import (
     kloosterman_table,
 )
 from kloos.codes import (
-    dual_weight_closed,
     dual_weights_from_profile,
     enumerate_code_tiny,
     printed_column_counts,
@@ -26,7 +25,7 @@ from kloos.codes import (
     weight_distribution_prefix,
     weight_prefix_from_printed_columns,
 )
-from kloos.constants import ALL_FAMILIES, CosetFamily
+from kloos.constants import ALL_FAMILIES, CosetFamily, exact_div, family_constants, family_polynomial
 from kloos.field import Field
 from kloos.groups import (
     bruhat_pieces,
@@ -60,6 +59,14 @@ def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(f"\nACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"acceptance criterion {num} failed: {detail}"
+
+
+def _closed_weight(family: CosetFamily, n: int, field: Field, a: int) -> int:
+    """w(c(a)) = (2/3)(N - S(a)), the family polynomial at the brute-force
+    K(a^2), so apart from the Kloosterman table."""
+    consts = family_constants(family, n, field.q)
+    s = family_polynomial(family, field.q).coset_sum(consts.A, kloosterman(field, field.mul(a, a)))
+    return exact_div(2 * (consts.N - s), 3)
 
 
 def _checks(report: dict, prefix: str) -> list[dict]:
@@ -134,7 +141,7 @@ def test_criterion_2_pless_identities_and_weight_routes(capsys, verification):
                 via_profile = dual_weights_from_profile(trace_profile(family, n, field))
                 ok &= via_profile[0] == 0
                 for a in field.units():
-                    ok &= dual_weight_closed(family, n, field, a) == via_profile[a]
+                    ok &= _closed_weight(family, n, field, a) == via_profile[a]
                     weight_pairs += 1
     _verdict(
         capsys,
@@ -320,8 +327,8 @@ def test_criterion_8_representation_independence(capsys):
             prof_b = trace_profile(family, n, alt)
             ok &= prof_a.counts[0] == prof_b.counts[0]
             ok &= sorted(prof_a.counts) == sorted(prof_b.counts)
-            weights_a = sorted(dual_weight_closed(family, n, base, a) for a in base.units())
-            weights_b = sorted(dual_weight_closed(family, n, alt, a) for a in alt.units())
+            weights_a = sorted(_closed_weight(family, n, base, a) for a in base.units())
+            weights_b = sorted(_closed_weight(family, n, alt, a) for a in alt.units())
             ok &= weights_a == weights_b
     alt_report = full_verification(alt, N_MAX, IDENTITY_H_MAX)
     ok &= alt_report["passed"]

@@ -8,8 +8,6 @@ from kloos.charsums import (
     check_delta_to_kloosterman,
     check_kloosterman_to_delta,
     delta_counts,
-    gl_kloosterman,
-    gl_kloosterman_bruteforce,
     kloosterman,
     kloosterman_table,
     mk_moment,
@@ -117,38 +115,6 @@ def test_square_argument_sum_is_twice_sk():
         for h in range(11):
             total = sum(table[F.mul(a, a)] ** h for a in F.units())
             assert total == 2 * sk_moment(F, h)
-
-
-def test_gl_kloosterman_base_cases():
-    for r in (1, 2):
-        F = Field(r)
-        for a in F.units():
-            assert gl_kloosterman(F, 0, a) == 1
-            assert gl_kloosterman(F, 1, a) == kloosterman(F, a)
-
-
-def test_gl_kloosterman_against_bruteforce():
-    for r in (1, 2):
-        F = Field(r)
-        for a in F.units():
-            assert gl_kloosterman_bruteforce(F, 1, a) == gl_kloosterman(F, 1, a)
-            assert gl_kloosterman_bruteforce(F, 2, a) == gl_kloosterman(F, 2, a)
-
-
-def test_gl2_value_at_q3():
-    F = Field(1)
-    # |GL(2,3)| = 48; direct recursion: 3*K(1)*K(1)+9*2 with K(1)=-1 -> 21
-    assert gl_kloosterman(F, 2, 1) == 21
-    assert gl_kloosterman_bruteforce(F, 2, 1) == 21
-
-
-def test_gl_bruteforce_guards():
-    F = Field(1)
-    with pytest.raises(ValueError):
-        gl_kloosterman_bruteforce(F, 3, 1)
-    F81 = Field(4)
-    with pytest.raises(ValueError):
-        gl_kloosterman_bruteforce(F81, 2, 1)
 
 
 @pytest.mark.parametrize("r", range(1, 6))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import kloos.codes
 import kloos.moments
+from kloos.charsums import delta_counts
 from kloos.codes import (
     TraceProfile,
     check_injectivity,
@@ -23,7 +24,7 @@ from kloos.codes import (
     weight_prefix_from_printed_columns,
     weight_prefix_macwilliams,
 )
-from kloos.constants import ALL_FAMILIES, CosetFamily, family_constants, family_polynomial
+from kloos.constants import ALL_FAMILIES, CosetFamily, exact_div, family_constants, family_polynomial
 from kloos.field import Field, char_fibers
 from kloos.groups import double_coset
 from kloos.moments import full_verification, verify_instance
@@ -477,7 +478,7 @@ def test_split_is_exact_and_normalized(profile):
     else:
         assert not any(shape)
     k_max = 12
-    assert kloos.codes._profile_moments(field, counts, k_max) == list(kloos.codes._zero_moments(field, counts, k_max))
+    assert kloos.codes._profile_moments(profile, k_max) == list(kloos.codes._zero_moments(field, counts, k_max))
     kernel_masses = [profile.length - w for w in dual_weights_from_profile(profile)]
     assert kernel_masses == char_fibers(field, counts)[0]
 
@@ -504,6 +505,64 @@ def test_verification_runs_one_dp_per_shape():
     }
     assert kloos.codes._zero_moments.cache_info().misses <= 2 * len(j_maxes)
     assert kloos.codes._zero_fiber.cache_info().misses <= 2
+
+
+def test_warm_verification_makes_no_field_arithmetic(monkeypatch):
+    # every field-level vector is derived on the first run; instances only read them
+    field = Field(3)
+    warm = full_verification(field, 6, 8)
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in ("add", "sub", "neg", "mul", "inv", "pow", "trace", "is_square", "scalar_mul"):
+        monkeypatch.setattr(Field, name, counted(name, getattr(Field, name)))
+    assert full_verification(field, 6, 8) == warm
+    assert calls == Counter()
+
+
+def test_verification_splits_each_profile_once(monkeypatch):
+    # one split per profile: the instance's own and its printed counts
+    calls = []
+    split = kloos.codes._split
+    monkeypatch.setattr(kloos.codes, "_split", lambda counts: calls.append(1) or split(counts))
+    assert full_verification(F27, 6, 8)["passed"]
+    assert len(calls) <= 2 * sum(len(family.valid_ns(6)) for family in ALL_FAMILIES) == 40
+
+
+def _printed_cases(family, n, field):
+    """The printed column counts case by case, one division per beta: the
+    reference for `printed_column_counts`."""
+    q = field.q
+    consts = family_constants(family, n, q)
+    a_const, b_const = consts.A, consts.B
+    s = family.sign
+    if family.i in (1, 3):
+        discs = [field.sub(field.mul(beta, beta), 1) for beta in field.elements()]
+        inner = [b_const + s * (1 if d == 0 else q + 1 if field.is_square(d) else 1 - q) for d in discs]
+    elif family.i == 2:
+        inner = [b_const + s * ((q - 1) ** 2 - q * d) for d in delta_counts(field, 2)]
+    else:
+        d2 = delta_counts(field, 2)
+        inner = [b_const - s * (q * d - (2 * q * q - 3 * q + 1)) for d in d2]
+        inner[0] = b_const - s * (q * d2[0] + (q - 1) ** 3)
+    return tuple(exact_div(a_const * x, q) for x in inner)
+
+
+OTHER_MODULI = {1: (2, 1), 2: (1, 0, 1), 3: (1, 2, 0, 1), 4: (2, 1, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_printed_column_counts_match_the_printed_cases(r):
+    for field in (Field(r), Field(r, OTHER_MODULI[r])):
+        for family in ALL_FAMILIES:
+            for n in family.valid_ns(6):
+                assert printed_column_counts(family, n, field).counts == _printed_cases(family, n, field), (r, family, n)
 
 
 @pytest.mark.parametrize("field", FIELDS_R1_TO_R5[2:4], ids=["q27", "q81"])

@@ -6,7 +6,7 @@ import pytest
 from kloos.constants import (
     ALL_FAMILIES,
     CosetFamily,
-    check_family_constants_consistency,
+    check_constants_consistency,
     coset_orders,
     double_coset_order_expanded,
     exact_div,
@@ -215,8 +215,10 @@ def test_family_constants_positive_integers():
 
 def test_constants_match_double_coset_orders():
     for q in (3, 9):
-        for res in check_family_constants_consistency(8, q):
-            assert res.ok, res
+        for family in ALL_FAMILIES:
+            for n in family.valid_ns(8):
+                res = check_constants_consistency(family, n, q, family_constants(family, n, q))
+                assert res.ok, res
 
 
 def test_coset_orders_forms_agree():
