@@ -30,6 +30,10 @@ together), so the document is never held whole.  With ``indent`` set,
 ``int.__repr__`` on every integer, and every passing check carries two equal
 sides (up to 3,609 digits at q = 3, n = 22); ``_json_walk`` converts each
 distinct integer once.  Text is written line by line the same way.
+``verify`` verifies each instance when the writer reaches it, then flushes
+and drops it (JSON sorts "passed" after "instances"; text prints it first
+and collects them).  A guard raised mid-run leaves a prefix of the passing
+document; a stream the writer leaves early is closed, stopping any pool.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from .charsums import check_series_h, kloosterman_table, moment_series
 from .codes import check_prefix_dp_q, dual_weights, trace_profile, weight_distribution_prefix
@@ -263,12 +268,14 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
     return payload, rows, 0 if match else 1
 
 
-def cmd_verify(args) -> tuple[dict, Iterable[list], int]:
-    from .moments import full_verification
+def cmd_verify(args) -> tuple[dict, Iterable[list], Callable[[], int]]:
+    from .moments import verification_stream
 
     check_dimension(args.nmax)
     field = _build_field(args, check_prefix_dp_q)
-    report = full_verification(field, args.nmax, args.hmax, jobs=args.jobs)
+    report = verification_stream(field, args.nmax, args.hmax, args.jobs)
+    # text prints passed: first, so it collects every report; json and csv show each before the next runs
+    report["instances"] = (list if args.format == "text" else _flushed)(report["instances"])
     # one row per check, encoded only if the CSV writer asks for it
     rows = itertools.chain(
         [["name", "status", "lhs", "rhs"]],
@@ -278,7 +285,14 @@ def cmd_verify(args) -> tuple[dict, Iterable[list], int]:
             for chk in inst["checks"]
         ),
     )
-    return report, rows, 0 if report["passed"] else 1
+    return report, rows, lambda: 0 if report["passed"] else 1
+
+
+def _flushed(stream: Iterator[dict]) -> Iterator[dict]:
+    with contextlib.closing(stream):
+        for item in stream:
+            yield item
+            sys.stdout.flush()
 
 
 # -- rendering --------------------------------------------------------------------
@@ -336,7 +350,8 @@ def _json_walk(v, pad: str, put: Callable[[str], None], digits: dict[int, str], 
     """Write ``v`` as ``json.dumps(v, indent=2, sort_keys=True)`` at depth
     ``pad``, each distinct int converted once; ``head`` (the separator and
     key before a container ``v``) goes out in the same write as its first
-    part."""
+    part.  A dict's values are read as the walk reaches them.  A generator
+    is written as a list, each item walked with a digit cache of its own."""
     # module-level, not a closure: a recursive closure is a reference cycle
     # that would keep the digit cache alive until the collector runs
     if isinstance(v, dict):
@@ -347,23 +362,20 @@ def _json_walk(v, pad: str, put: Callable[[str], None], digits: dict[int, str], 
             for k in sorted(v)
         )
         brackets = "{}"
-    elif isinstance(v, (list, tuple)):
+    elif isinstance(v, (list, tuple, GeneratorType)):
         items, brackets = (("", x) for x in v), "[]"
     else:
         put(_json_atom(v, digits))  # a scalar payload; inner scalars are written inline
         return
-    if not v:
-        put(head + brackets)
-        return
     inner = pad + "  "
-    sep = head + brackets[0] + "\n" + inner
+    sep = first = head + brackets[0] + "\n" + inner
     for key, x in items:
-        if isinstance(x, (dict, list, tuple)):
-            _json_walk(x, inner, put, digits, sep + key)
+        if isinstance(x, (dict, list, tuple, GeneratorType)):  # no digit cache spans a stream
+            _json_walk(x, inner, put, {} if isinstance(v, GeneratorType) else digits, sep + key)
         else:  # no call per scalar: 0.1 s of the 1.2 s walk of kloosterman --r 12 (2 vCPUs)
             put(sep + key + _json_atom(x, digits))
         sep = ",\n" + inner
-    put("\n" + pad + brackets[1])
+    put(head + brackets if sep is first else "\n" + pad + brackets[1])
 
 
 def _emit(payload, rows, fmt: str, out) -> None:
@@ -481,31 +493,31 @@ def _run(argv: list[str] | None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, rows, code = args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
+        try:
+            if args.output:
+                with open(args.output, "w") as handle:
+                    _emit(payload, rows, args.format, handle)
+            else:
+                _emit(payload, rows, args.format, sys.stdout)
+                sys.stdout.flush()
+        finally:  # a stream the writer left early stops now, and the pool behind it with it
+            for part in payload.values():
+                if isinstance(part, GeneratorType):
+                    part.close()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
-    if args.output:
-        try:
-            with open(args.output, "w") as handle:
-                _emit(payload, rows, args.format, handle)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            _emit(payload, rows, args.format, sys.stdout)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader is gone: send what is still buffered to devnull, so
-            # the flush at interpreter exit does not raise again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return EXIT_BROKEN_PIPE
-    return code
+    return code() if callable(code) else code
 
 
 if __name__ == "__main__":

@@ -28,9 +28,10 @@ MAX_N = 64
 
 def exact_div(num: int, den: int) -> int:
     """num / den for a closed form that must divide; ArithmeticError if not."""
-    if num % den != 0:
+    quotient, remainder = divmod(num, den)
+    if remainder:
         raise ArithmeticError(f"expected {num} divisible by {den}")
-    return num // den
+    return quotient
 
 
 def check_dimension(n: int) -> None:

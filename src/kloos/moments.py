@@ -44,12 +44,11 @@ so identities run for h >= 1 and SK^0 = (q-1)/2 seeds the solve directly.
 
 from __future__ import annotations
 
-import itertools
 import os
 from collections import Counter
 from functools import cached_property, lru_cache
 from math import comb, factorial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .charsums import sk_moment
 from .codes import (
@@ -369,32 +368,45 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def full_verification(field: Field, n_max: int, h_max: int, jobs: int = 1) -> dict:
-    """verify_instance on every valid (family, n <= n_max) instance with the
-    one bound h_max, optionally fanned out over min(jobs, instances,
-    available CPUs) worker processes.
-
-    The reduce is deterministic: reports come back in instance-list order
-    whatever the job count.
-    """
+def verification_stream(field: Field, n_max: int, h_max: int, jobs: int) -> dict:
+    """The verify document of every valid (family, n <= n_max) instance, its
+    "instances" a generator of report dicts in instance-list order: serial, or
+    through ``Pool.imap``, whose pool stops when the stream ends, raises or is
+    closed.  Refusals come before any instance runs; "passed" holds at the end."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(family, n, field, h_max) for family in ALL_FAMILIES for n in family.valid_ns(n_max)]
     if not tasks:
         raise ValueError(f"no valid (family, n) instance with n <= {n_max}")
-    workers = min(jobs, len(tasks), _available_cpus())
-    if workers > 1:
-        import multiprocessing
+    if not 0 <= h_max <= MAX_H:  # build_instance's bound, checked before any instance runs
+        raise ValueError(f"h_max capped at {MAX_H}, got {h_max}")
+    document = {"q": field.q, "modulus": list(field.modulus), "n_max": n_max, "h_max": h_max, "passed": True}
+    document["instances"] = _instances(document, tasks, min(jobs, len(tasks), _available_cpus()))
+    return document
 
-        with multiprocessing.Pool(processes=workers) as pool:
-            reports = pool.starmap(verify_instance, tasks)
-    else:
-        reports = list(itertools.starmap(verify_instance, tasks))
-    return {
-        "q": field.q,
-        "modulus": list(field.modulus),
-        "n_max": n_max,
-        "h_max": h_max,
-        "passed": all(r.passed for r in reports),
-        "instances": [r.as_dict() for r in reports],
-    }
+
+def _verify_task(task: tuple[CosetFamily, int, Field, int]) -> InstanceReport:
+    return verify_instance(*task)
+
+
+def _instances(document: dict, tasks: list, workers: int) -> Iterator[dict]:
+    if workers == 1:
+        yield from _tallied(document, map(_verify_task, tasks))
+        return
+    import multiprocessing
+
+    with multiprocessing.Pool(processes=workers) as pool:
+        yield from _tallied(document, pool.imap(_verify_task, tasks))
+
+
+def _tallied(document: dict, reports: Iterator[InstanceReport]) -> Iterator[dict]:
+    for report in reports:
+        document["passed"] &= report.passed
+        yield report.as_dict()
+
+
+def full_verification(field: Field, n_max: int, h_max: int, jobs: int = 1) -> dict:
+    """:func:`verification_stream` with its instances collected."""
+    document = verification_stream(field, n_max, h_max, jobs)
+    document["instances"] = list(document["instances"])
+    return document

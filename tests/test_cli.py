@@ -4,6 +4,8 @@ import gc
 import hashlib
 import io
 import json
+import multiprocessing
+import re
 import subprocess
 import sys
 import time
@@ -19,8 +21,9 @@ import kloos.cli
 import kloos.codes
 import kloos.moments
 from kloos.cli import EXIT_BROKEN_PIPE, main
-from kloos.constants import MAX_N
+from kloos.constants import ALL_FAMILIES, MAX_N
 from kloos.field import Field
+from kloos.moments import NonIntegralStep
 
 
 @pytest.fixture
@@ -312,17 +315,141 @@ def test_closed_stdout_exits_without_traceback():
 
 
 def test_truncated_csv_exits_broken_pipe():
-    # about 2 MB of CSV rows: the reader takes one line and closes the pipe
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "kloos.cli", "verify", "--r", "1", "--nmax", "22", "--format", "csv"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.readline() == b"name,status,lhs,rhs\n"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == EXIT_BROKEN_PIPE
-    assert err == b""
+    # about 2 MB of CSV rows (or 2.3 MB of JSON): the reader takes one line and closes the pipe
+    first_lines = {"csv": b"name,status,lhs,rhs\n", "json": b"{\n"}
+    for fmt, jobs in [("csv", "1"), ("json", "1"), ("csv", "2"), ("json", "2")]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kloos.cli", "verify", "--r", "1", "--nmax", "22", "--format", fmt, "--jobs", jobs],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == first_lines[fmt]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_BROKEN_PIPE, (fmt, jobs)
+        assert err == b""
+
+
+class _ClosingStdout:
+    """A stdout whose reader goes away at the second write."""
+
+    def __init__(self, fileno: int):
+        self.writes, self.fileno = 0, lambda: fileno
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes == 2:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt, jobs", [("csv", "1"), ("json", "1"), ("csv", "2"), ("json", "2")])
+def test_closed_pipe_stops_verify_early(monkeypatch, tmp_path, fmt, jobs):
+    # the parent verified all 84 instances before its first write
+    calls = []
+    verify = kloos.moments.verify_instance
+    monkeypatch.setattr(kloos.moments, "verify_instance", lambda *task: calls.append(task) or verify(*task))
+    monkeypatch.setattr(kloos.moments, "_available_cpus", lambda: 2)
+    with open(tmp_path / "stdout", "w") as handle, contextlib.redirect_stdout(_ClosingStdout(handle.fileno())):
+        code = main(["verify", "--r", "1", "--nmax", "22", "--format", fmt, "--jobs", jobs])
+    assert code == EXIT_BROKEN_PIPE
+    if jobs == "1":
+        assert 1 <= len(calls) <= 2
+    assert multiprocessing.active_children() == []  # the pool stopped with the writer
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_guard_raised_mid_run_leaves_a_prefix(capsys, monkeypatch, tmp_path, jobs):
+    argv = ["verify", "--r", "1", "--nmax", "4", "--hmax", "8", "--jobs", jobs]
+    code, passing, _ = run_cli(capsys, *argv)
+    assert code == 0
+    third = [(family, n) for family in ALL_FAMILIES for n in family.valid_ns(4)][2]
+    solve = kloos.moments.sk_via_pless
+
+    def faulty(instance, steps):
+        if (instance.family, instance.n) == third:
+            raise NonIntegralStep("injected at the third instance")
+        return solve(instance, steps)
+
+    # patched where kloos.moments calls it: patching kloos.codes or the home
+    # module would leave the name verify_instance reads untouched; forked
+    # workers inherit the patch
+    monkeypatch.setattr(kloos.moments, "sk_via_pless", faulty)
+    monkeypatch.setattr(kloos.moments, "_available_cpus", lambda: 2)
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "consistency failure: injected at the third instance\n")
+    assert passing.startswith(out) and out.count('"instance": {') == 2 and out.endswith("\n    }")
+    assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", err)
+    assert target.read_text() == out
+    assert multiprocessing.active_children() == []
+
+
+_VERIFY_REFUSALS = [
+    (("--r", "1", "--nmax", "2", "--hmax", "11"), "h_max capped at 10, got 11"),
+    (("--r", "1", "--nmax", "2", "--hmax", "-1"), "h_max capped at 10, got -1"),
+    (("--r", "1", "--nmax", "2", "--jobs", "0"), "jobs must be at least 1, got 0"),
+    (("--r", "1", "--nmax", "0"), "no valid (family, n) instance with n <= 0"),
+    (("--r", "1", "--nmax", str(MAX_N + 1)), f"dimension n capped at n <= {MAX_N}, got {MAX_N + 1}"),
+    (("--r", "10", "--nmax", "3"), "the weight-prefix DP is O(q^2), capped at q <= 19683, got q=59049"),
+    (("--r", "2", "--nmax", "2", "--modulus", "0,0,1"), "modulus x^2 is reducible: divisible by x"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv, message", _VERIFY_REFUSALS, ids=lambda v: "-".join(v) if isinstance(v, tuple) else "")
+def test_verify_refusals_write_nothing(capsys, tmp_path, argv, message, fmt):
+    # each refusal is decided before the first byte, to stdout or to --output
+    target = tmp_path / "out"
+    assert run_cli(capsys, "verify", *argv, "--format", fmt) == (2, "", f"error: {message}\n")
+    assert run_cli(capsys, "verify", *argv, "--format", fmt, "--output", str(target)) == (2, "", f"error: {message}\n")
+    assert not target.exists()
+
+
+class _Recorder(io.RawIOBase):
+    """The bytes that reached the reader."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.data += data
+        return len(data)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_writes_each_instance_before_the_next_runs(monkeypatch, fmt):
+    document = kloos.moments.full_verification(Field(1), 8, 8)
+    # where each instance's output ends: its closing brace, or its last CSV row
+    if fmt == "json":
+        expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        ends = [m.end() for m in re.finditer(r"\n    \}", expected)]
+    else:
+        rows = io.StringIO()
+        writer = csv.writer(rows, lineterminator="\n")
+        writer.writerow(["name", "status", "lhs", "rhs"])
+        ends = []
+        for inst in document["instances"]:
+            writer.writerows([c["name"], c["status"], json.dumps(c["lhs"]), json.dumps(c["rhs"])] for c in inst["checks"])
+            ends.append(len(rows.getvalue()))
+        expected = rows.getvalue()
+    # a stdout that passes nothing on before it is flushed, as a pipe's does
+    raw, written = _Recorder(), []
+    sink = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=1 << 20), encoding="ascii")
+    verify = kloos.moments.verify_instance
+    monkeypatch.setattr(kloos.moments, "verify_instance", lambda *task: written.append(len(raw.data)) or verify(*task))
+    with contextlib.redirect_stdout(sink):
+        assert main(["verify", "--r", "1", "--nmax", "8", "--hmax", "8", "--format", fmt]) == 0
+    assert raw.data.decode() == expected
+    assert len(written) == len(ends) == len(document["instances"])
+    # instance k has reached the reader when instance k + 1 starts, and k + 1 has not
+    assert all(ends[k] <= written[k + 1] < ends[k + 1] for k in range(len(ends) - 1))
 
 
 def test_kloosterman_table_above_scan_cap(capsys):
@@ -621,6 +748,8 @@ def test_emit_json_matches_json_dumps(argv, capsys, tmp_path):
     payload, rows, _ = args.handler(args)
     emitted = io.StringIO()
     kloos.cli._emit(payload, rows, "json", emitted)
+    if argv[0] == "verify":  # its payload streams the instances; json.dumps reads the collected report
+        payload = kloos.moments.full_verification(Field(args.r), args.nmax, args.hmax, args.jobs)
     assert emitted.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     # --output writes the bytes stdout gets
     target = tmp_path / "out.json"

@@ -169,8 +169,8 @@ def test_pool_size_bounded_by_tasks_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, items):
-            return [fn(*item) for item in items]
+        def imap(self, fn, items):
+            return map(fn, items)
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     assert kloos.moments._available_cpus() >= 1
