@@ -189,27 +189,18 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
         enumerate_so2_minus,
     )
 
-    if args.family:
-        field = _build_field(args, check_double_coset_q)
-    elif args.set == "q" and args.n is not None:
-        field = _build_field(args, lambda q: check_q_enumeration(q, args.n))
-    else:
-        field = _build_field(args, check_circle_scan if args.set in ("so2", "o2") else None)
-    if args.family:
-        family = CosetFamily.parse(args.family)
-        if args.n is None:
-            raise ValueError("--family needs --n")
-        gset = double_coset(field, family, args.n)
-    elif args.set == "so2":
-        gset = enumerate_so2_minus(field)
-    elif args.set == "o2":
-        gset = enumerate_o2_minus(field)
+    # argparse admits exactly one of --set and --family
+    if args.set in ("so2", "o2"):
+        field = _build_field(args, check_circle_scan)
+        gset = enumerate_so2_minus(field) if args.set == "so2" else enumerate_o2_minus(field)
+    elif args.n is None:
+        raise ValueError("--set q needs --n" if args.set else "--family needs --n")
     elif args.set == "q":
-        if args.n is None:
-            raise ValueError("--set q needs --n")
+        field = _build_field(args, lambda q: check_q_enumeration(q, args.n))
         gset = enumerate_q(field, args.n)
     else:
-        raise ValueError("group command needs --set or --family")
+        field = _build_field(args, check_double_coset_q)
+        gset = double_coset(field, CosetFamily.parse(args.family), args.n)
     histogram = gset.trace_histogram()
     keys = _element_keys(field)
     keyed_histogram = {keys[b]: c for b, c in histogram.items()}
@@ -443,8 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("group", parents=[common], help="enumerated matrix sets and trace histograms")
     _add_field_args(s)
-    s.add_argument("--set", choices=("so2", "o2", "q"), default=None)
-    s.add_argument("--family", type=str, default=None, help="double coset at q=3, e.g. DC1+")
+    which = s.add_mutually_exclusive_group(required=True)
+    which.add_argument("--set", choices=("so2", "o2", "q"), default=None)
+    which.add_argument("--family", type=str, default=None, help="double coset at q=3, e.g. DC1+")
     s.add_argument("--n", type=int, default=None)
     s.set_defaults(handler=cmd_group)
 

@@ -12,12 +12,12 @@ Enumerable pieces (desk scale):
 * the circle group SO^-(2, q), order q + 1, and its double cover O^-(2, q),
   found by an O(q^2) scan capped at q <= charsums.TABLE_MAX_Q;
 * the subgroup Q(2n, q) of the maximal parabolic, for n = 1, 2;
-* double cosets Q sigma_r Q and their reflected images at q = 3, n <= 2.
+* double cosets Q sigma_r Q and their reflected images at q = 3, n <= 2,
+  and the four Bruhat cells that tile the whole group at n = 2, q = 3.
 
-Plus exact character sums over those sets, the symmetric-block sums b_r by
-literal enumeration against their closed forms, and the circle-group sum
-identities.  Everything returns plain integers or CheckResults, nothing is
-sampled.
+Each set reports its order and its trace histogram; the character sums over
+a set are the transform of that histogram.  Everything returns plain
+integers or CheckResults, nothing is sampled.
 """
 
 from __future__ import annotations
@@ -26,16 +26,15 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .charsums import check_quadratic_scan, kloosterman
-from .constants import CosetFamily, exact_div, family_constants, family_polynomial
-from .field import Field, char_sum, real_char_value
+from .charsums import check_quadratic_scan
+from .constants import CosetFamily
+from .field import Field
 from .report import CheckResult
 
 Matrix = tuple[tuple[int, ...], ...]
 
 Q_ENUM_MAX_Q_N2 = 9
 DOUBLE_COSET_Q = 3
-BLOCK_SUM_MAX_Q_R2 = 9
 
 
 # -- matrix helpers ------------------------------------------------------------
@@ -309,130 +308,3 @@ def check_orthogonal_relation(gset: GroupSet) -> CheckResult:
         if mat_mul(field, mat_mul(field, mat_transpose(w), J), w) != J:
             bad += 1
     return CheckResult(f"orthogonal_relation({gset.label},q={field.q})", bad, 0)
-
-
-# -- symmetric block sums -------------------------------------------------------
-
-
-def _symmetric_nonsingular(field: Field, r: int) -> list[Matrix]:
-    out = []
-    if r == 1:
-        for a in field.units():
-            out.append(((a,),))
-        return out
-    for a in field.elements():
-        for b in field.elements():
-            for c in field.elements():
-                m = ((a, b), (b, c))
-                if mat_det(field, m) != 0:
-                    out.append(m)
-    return out
-
-
-def count_symmetric_nonsingular(field: Field, r: int) -> int:
-    if r not in (1, 2):
-        raise ValueError("symmetric enumeration supports r in {1, 2}")
-    return len(_symmetric_nonsingular(field, r))
-
-
-def _quadratic_values(field: Field, B: Matrix) -> list[int]:
-    """u' B u for every u in F_q^r, r = len(B)."""
-    r = len(B)
-    out = []
-    if r == 1:
-        b = B[0][0]
-        for u in field.elements():
-            out.append(field.mul(b, field.mul(u, u)))
-        return out
-    for u0 in field.elements():
-        for u1 in field.elements():
-            acc = field.mul(B[0][0], field.mul(u0, u0))
-            acc = field.add(acc, field.mul(B[1][1], field.mul(u1, u1)))
-            cross = field.mul(B[0][1], field.mul(u0, u1))
-            acc = field.add(acc, field.add(cross, cross))
-            out.append(acc)
-    return out
-
-
-def symmetric_block_sum_bruteforce(field: Field, r: int, a: int = 1, eps: int | None = None) -> int:
-    """Sum of lambda(a Tr(diag(1,-eps) h' B h)) over nonsingular symmetric B
-    and all h in F_q^(r x 2).
-
-    The trace splits over the two columns of h, so each B contributes a
-    product of two one-column character sums, which need not be real.  Their
-    trace-fiber triples convolve mod 3 (omega^i omega^j = omega^(i+j)) into
-    one running triple, which is checked real once at the end.  The
-    enumeration is still literal over every (B, h).
-    """
-    if r not in (1, 2):
-        raise ValueError(f"block sum brute force supports r in {{1, 2}}, got {r}")
-    if r == 2 and field.q > BLOCK_SUM_MAX_Q_R2:
-        raise ValueError(f"r=2 block sum capped at q <= {BLOCK_SUM_MAX_Q_R2}, got q={field.q}")
-    eps = _resolve_eps(field, eps)
-    if not 1 <= a < field.q:
-        raise ValueError("character scale a must be a unit")
-    neg_eps_a = field.neg(field.mul(eps, a))
-    total = [0, 0, 0]
-    for B in _symmetric_nonsingular(field, r):
-        values = _quadratic_values(field, B)
-        c1 = [0, 0, 0]
-        c2 = [0, 0, 0]
-        for v in values:
-            c1[field.trace(field.mul(a, v))] += 1
-            c2[field.trace(field.mul(neg_eps_a, v))] += 1
-        for i in range(3):
-            for j in range(3):
-                total[(i + j) % 3] += c1[i] * c2[j]
-    return real_char_value(total)
-
-
-def symmetric_block_sum_closed(field: Field, r: int) -> int:
-    """Closed form of the block sum; independent of both a and eps."""
-    q = field.q
-    if r % 2 == 0:
-        out = q ** exact_div(r * (r + 6), 4)
-        for j in range(1, r // 2 + 1):
-            out *= q ** (2 * j - 1) - 1
-        return out
-    out = -(q ** exact_div(r * r + 4 * r - 1, 4))
-    for j in range(1, (r + 1) // 2 + 1):
-        out *= q ** (2 * j - 1) - 1
-    return out
-
-
-# -- circle-group and coset character sums ---------------------------------------
-
-
-def check_so2_sums(field: Field, a: int, eps: int | None = None) -> list[CheckResult]:
-    """The three exact circle-group sums for psi = lambda(a .).
-
-    sum over SO^- of psi(Tr w) = -K(psi; 1); twisting by diag(1, -1) gives
-    q + 1; over all of O^- the two add up.
-    """
-    eps = _resolve_eps(field, eps)
-    so = enumerate_so2_minus(field, eps)
-    o_full = enumerate_o2_minus(field, eps)
-    delta1 = ((1, 0), (0, field.neg(1)))
-    k_psi = kloosterman(field, field.mul(a, a))  # K(lambda(a .); 1) = K(lambda; a^2)
-    plain = coset_character_sum(so, a)
-    twisted_traces = (mat_trace(field, mat_mul(field, delta1, w)) for w in so.elements)
-    twisted = char_sum(field, (field.mul(a, t) for t in twisted_traces))
-    full = coset_character_sum(o_full, a)
-
-    return [
-        CheckResult(f"so2_sum(a={a},q={field.q})", plain, -k_psi),
-        CheckResult(f"so2_twisted_sum(a={a},q={field.q})", twisted, field.q + 1),
-        CheckResult(f"o2_sum(a={a},q={field.q})", full, -k_psi + field.q + 1),
-    ]
-
-
-def coset_character_sum(gset: GroupSet, a: int) -> int:
-    """Sum of lambda(a Tr w) over the set, checked real."""
-    field = gset.field
-    return char_sum(field, (field.mul(a, mat_trace(field, w)) for w in gset.elements))
-
-
-def coset_character_sum_closed(family: CosetFamily, n: int, field: Field, a: int) -> int:
-    """The closed form: the family polynomial at the brute-force K(lambda; a^2)."""
-    k = kloosterman(field, field.mul(a, a))
-    return family_polynomial(family, field.q).coset_sum(family_constants(family, n, field.q).A, k)

@@ -255,6 +255,26 @@ def test_group_refusals_before_field(capsys, built_fields, argv, message):
     assert built_fields == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--r", "12", "--set", "q"), "error: --set q needs --n\n"),
+        (("--r", "12", "--family", "DC1+"), "error: --family needs --n\n"),
+        (("--r", "12"), "one of the arguments --set --family is required"),
+        (("--r", "1", "--set", "so2", "--family", "DC1+", "--n", "2"), "not allowed with argument"),
+    ],
+)
+def test_group_bad_arguments_refused_before_field(capsys, built_fields, argv, message):
+    try:
+        code = main(["group", *argv])
+    except SystemExit as exc:  # argparse usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+    assert built_fields == []
+
+
 @pytest.mark.parametrize("command", ["moments", "kloosterman"])
 def test_series_order_above_cap_refused_before_field(capsys, built_fields, command):
     code, out, err = run_cli(capsys, command, "--r", "12", "--hmax", "1001")

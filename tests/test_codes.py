@@ -26,7 +26,7 @@ from kloos.codes import (
 )
 from kloos.constants import ALL_FAMILIES, CosetFamily, exact_div, family_constants, family_polynomial
 from kloos.field import Field, char_fibers
-from kloos.groups import double_coset
+from kloos.groups import double_coset, enumerate_so2_minus
 from kloos.moments import full_verification, verify_instance
 
 F3 = Field(1)
@@ -46,6 +46,11 @@ def test_profiles_match_enumerated_histograms():
         profile = trace_profile(family, n, F3)
         histogram = double_coset(F3, family, n).trace_histogram()
         assert profile.as_dict() == histogram, family.label
+    # Q(2, q) = SO^-(2, q) is the DC1- coset at n = 1, enumerable beyond q = 3;
+    # its character sum, the transform of this histogram, is -K(a^2)
+    for field in (F9, Field(3)):
+        histogram = enumerate_so2_minus(field).trace_histogram()
+        assert trace_profile(CosetFamily(1, -1), 1, field).as_dict() == histogram, field.q
 
 
 # the smallest valid n of every family, at q = 3 and q = 9 (default modulus)

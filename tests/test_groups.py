@@ -1,15 +1,12 @@
 import pytest
 
+from kloos.charsums import kloosterman
 from kloos.codes import trace_profile
-from kloos.constants import CosetFamily, coset_orders
+from kloos.constants import CosetFamily, coset_orders, family_constants, family_polynomial
 from kloos.field import Field, char_transform
 from kloos.groups import (
     bruhat_pieces,
     check_orthogonal_relation,
-    check_so2_sums,
-    coset_character_sum,
-    coset_character_sum_closed,
-    count_symmetric_nonsingular,
     double_coset,
     enumerate_o2_minus,
     enumerate_q,
@@ -22,8 +19,6 @@ from kloos.groups import (
     mat_transpose,
     reflection_matrix,
     sigma_matrix,
-    symmetric_block_sum_bruteforce,
-    symmetric_block_sum_closed,
 )
 
 F3 = Field(1)
@@ -78,6 +73,10 @@ def test_o2_minus_order_and_relation():
         assert sum(1 for d in dets if d == 1) == F.q + 1
         neg = F.neg(1)
         assert sum(1 for d in dets if d == neg) == F.q + 1
+        # the reflected coset diag(1, -1) SO^- is all trace 0, so its
+        # character sum is q + 1 at every a
+        so_histogram = enumerate_so2_minus(F).trace_histogram()
+        assert o_full.trace_histogram() == {b: c + (F.q + 1) * (b == 0) for b, c in so_histogram.items()}
 
 
 def test_q_enumeration_orders():
@@ -158,51 +157,6 @@ def test_bruhat_tiling():
         assert check_orthogonal_relation(c).ok
 
 
-def test_symmetric_nonsingular_counts():
-    for F in (F3, F9):
-        assert count_symmetric_nonsingular(F, 1) == F.q - 1
-        assert count_symmetric_nonsingular(F, 2) == F.q**2 * (F.q - 1)
-
-
-def test_block_sum_bruteforce_matches_closed_form():
-    for F in (F3, F9):
-        for r in (1, 2):
-            closed = symmetric_block_sum_closed(F, r)
-            assert symmetric_block_sum_bruteforce(F, r) == closed
-
-
-def test_block_sum_reference_values():
-    assert symmetric_block_sum_closed(F3, 1) == -6
-    assert symmetric_block_sum_closed(F3, 2) == 162
-
-
-def test_block_sum_independent_of_a_and_eps():
-    for F in (F3, F9):
-        nonsquares = [x for x in F.units() if not F.is_square(x)]
-        for r in (1, 2):
-            closed = symmetric_block_sum_closed(F, r)
-            for a in F.units():
-                assert symmetric_block_sum_bruteforce(F, r, a=a) == closed
-            for eps in nonsquares[:3]:
-                assert symmetric_block_sum_bruteforce(F, r, eps=eps) == closed
-
-
-def test_block_sum_guards():
-    with pytest.raises(ValueError):
-        symmetric_block_sum_bruteforce(F3, 3)
-    with pytest.raises(ValueError):
-        symmetric_block_sum_bruteforce(Field(3), 2)
-    with pytest.raises(ValueError):
-        symmetric_block_sum_bruteforce(F3, 1, eps=1)  # square eps rejected
-
-
-def test_so2_sum_identities():
-    for F in (F3, F9):
-        for a in F.units():
-            for res in check_so2_sums(F, a):
-                assert res.ok, res
-
-
 def test_coset_character_sums_match_closed_forms():
     cases = [
         (CosetFamily(1, -1), 1),
@@ -211,13 +165,15 @@ def test_coset_character_sums_match_closed_forms():
         (CosetFamily(3, 1), 2),
     ]
     for family, n in cases:
-        dc = double_coset(F3, family, n)
-        # the transform of the profile: S(a) = sum_beta N(beta) lambda(a beta)
+        # S(a) = sum_beta N(beta) lambda(a beta), once from the enumerated
+        # histogram and once from the profile
+        enumerated = char_transform(F3, list(double_coset(F3, family, n).trace_histogram().values()))
         via_profile = char_transform(F3, trace_profile(family, n, F3).counts)
+        poly = family_polynomial(family, F3.q)
+        a_const = family_constants(family, n, F3.q).A
         for a in F3.units():
-            enumerated = coset_character_sum(dc, a)
-            closed = coset_character_sum_closed(family, n, F3, a)
-            assert enumerated == closed == via_profile[a], (family.label, a)
+            closed = poly.coset_sum(a_const, kloosterman(F3, F3.mul(a, a)))
+            assert enumerated[a] == closed == via_profile[a], (family.label, a)
 
 
 def test_eps_independence_at_q9():
@@ -233,10 +189,6 @@ def test_eps_independence_at_q9():
     qb = enumerate_q(F9, 2, eps_b)
     assert qa.order == qb.order
     assert qa.trace_histogram() == qb.trace_histogram()
-    for a in (1, 2):
-        for ra, rb in zip(check_so2_sums(F9, a, eps_a), check_so2_sums(F9, a, eps_b)):
-            assert ra.ok and rb.ok
-            assert ra.lhs == rb.lhs
 
 
 def test_group_set_determinism():
