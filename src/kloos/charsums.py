@@ -15,9 +15,10 @@ Also here:
 * delta(m, q; beta) = #{(a_1..a_m) in (F_q^*)^m : sum(a_i + 1/a_i) = beta},
   the inverse transform of K(lambda; a^2)^m, one O(r q) transform of the
   cached Kloosterman table;
-* power moments SK^h (square arguments) and MK^h (all arguments);
-* the two transform identities tying delta counts to Kloosterman powers,
-  each reading K from the brute-force :func:`kloosterman`.
+* power moments SK^h (square arguments) and MK^h (all arguments).
+
+Nothing here scans q^2 pairs; the tests check the transform pair between
+delta(m) and K(a^2)^m against the brute-force :func:`kloosterman`.
 """
 
 from __future__ import annotations
@@ -27,22 +28,10 @@ from functools import lru_cache
 
 from .constants import exact_div
 from .field import Field, char_sum, char_transform
-from .report import CheckResult
 
 DELTA_MAX_M = 4
-# the SO^-(2, q) enumeration and the Kloosterman-to-delta check are O(q^2)
-# scans, seconds each at 3^8; the weight-prefix DP has its own cap,
-# codes.DP_EXACT_MAX_Q; the Kloosterman table, delta(m) and the dual weights
-# of a profile are O(r q) transforms and run for every r
-TABLE_MAX_Q = 3**8
 # a moment series prints 2 h_max integers of up to h_max log2(2 sqrt q) bits
 SERIES_MAX_H = 1000
-
-
-def check_quadratic_scan(q: int, what: str) -> None:
-    """Refuse an O(q^2) scan named ``what`` above q = TABLE_MAX_Q."""
-    if q > TABLE_MAX_Q:
-        raise ValueError(f"{what} is O(q^2), capped at q <= {TABLE_MAX_Q}, got q={q}")
 
 
 def check_series_h(h_max: int) -> None:
@@ -182,26 +171,3 @@ def delta_counts(field: Field, m: int) -> tuple[int, ...]:
     powers = [(q - 1) ** m] + [table[s] ** m for s in field.times_squares(1)]
     return tuple(exact_div(v, q) for v in char_transform(field, powers))
 
-
-def check_delta_to_kloosterman(field: Field, m: int, a: int) -> CheckResult:
-    """Sum over beta of delta(m; beta) lambda(a beta) against K(lambda; a^2)^m."""
-    d = delta_counts(field, m)
-    lhs = char_sum(field, (field.mul(a, beta) for beta in field.elements()), d)
-    rhs = kloosterman(field, field.mul(a, a)) ** m
-    return CheckResult(f"delta_to_kloosterman(m={m},a={a})", lhs, rhs)
-
-
-def check_kloosterman_to_delta(field: Field, m: int, beta: int) -> CheckResult:
-    """Sum over units of lambda(-a beta) K(lambda; a^2)^m against
-    q delta(m; beta) - (q-1)^m.  K is the brute-force :func:`kloosterman`,
-    not the table delta(m) is built from, so the check is O(q^2) and
-    refused above q = TABLE_MAX_Q."""
-    check_quadratic_scan(field.q, "the Kloosterman-to-delta check")
-    units = field.units()
-    lhs = char_sum(
-        field,
-        (field.neg(field.mul(a, beta)) for a in units),
-        (kloosterman(field, field.mul(a, a)) ** m for a in units),
-    )
-    rhs = field.q * delta_counts(field, m)[beta] - (field.q - 1) ** m
-    return CheckResult(f"kloosterman_to_delta(m={m},beta={beta})", lhs, rhs)

@@ -153,8 +153,8 @@ def cmd_constants(args) -> tuple[dict, list[list], int]:
 
 def cmd_weights(args) -> tuple[dict, list[list], int]:
     check_dimension(args.n)
-    field = _build_field(args, check_prefix_dp_q)
     family = CosetFamily.parse(args.family)
+    field = _build_field(args, check_prefix_dp_q)
     profile = trace_profile(family, args.n, field)
     weights = dual_weights(profile)
     j_max = min(profile.length, args.jmax)
@@ -180,7 +180,6 @@ def cmd_weights(args) -> tuple[dict, list[list], int]:
 
 def cmd_group(args) -> tuple[dict, list[list], int]:
     from .groups import (
-        check_circle_scan,
         check_double_coset_q,
         check_q_enumeration,
         double_coset,
@@ -191,7 +190,9 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
 
     # argparse admits exactly one of --set and --family
     if args.set in ("so2", "o2"):
-        field = _build_field(args, check_circle_scan)
+        if args.n is not None:
+            raise ValueError(f"--set {args.set} takes no --n")
+        field = _build_field(args)
         gset = enumerate_so2_minus(field) if args.set == "so2" else enumerate_o2_minus(field)
     elif args.n is None:
         raise ValueError("--set q needs --n" if args.set else "--family needs --n")
@@ -225,11 +226,11 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
     )
 
     check_dimension(args.n)
-    field = _build_field(args, check_prefix_dp_q)
     family = CosetFamily.parse(args.family)
     steps = moment_steps(family, args.hmax)
     if steps < 1:
         raise ValueError(f"--hmax {args.hmax} leaves no solvable moment for {family.label}")
+    field = _build_field(args, check_prefix_dp_q)
     instance = build_instance(family, args.n, field, steps)
     derived = sk_via_pless(instance, steps)
     printed, defects = sk_via_printed_recursion(instance, steps)

@@ -1,4 +1,4 @@
-"""Brute-force enumeration of small minus-type orthogonal groups over GF(q).
+"""Enumerated minus-type orthogonal groups over GF(q) and their cosets.
 
 The ambient group preserves the bilinear form with Gram matrix
 
@@ -7,11 +7,13 @@ The ambient group preserves the bilinear form with Gram matrix
 written on coordinates split as (n-1) + (n-1) + 2.  Matrices are nested
 tuples of int-encoded field elements, so sets and sorting work directly.
 
-Enumerable pieces (desk scale):
+Enumerable pieces:
 
-* the circle group SO^-(2, q), order q + 1, and its double cover O^-(2, q),
-  found by an O(q^2) scan capped at q <= charsums.TABLE_MAX_Q;
-* the subgroup Q(2n, q) of the maximal parabolic, for n = 1, 2;
+* the circle group SO^-(2, q), order q + 1, built in O(q) from the rational
+  parametrization of the conic a^2 - eps b^2 = 1, and O^-(2, q), the circle
+  group and its reflected coset, for every q;
+* the subgroup Q(2n, q) of the maximal parabolic: the circle group at
+  n = 1, a brute-force product at n = 2 and q <= 9;
 * double cosets Q sigma_r Q and their reflected images at q = 3, n <= 2,
   and the four Bruhat cells that tile the whole group at n = 2, q = 3.
 
@@ -26,7 +28,6 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .charsums import check_quadratic_scan
 from .constants import CosetFamily
 from .field import Field
 from .report import CheckResult
@@ -168,18 +169,12 @@ def _make_set(label: str, field: Field, eps: int, n: int, elements) -> GroupSet:
     return GroupSet(label, field, eps, n, tuple(sorted(set(elements))))
 
 
-def check_circle_scan(q: int) -> None:
-    """Refuse the O(q^2) SO^-(2, q) scan above charsums.TABLE_MAX_Q."""
-    check_quadratic_scan(q, "the SO^-(2, q) enumeration")
-
-
 def check_q_enumeration(q: int, n: int) -> None:
     """Refuse Q(2n, q) unless n = 1 or 2, with q <= 9 when n = 2."""
     if n not in (1, 2):
         raise ValueError(f"Q enumeration supports n in {{1, 2}}, got n={n}")
     if n == 2 and q > Q_ENUM_MAX_Q_N2:
         raise ValueError(f"Q(4, q) enumeration capped at q <= {Q_ENUM_MAX_Q_N2}, got q={q}")
-    check_circle_scan(q)
 
 
 def check_double_coset_q(q: int) -> None:
@@ -189,15 +184,21 @@ def check_double_coset_q(q: int) -> None:
 
 
 def enumerate_so2_minus(field: Field, eps: int | None = None) -> GroupSet:
-    """SO^-(2, q) = {[[a, b eps], [b, a]] : a^2 - eps b^2 = 1}, order q + 1."""
-    check_circle_scan(field.q)
+    """SO^-(2, q) = {[[a, b eps], [b, a]] : a^2 - eps b^2 = 1}, order q + 1.
+
+    Besides (1, 0), the line of slope t / eps through it meets the conic at
+    a = (t^2 + eps) / (t^2 - eps), b = 2t / (t^2 - eps), as
+    (t^2 + eps)^2 - 4 eps t^2 = (t^2 - eps)^2; eps is a nonsquare, so the
+    denominator never vanishes and t in F_q gives the other q points.
+    """
     eps = _resolve_eps(field, eps)
-    out = []
-    for a in field.elements():
-        for b in field.elements():
-            lhs = field.sub(field.mul(a, a), field.mul(eps, field.mul(b, b)))
-            if lhs == 1:
-                out.append(((a, field.mul(b, eps)), (b, a)))
+    add, sub, mul = field.add, field.sub, field.mul
+    out = [((1, 0), (0, 1))]
+    for t in field.elements():
+        t2 = mul(t, t)
+        d_inv = field.inv(sub(t2, eps))
+        a, b = mul(add(t2, eps), d_inv), mul(add(t, t), d_inv)
+        out.append(((a, mul(b, eps)), (b, a)))
     gset = _make_set("SO2-", field, eps, 1, out)
     if gset.order != field.q + 1:
         raise ArithmeticError(f"|SO^-(2,{field.q})| = {gset.order}, expected {field.q + 1}")
@@ -207,8 +208,9 @@ def enumerate_so2_minus(field: Field, eps: int | None = None) -> GroupSet:
 def enumerate_o2_minus(field: Field, eps: int | None = None) -> GroupSet:
     """O^-(2, q): the circle group and its reflected coset, order 2(q + 1)."""
     so = enumerate_so2_minus(field, eps)
-    delta1 = ((1, 0), (0, field.neg(1)))
-    flipped = [mat_mul(field, delta1, w) for w in so.elements]
+    # diag(1, -1) w negates the second row of w
+    neg = field.neg
+    flipped = [(top, (neg(c), neg(d))) for top, (c, d) in so.elements]
     gset = _make_set("O2-", field, so.eps, 1, list(so.elements) + flipped)
     if gset.order != 2 * (field.q + 1):
         raise ArithmeticError(f"|O^-(2,{field.q})| = {gset.order}, expected {2 * (field.q + 1)}")

@@ -216,27 +216,25 @@ def test_out_of_range_input_exits_2(capsys, argv):
     "argv",
     [
         ("weights", "--r", "10", "--family", "DC2-", "--n", "3"),
-        ("group", "--r", "9", "--set", "so2"),
-        ("group", "--r", "9", "--set", "o2"),
+        ("weights", "--r", "11", "--family", "DC1-", "--n", "2"),
+        ("verify", "--r", "11", "--nmax", "3"),
         ("weights", "--r", "10", "--family", "DC1+", "--n", "2"),
         ("verify", "--r", "10", "--nmax", "3"),
         ("recursion", "--r", "10", "--family", "DC1-", "--n", "1"),
         ("weights", "--r", "12", "--family", "DC1+", "--n", "2"),
         ("verify", "--r", "12", "--nmax", "3"),
         ("recursion", "--r", "12", "--family", "DC2+", "--n", "2"),
-        ("group", "--r", "12", "--set", "so2"),
-        ("group", "--r", "12", "--set", "o2"),
-        ("group", "--r", "12", "--set", "q", "--n", "1"),
+        ("recursion", "--r", "11", "--family", "DC1+", "--n", "1"),
+        ("weights", "--r", "11", "--family", "DC2+", "--n", "2"),
+        ("recursion", "--r", "11", "--family", "DC2-", "--n", "2"),
     ],
 )
 def test_quadratic_scan_above_cap_exits_2(capsys, built_fields, argv):
-    # the weight-prefix DP has its own cap, one degree above the group scans
-    cap = 6561 if argv[0] == "group" else 19683
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert f"capped at q <= {cap}," in err
+    assert "capped at q <= 19683," in err
     assert time.perf_counter() - start < 30
     assert built_fields == []  # refused before the field is built
 
@@ -314,10 +312,32 @@ def test_weights_above_cap_names_the_prefix_dp(capsys):
     assert err == "error: the weight-prefix DP is O(q^2), capped at q <= 19683, got q=59049\n"
 
 
-def test_group_above_cap_names_the_enumeration(capsys):
-    code, out, err = run_cli(capsys, "group", "--r", "12", "--set", "q", "--n", "1")
+@pytest.mark.parametrize(
+    "r, argv, cosets",
+    [(9, ("so2",), 1), (9, ("q", "--n", "1"), 1), (10, ("o2",), 2)],
+)
+def test_group_circle_sets_run_at_large_q(capsys, r, argv, cosets):
+    q = 3**r
+    payload = run_json(capsys, "group", "--r", str(r), "--set", *argv)
+    assert payload["order"] == sum(payload["histogram"].values()) == cosets * (q + 1)
+
+
+@pytest.mark.parametrize("which", ["so2", "o2"])
+def test_group_circle_sets_refuse_n_before_field(capsys, built_fields, which):
+    code, out, err = run_cli(capsys, "group", "--r", "1", "--set", which, "--n", "5")
     assert (code, out) == (2, "")
-    assert err == "error: the SO^-(2, q) enumeration is O(q^2), capped at q <= 6561, got q=531441\n"
+    assert err == f"error: --set {which} takes no --n\n"
+    assert built_fields == []
+
+
+def test_weights_and_recursion_refuse_family_and_hmax_before_field(capsys, built_fields):
+    code, out, err = run_cli(capsys, "weights", "--r", "9", "--family", "DC9+", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot parse family 'DC9+'; expected e.g. 'DC1+' or 'DC4-'\n"
+    code, out, err = run_cli(capsys, "recursion", "--r", "9", "--family", "DC2+", "--n", "2", "--hmax", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --hmax 1 leaves no solvable moment for DC2+\n"
+    assert built_fields == []
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -46,11 +46,36 @@ def test_so2_minus_order_and_histogram():
         assert enumerate_so2_minus(F).order == F.q + 1
 
 
-def test_circle_group_scan_above_cap_raises():
-    F = Field(9)
-    for enumerate_circle in (enumerate_so2_minus, enumerate_o2_minus):
-        with pytest.raises(ValueError, match="capped at q <= 6561"):
-            enumerate_circle(F)
+def circle_by_scan(field, eps):
+    """Literal scan of all q^2 pairs for a^2 - eps b^2 = 1; test oracle."""
+    return {
+        ((a, field.mul(b, eps)), (b, a))
+        for a in field.elements()
+        for b in field.elements()
+        if field.sub(field.mul(a, a), field.mul(eps, field.mul(b, b))) == 1
+    }
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_circle_groups_match_the_scan(r):
+    F = Field(r)
+    nonsquares = [e for e in F.units() if not F.is_square(e)]
+    assert nonsquares[0] == F.first_nonsquare()
+    reflect = ((1, 0), (0, F.neg(1)))
+    for eps in nonsquares[:2]:  # q = 3 has the one nonsquare 2
+        scan = circle_by_scan(F, eps)
+        so = enumerate_so2_minus(F, eps)
+        assert so.elements == tuple(sorted(scan))
+        o_full = enumerate_o2_minus(F, eps)
+        assert o_full.element_set() == scan | {mat_mul(F, reflect, w) for w in scan}
+        assert o_full.elements == tuple(sorted(o_full.elements))
+
+
+@pytest.mark.parametrize("r", [9, 10])
+def test_circle_group_orders_at_large_q(r):
+    F = Field(r)
+    assert enumerate_so2_minus(F).order == F.q + 1
+    assert enumerate_o2_minus(F).order == 2 * (F.q + 1)
 
 
 def test_so2_minus_is_group_with_det_one():
