@@ -4,9 +4,10 @@ K(lambda; a) = sum over alpha in F_q^* of lambda(alpha + a/alpha), with
 lambda the canonical additive character omega^tr.  A single value is a
 brute-force O(q) sum through :func:`kloos.field.char_sum`, which counts
 trace fibers exactly and raises unless the sum is real; it is the oracle.
-The whole table comes from two character transforms
+The whole table, a tuple indexed by the element like every per-element
+vector in kloos, comes from two character transforms
 (:func:`kloos.field.char_transform`) of log-domain histograms, with the
-same realness check.
+same realness check; K(a^2) at every a is read off it once per field.
 Kloosterman values are also checked against the Weil bound
 |K| <= 2 sqrt(q).
 
@@ -14,7 +15,7 @@ Also here:
 
 * delta(m, q; beta) = #{(a_1..a_m) in (F_q^*)^m : sum(a_i + 1/a_i) = beta},
   the inverse transform of K(lambda; a^2)^m, one O(r q) transform of the
-  cached Kloosterman table;
+  cached K(a^2) vector;
 * power moments SK^h (square arguments) and MK^h (all arguments).
 
 Nothing here scans q^2 pairs; the tests check the transform pair between
@@ -58,8 +59,9 @@ def kloosterman(field: Field, a: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def kloosterman_table(field: Field) -> dict[int, int]:
-    """K(lambda; a) for every unit a, from two character transforms.
+def kloosterman_table(field: Field) -> tuple[int, ...]:
+    """K(lambda; a) at every a in F_q, from two character transforms; entry
+    0 holds K(0) = -1.
 
     Substituting x -> x / a gives K(lambda; a^2 b) = sum over beta of
     #{x : x + b/x = beta} lambda(a beta), so transforming the histograms
@@ -74,11 +76,10 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     :func:`kloosterman`.
 
     The moments (Lidl & Niederreiter, *Finite Fields*, ch. 5) need no
-    transform.  Sum over units a of K(a) = sum over units x of lambda(x)
-    times sum over units a of lambda(a/x), that is (-1)(-1) = 1.  K is real,
-    so K(a)^2 = sum over units x, y of lambda(x - y + a (1/x - 1/y)); summed
-    over a in F_q only x = y survives, giving q (q - 1), and K(0) = -1, so
-    the units give q^2 - q - 1.
+    transform.  Sum over a in F_q of K(a) = sum over units x of lambda(x)
+    times sum over a in F_q of lambda(a/x), that is 0.  K is real, so
+    K(a)^2 = sum over units x, y of lambda(x - y + a (1/x - 1/y)); summed
+    over a in F_q only x = y survives, giving q (q - 1).
 
     The square half splits off through the quadratic character eta:
     SK^h = (MK^h + sum over units a of eta(a) K(a)^h) / 2.  With the Gauss
@@ -89,26 +90,25 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     eta(a) lambda(x + y + a (1/x + 1/y)), write 1/x + 1/y = s / (x y) with
     s = x + y; s = 0 drops out, and sum over x of eta(x (s - x)) = -eta(-1)
     for s != 0, so the sum is -eta(-1) G(eta) times sum over units s of
-    eta(s) lambda(s), that is -q.  Hence SK^1 = (1 + (-3)^r) / 2 and
+    eta(s) lambda(s), that is -q.  Hence, with MK^1 = 1 and
+    MK^2 = q^2 - q - 1 over the units, SK^1 = (1 + (-3)^r) / 2 and
     SK^2 = (q^2 - 2q - 1) / 2.
     """
     q = field.q
     b0 = field.first_nonsquare()
-    at_square = char_transform(field, field.inverse_sum_histogram(1))
-    at_nonsquare = char_transform(field, field.inverse_sum_histogram(b0))
-    squares = field.times_squares(1)
-    # units in element order, so of a and -a the later one places K(a^2 b)
-    placed = dict(zip(squares, at_square[1:]))
-    placed.update(zip(field.times_squares(b0), at_nonsquare[1:]))
-    units = field.units()
-    values = [0, *map(placed.__getitem__, units)]
+    transforms = [(c, char_transform(field, field.inverse_sum_histogram(c))) for c in (1, b0)]
+    values = [-1] * q
+    for c, at in transforms:
+        # units in element order, so of a and -a the later one places K(a^2 c)
+        for s, k in zip(field.times_squares(c), at[1:]):
+            values[s] = k
     for k in values:
         if k * k > 4 * q:
             raise ArithmeticError(f"Weil bound violated: K={k} at q={q}")
-    moments = (sum(values), sum(k * k for k in values))  # values[0] = 0
-    if moments != (1, q * q - q - 1):
-        raise ArithmeticError(f"K table moments {moments} != (1, {q * q - q - 1}) at q={q}")
-    at_squares = [values[a] for a in set(squares)]
+    moments = (sum(values), sum(k * k for k in values))
+    if moments != (0, q * (q - 1)):
+        raise ArithmeticError(f"K table moments {moments} != (0, {q * (q - 1)}) at q={q}")
+    at_squares = [values[a] for a in field.squares()]
     square_moments = (sum(at_squares), sum(k * k for k in at_squares))
     expected = ((1 + (-3) ** field.r) // 2, (q * q - 2 * q - 1) // 2)
     if square_moments != expected:
@@ -119,14 +119,22 @@ def kloosterman_table(field: Field) -> dict[int, int]:
     for b in (a2, field.mul(a2, b0)):
         if values[b] != kloosterman(field, b):
             raise ArithmeticError(f"transform gives K={values[b]} at {b}, brute force disagrees, q={q}")
-    return dict(zip(units, values[1:]))
+    return tuple(values)
+
+
+@lru_cache(maxsize=64)
+def kloosterman_squares(field: Field) -> tuple[int, ...]:
+    """K(lambda; a^2) at every a in F_q, read off the checked table; entry 0
+    holds K(0) = -1."""
+    table = kloosterman_table(field)
+    return (table[0], *map(table.__getitem__, field.times_squares(1)))
 
 
 @lru_cache(maxsize=64)
 def _value_counts(field: Field) -> tuple[Counter, Counter]:
     """Multiplicity of each K value over the nonzero squares and over the units."""
     table = kloosterman_table(field)
-    return Counter(table[a] for a in field.squares()), Counter(table.values())
+    return Counter(table[a] for a in field.squares()), Counter(table[1:])
 
 
 def sk_moment(field: Field, h: int) -> int:
@@ -167,7 +175,7 @@ def delta_counts(field: Field, m: int) -> tuple[int, ...]:
     if not 0 <= m <= DELTA_MAX_M:
         raise ValueError(f"delta supports 0 <= m <= {DELTA_MAX_M}, got {m}")
     q = field.q
-    table = kloosterman_table(field)
-    powers = [(q - 1) ** m] + [table[s] ** m for s in field.times_squares(1)]
+    powers = [k**m for k in kloosterman_squares(field)]
+    powers[0] = (q - 1) ** m
     return tuple(exact_div(v, q) for v in char_transform(field, powers))
 

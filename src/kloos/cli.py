@@ -107,8 +107,7 @@ def cmd_field(args) -> tuple[dict, list[list], int]:
 
 def cmd_kloosterman(args) -> tuple[dict, Iterable[list], int]:
     field = _build_field(args, lambda q: check_series_h(args.hmax))
-    values, keys = kloosterman_table(field), _element_keys(field)
-    table = dict(zip(map(keys.__getitem__, values), values.values()))
+    table = dict(zip(_element_keys(field)[1:], kloosterman_table(field)[1:]))
     sk, mk = moment_series(field, args.hmax)
     payload = {"q": field.q, "modulus": list(field.modulus), "K": table, "SK": sk[1:], "MK": mk[1:]}
     # one row per unit, built only if the CSV writer asks for it
@@ -202,9 +201,8 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
     else:
         field = _build_field(args, check_double_coset_q)
         gset = double_coset(field, CosetFamily.parse(args.family), args.n)
-    histogram = gset.trace_histogram()
     keys = _element_keys(field)
-    keyed_histogram = {keys[b]: c for b, c in histogram.items()}
+    keyed_histogram = dict(zip(keys, gset.trace_histogram()))
     payload = {
         "label": gset.label,
         "q": field.q,

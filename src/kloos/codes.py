@@ -50,8 +50,8 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
 * for tiny N, the full distribution by literal enumeration of all 3^N words.
 
 Per-instance work reads field-level vectors only, each derived once per
-field, and combines them affinely with no field arithmetic: delta(p), the
-K table at every a^2 (through `Field.times_squares`), the square classes
+field, and combines them affinely with no field arithmetic: delta(p),
+K(a^2) at every a (`kloosterman_squares`), the square classes
 eta(beta^2 - 1), and each shape's passes and zero fiber.
 
 The passes and the transform run once per profile shape, not once per
@@ -89,7 +89,7 @@ from math import comb, factorial, gcd
 from operator import mul
 from typing import NamedTuple
 
-from .charsums import delta_counts, kloosterman_table
+from .charsums import delta_counts, kloosterman_squares
 from .constants import CosetFamily, FamilyConstants, FamilyPolynomial, exact_div, family_constants
 from .constants import family_polynomial
 from .field import Field, char_fibers, linear_map, translates
@@ -121,9 +121,6 @@ class TraceProfile(_ProfileFields):
     def split(self) -> tuple[int, int, tuple[int, ...]]:
         """(kappa, lam, shape) of the counts, by `_split`."""
         return _split(self.counts)
-
-    def as_dict(self) -> dict[int, int]:
-        return {beta: self.counts[beta] for beta in self.field.elements()}
 
 
 def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
@@ -190,9 +187,10 @@ def dual_weights(profile: TraceProfile) -> list[int]:
     field = profile.field
     consts = family_constants(profile.family, profile.n, field.q)
     poly = family_polynomial(profile.family, field.q)
-    k_at = list(map(kloosterman_table(field).__getitem__, field.times_squares(1)))  # K(a^2), a = 1..q-1
+    k_at = kloosterman_squares(field)
     closed_at = {k: _dual_weight_closed(consts, poly, k) for k in set(k_at)}
-    closed, direct = [0, *map(closed_at.__getitem__, k_at)], dual_weights_from_profile(profile)
+    closed, direct = list(map(closed_at.__getitem__, k_at)), dual_weights_from_profile(profile)
+    closed[0] = 0  # a = 0 gives the zero word
     if closed != direct:
         a = next(a for a in field.units() if closed[a] != direct[a])
         raise ArithmeticError(f"dual weight mismatch at a={a}: closed {closed[a]} vs profile {direct[a]}")

@@ -24,7 +24,6 @@ integers or CheckResults, nothing is sampled.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -146,12 +145,12 @@ class GroupSet(NamedTuple):
     def order(self) -> int:
         return len(self.elements)
 
-    def trace_histogram(self) -> dict[int, int]:
-        """Count of elements per matrix trace, dense over all of F_q."""
-        counts: Counter[int] = Counter()
+    def trace_histogram(self) -> tuple[int, ...]:
+        """Count of elements per matrix trace, at every beta in F_q."""
+        counts = [0] * self.field.q
         for w in self.elements:
             counts[mat_trace(self.field, w)] += 1
-        return {beta: counts.get(beta, 0) for beta in self.field.elements()}
+        return tuple(counts)
 
     def element_set(self) -> frozenset:
         return frozenset(self.elements)

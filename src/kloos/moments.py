@@ -188,19 +188,8 @@ def check_pless_identity(instance: PlessInstance) -> list[CheckResult]:
 class MomentSeries(NamedTuple):
     """Solved SK moments: values[i] is SK^orders[i]."""
 
-    family: CosetFamily
-    n: int
-    q: int
     orders: tuple[int, ...]
     values: tuple[int, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family.label,
-            "n": self.n,
-            "q": self.q,
-            "SK": [[h, v] for h, v in zip(self.orders, self.values)],
-        }
 
 
 def moment_steps(family: CosetFamily, h_max: int) -> int:
@@ -249,7 +238,7 @@ def _solve(
             where = f"{family.label}, n={instance.n}, q={q}"
             raise NonIntegralStep(f"{what} at step {h} for {where}: {Fraction(num, den)}")
         solved.append(value)
-    return MomentSeries(family, instance.n, q, _series_orders(family, steps), tuple(solved[1:]))
+    return MomentSeries(_series_orders(family, steps), tuple(solved[1:]))
 
 
 def sk_via_pless(instance: PlessInstance, steps: int) -> MomentSeries:
@@ -288,10 +277,10 @@ def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[Momen
 
 def sk_oracle_series(instance: PlessInstance, steps: int) -> MomentSeries:
     """The same orders filled straight from the Kloosterman table; reads the
-    instance's family, n and field only, never its weights or prefix."""
+    instance's family and field only, never its weights or prefix."""
     field, orders = instance.field, _series_orders(instance.family, steps)
     values = tuple(sk_moment(field, h) for h in orders)
-    return MomentSeries(instance.family, instance.n, field.q, orders, values)
+    return MomentSeries(orders, values)
 
 
 # -- instance and whole-field verification ---------------------------------------

@@ -149,12 +149,12 @@ def test_criterion_3_group_bruteforce_q3(capsys):
 
     so2 = enumerate_so2_minus(field)
     ok &= so2.order == q + 1 == 4
-    ok &= so2.trace_histogram() == {0: 2, 1: 1, 2: 1}
+    ok &= so2.trace_histogram() == (2, 1, 1)
     o2 = enumerate_o2_minus(field)
     ok &= o2.order == 2 * (q + 1) == 8
     qset = enumerate_q(field, 2)
     ok &= qset.order == (q + 1) * (q - 1) * q**2 == 72
-    ok &= qset.trace_histogram() == {0: 18, 1: 27, 2: 27}
+    ok &= qset.trace_histogram() == (18, 27, 27)
     ok &= check_orthogonal_relation(so2).ok
     ok &= check_orthogonal_relation(o2).ok
     ok &= check_orthogonal_relation(qset).ok
@@ -176,7 +176,7 @@ def test_criterion_3_group_bruteforce_q3(capsys):
         gset = double_coset(field, family, n)
         profile = trace_profile(family, n, field)
         ok &= gset.order == profile.length
-        ok &= gset.trace_histogram() == profile.as_dict()
+        ok &= gset.trace_histogram() == profile.counts
         ok &= check_orthogonal_relation(gset).ok
 
     elapsed = time.perf_counter() - start
@@ -196,7 +196,7 @@ def test_criterion_4_group_character_sums(capsys):
     points = 0
     for family, n in BRUTE_Q3_INSTANCES:
         # S(a) = sum over the coset of lambda(a Tr w): the transform of its trace histogram
-        sums = char_transform(field, list(double_coset(field, family, n).trace_histogram().values()))
+        sums = char_transform(field, double_coset(field, family, n).trace_histogram())
         poly = family_polynomial(family, field.q)
         a_const = family_constants(family, n, field.q).A
         for a in field.units():

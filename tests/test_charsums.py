@@ -1,17 +1,34 @@
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kloos.charsums import (
     DELTA_MAX_M,
     delta_counts,
     kloosterman,
+    kloosterman_squares,
     kloosterman_table,
     mk_moment,
     moment_series,
     sk_moment,
 )
-from kloos.field import Field, char_sum
+from kloos.codes import trace_profile
+from kloos.constants import CosetFamily
+from kloos.field import Field, _monic_polys, char_sum, find_factor
+from kloos.groups import double_coset, enumerate_o2_minus, enumerate_so2_minus
+
+# None is the default modulus; the rest are every irreducible modulus of degree <= 5
+MODULI = [(r, None) for r in range(1, 6)] + [
+    (r, m) for r in range(1, 6) for m in _monic_polys(r) if find_factor(m) is None
+]
+
+
+@lru_cache(maxsize=None)
+def cached_field(r, modulus):
+    return Field(r, modulus)
 
 
 def naive_delta(field, m, beta):
@@ -65,7 +82,7 @@ def test_kloosterman_gf3_values():
 def test_kloosterman_real_and_weil_bound():
     for r in (1, 2, 3):
         F = Field(r)
-        for a, k in kloosterman_table(F).items():
+        for k in kloosterman_table(F):
             assert k * k <= 4 * F.q
             assert isinstance(k, int)
 
@@ -164,8 +181,8 @@ def test_delta_guard():
 def test_tables_at_q_3_9_need_no_quadratic_scan():
     F = Field(9)
     table = kloosterman_table(F)  # two transforms, no O(q^2) scan
-    assert len(table) == F.q - 1
-    assert all(k * k <= 4 * F.q for k in table.values())
+    assert len(table) == F.q and table[0] == -1
+    assert all(k * k <= 4 * F.q for k in table)
     sk, mk = moment_series(F, 2)
     assert sk[0] == (F.q - 1) // 2
     assert mk[0] == F.q - 1
@@ -183,7 +200,7 @@ def test_tables_at_q_3_9_need_no_quadratic_scan():
 def test_kloosterman_table_matches_bruteforce(r, modulus):
     F = Field(r, modulus)
     table = kloosterman_table(F)
-    assert list(table) == list(F.units())
+    assert len(table) == F.q and table[0] == -1
     for a in F.units():
         assert table[a] == kloosterman(F, a)
 
@@ -192,7 +209,7 @@ def test_kloosterman_table_matches_bruteforce(r, modulus):
 def test_kloosterman_table_frobenius_orbits(r):
     F = Field(r)
     table = kloosterman_table(F)
-    assert list(table) == list(F.units())
+    assert len(table) == F.q and table[0] == -1
     seen = set()
     for a in F.units():
         assert table[a] == table[F.pow(a, 3)]  # K(b) = K(b^3)
@@ -230,11 +247,12 @@ def test_kloosterman_to_delta_reads_k_apart_from_the_table(monkeypatch, duality_
     # delta(1) rebuilt from a table with two square entries swapped agrees with that table,
     # so only sides that do not read the table can tell
     F = Field(2)
-    table = dict(kloosterman_table(F))
+    table = list(kloosterman_table(F))
     s = F.squares()[0]
     t = next(a for a in F.squares() if table[a] != table[s])
     table[s], table[t] = table[t], table[s]
-    monkeypatch.setattr(charsums, "kloosterman_table", lambda field: table)
+    at_squares = tuple(table[F.mul(a, a)] for a in F.elements())
+    monkeypatch.setattr(charsums, "kloosterman_squares", lambda field: at_squares)
     bad_a, bad_beta = duality_failures(F, 1, delta_counts.__wrapped__(F, 1))
     assert {F.mul(a, a) for a in bad_a} == {s, t}
     assert bad_beta
@@ -310,3 +328,29 @@ def test_kloosterman_table_checks_square_moments(r, monkeypatch):
     monkeypatch.setattr(charsums, "char_transform", square_swapped)
     with pytest.raises(ArithmeticError, match="square moments"):
         kloosterman_table.__wrapped__(F)
+
+
+@settings(max_examples=30, deadline=None)
+@given(args=st.sampled_from(MODULI), data=st.data())
+def test_per_element_vectors_are_element_indexed_tuples(args, data):
+    F = cached_field(*args)
+    q = F.q
+    table, at_squares = kloosterman_table(F), kloosterman_squares(F)
+    so2, o2 = enumerate_so2_minus(F), enumerate_o2_minus(F)
+    circle = trace_profile(CosetFamily(1, -1), 1, F)  # SO^-(2, q) is the DC1- coset at n = 1
+    vectors = [table, at_squares, so2.trace_histogram(), o2.trace_histogram(), circle.counts]
+    vectors += [delta_counts(F, m) for m in range(DELTA_MAX_M + 1)]
+    assert all(type(v) is tuple and len(v) == q for v in vectors)
+    assert (sum(table), sum(k * k for k in table)) == (0, q * (q - 1))
+    assert table[0] == at_squares[0] == -1
+    assert all(at_squares[a] == table[F.mul(a, a)] for a in F.elements())
+    for a in data.draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=3)):
+        assert at_squares[a] == kloosterman(F, F.mul(a, a)), a
+    assert sum(so2.trace_histogram()) == so2.order == q + 1
+    assert sum(o2.trace_histogram()) == o2.order == 2 * (q + 1)
+    assert so2.trace_histogram() == circle.counts
+    if q == 3:  # the double cosets that acceptance criterion 3 enumerates
+        for family, n in [(CosetFamily(1, 1), 2), (CosetFamily(2, 1), 2), (CosetFamily(3, 1), 2)]:
+            gset = double_coset(F, family, n)
+            assert sum(gset.trace_histogram()) == gset.order
+            assert gset.trace_histogram() == trace_profile(family, n, F).counts, family.label

@@ -561,6 +561,60 @@ def test_verify_stdout_matches_recorded_digest(capsys, workload):
     assert hashlib.sha256(out.encode()).hexdigest() == reference[workload]["sha256"]
 
 
+# SHA-256 of stdout as json, csv and text, recorded before the K table, K(a^2)
+# and the group histograms became element-indexed tuples
+RECORDED_DIGESTS = {
+    "kloosterman --r 1": (
+        "0b75cb78a2fbe947e6240f4f2e84163f61ec93b5c65a0b0b76df5d6c0e0d1b55",
+        "18004f30274fe75f7545e6f21fadec8f14b70d86d60babc1835ab8941f6f8de1",
+        "24533d4def63f06b07bca59507f4b3ba6e6deda618435a1f0904cea011bf93dd",
+    ),
+    "kloosterman --r 2": (
+        "0813dbbde71b759ffdb90e69abbf02882e4a5a6ef2b7b3f10afe8440755b4a1d",
+        "29d82019ba7fdaa572d896d56d8d85c3870389a9f56bdd762443c5564ab3b1fb",
+        "8dae31300284045acba6a38a245a20df89ec10a2f28592660eca759cdb51d2d7",
+    ),
+    "kloosterman --r 3": (
+        "1099b86791337739daee43e53bb87c60dd537b75a078c217b2d31013144f38e9",
+        "2194aeee954da7afe9b17e0bd35c9c9deab6bf47252e411e6beb1083587649e2",
+        "2dfe70948caad1b1753d632d7c07f32327a53abfdbcf684891247661217a8477",
+    ),
+    "group --r 2 --set so2": (
+        "c0ed4d3794fbf97f1a8a0c5cc7408c15ba7303ce96dc9dfdff2dcf04ef089e7d",
+        "56f8eff87c501120757031a3d1be23cd43510a731f833c142781a9cf2bc5cf84",
+        "18ac2f50bab2dc60093722649f1da7ea671b1de283a1479d05c758a69ecbdd5b",
+    ),
+    "group --r 2 --set o2": (
+        "8c5e6708a5a1caa16132c07c068bb6cd0a8723da19b085b4a9504a0de194b9ce",
+        "50d70e5585631fd92ac15213e7ff8ff4a6c462a5a90ce94e8231430581558822",
+        "5e215d9a43ea4a0129848444c9d27b3f0513ba1eaf962bdd41e90ba1098ea8c8",
+    ),
+    "group --r 1 --set q --n 2": (
+        "a8596f40822a5b8acdf39dc2a6bca9c51b1becbeff82c07b143aab614eb4f14c",
+        "2f5a9dd1a56608573ca36781f0d0df68ac50e407cd0fc7ddac5fde048811cf89",
+        "fa2e03ba0838418ddeee20fd0b39d1b357ca5c349c8d3fb18a1daf401ececabb",
+    ),
+    "group --r 1 --family DC2+ --n 2": (
+        "fe21eb69a91cdf2d895648c48b2123920e307d1bf4ad5b5dec75ee9439dd45c1",
+        "2f5a9dd1a56608573ca36781f0d0df68ac50e407cd0fc7ddac5fde048811cf89",
+        "287705e0be0e9c8f0df98e26d9772212e3ca9d36f1a067813ce0931d91597ff6",
+    ),
+    "weights --r 2 --family DC2- --n 3": (
+        "e9bdfb2b118123c4e7cff6abb2eedaeb3ab99dbaeaa78b6f411c11781377555b",
+        "d697ab7b243d419551f445cfd0ce73e35ebbb23209e46c94073aa808b48c2b2b",
+        "a535c3441823d9f26409af63879c902b10098489b82352182351de44a919d703",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", RECORDED_DIGESTS)
+def test_stdout_matches_recorded_digest(capsys, command):
+    for fmt, digest in zip(("json", "csv", "text"), RECORDED_DIGESTS[command]):
+        code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_csv_moments_parses(capsys):
     code, out, _ = run_cli(capsys, "moments", "--r", "1", "--hmax", "3", "--format", "csv")
     assert code == 0

@@ -45,12 +45,12 @@ def test_profiles_match_enumerated_histograms():
     for family, n in cases:
         profile = trace_profile(family, n, F3)
         histogram = double_coset(F3, family, n).trace_histogram()
-        assert profile.as_dict() == histogram, family.label
+        assert profile.counts == histogram, family.label
     # Q(2, q) = SO^-(2, q) is the DC1- coset at n = 1, enumerable beyond q = 3;
     # its character sum, the transform of this histogram, is -K(a^2)
     for field in (F9, Field(3)):
         histogram = enumerate_so2_minus(field).trace_histogram()
-        assert trace_profile(CosetFamily(1, -1), 1, field).as_dict() == histogram, field.q
+        assert trace_profile(CosetFamily(1, -1), 1, field).counts == histogram, field.q
 
 
 # the smallest valid n of every family, at q = 3 and q = 9 (default modulus)
@@ -264,7 +264,7 @@ def test_prefix_reads_no_character(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the weight-prefix DP reached a character route")
 
-    names = ("char_fibers", "char_transform", "char_sum", "kloosterman_table", "delta_counts")
+    names = ("char_fibers", "char_transform", "char_sum", "kloosterman_table", "kloosterman_squares", "delta_counts")
     for module in [m for name, m in sys.modules.items() if name == "kloos" or name.startswith("kloos.")]:
         for name in names:
             if hasattr(module, name):

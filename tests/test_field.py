@@ -188,7 +188,7 @@ def test_every_table_is_linear_in_q(r):
 def test_random_modulus_matches_default(modulus, data):
     r = len(modulus) - 1
     F, base = cached_field(r, modulus), cached_field(r)
-    assert Counter(kloosterman_table(F).values()) == Counter(kloosterman_table(base).values())
+    assert Counter(kloosterman_table(F)) == Counter(kloosterman_table(base))
     assert moment_series(F, 8) == moment_series(base, 8)
     element = st.integers(0, F.q - 1)
     pairs = data.draw(st.lists(st.tuples(element, element), max_size=40))

@@ -183,16 +183,6 @@ def test_pool_size_bounded_by_tasks_and_cpus(monkeypatch):
         assert sizes == expected, (cpus, jobs)
 
 
-def test_moment_series_as_dict():
-    series = sk_via_pless(build_instance(CosetFamily(2, 1), 2, F3, 2), 2)
-    assert series.as_dict() == {
-        "family": "DC2+",
-        "n": 2,
-        "q": 3,
-        "SK": [[2, 1], [4, 1]],
-    }
-
-
 def test_printed_recursion_fails_on_perturbed_coefficient(monkeypatch):
     # the two routes share the prefix loop and the solve, not the coefficient
     def perturbed(h, t):
