@@ -72,8 +72,9 @@ def kloosterman_table(field: Field) -> tuple[int, ...]:
     each value lands at c a^2 = g^(log c + 2 log a)
     (:meth:`Field.times_squares`), units in element order.  Each value is
     checked against the Weil bound, the table against the four closed
-    moments below, and one entry of each transform against the brute-force
-    :func:`kloosterman`.
+    moments below, one entry of each transform against the brute-force
+    :func:`kloosterman`, and then every unit a against a^3 (read from the
+    log tables by :meth:`Field.pow`): tr(x^3) = tr(x), so K(a^3) = K(a).
 
     The moments (Lidl & Niederreiter, *Finite Fields*, ch. 5) need no
     transform.  Sum over a in F_q of K(a) = sum over units x of lambda(x)
@@ -119,6 +120,10 @@ def kloosterman_table(field: Field) -> tuple[int, ...]:
     for b in (a2, field.mul(a2, b0)):
         if values[b] != kloosterman(field, b):
             raise ArithmeticError(f"transform gives K={values[b]} at {b}, brute force disagrees, q={q}")
+    for a in field.units():
+        cube = field.pow(a, 3)
+        if values[cube] != values[a]:
+            raise ArithmeticError(f"K({a})={values[a]} but K({a}^3)=K({cube})={values[cube]}: Frobenius fails, q={q}")
     return tuple(values)
 
 

@@ -135,9 +135,7 @@ def cmd_constants(args) -> tuple[dict, list[list], int]:
     for family in sorted(families, key=lambda f: f.label):
         ns = [args.n] if args.n is not None else family.valid_ns(args.nmax)
         for n in ns:
-            if not family.valid_n(n):
-                raise ValueError(f"n={n} is not valid for family {family.label}")
-            consts = family_constants(family, n, q)
+            consts = family_constants(family, n, q)  # refuses an n the family does not admit
             entries.append(
                 {"family": family.label, "n": n, "q": q, "A": consts.A, "B": consts.B, "N": consts.N}
             )
@@ -155,7 +153,7 @@ def cmd_weights(args) -> tuple[dict, list[list], int]:
     family = CosetFamily.parse(args.family)
     field = _build_field(args, check_prefix_dp_q)
     profile = trace_profile(family, args.n, field)
-    weights = dual_weights(profile)
+    weights = dual_weights(family, args.n, profile)
     j_max = min(profile.length, args.jmax)
     prefix = weight_distribution_prefix(profile, j_max)
     keys = _element_keys(field)
@@ -210,7 +208,8 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
         "order": gset.order,
         "histogram": keyed_histogram,
     }
-    rows = [["beta", "count"]] + [[key, c] for key, c in keyed_histogram.items()]
+    rows = [["section", "key", "value"]] + [["set", key, payload[key]] for key in ("label", "q", "eps", "order")]
+    rows += [["histogram", key, c] for key, c in keyed_histogram.items()]
     return payload, rows, 0
 
 

@@ -105,8 +105,6 @@ TINY_ENUM_MAX_WORDS = 10**6
 class _ProfileFields(NamedTuple):
     field: Field
     counts: tuple[int, ...]
-    family: CosetFamily | None = None
-    n: int | None = None
 
 
 class TraceProfile(_ProfileFields):
@@ -135,7 +133,7 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
     # every numerator is N - sigma A offset mod q: one division decides them all
     base = exact_div(consts.N - sigma_a * offset, q)
     counts = [base + sigma_a * d for d in fibers]
-    profile = TraceProfile(field, tuple(counts), family, n)
+    profile = TraceProfile(field, tuple(counts))
     if profile.length != consts.N:
         raise ArithmeticError(
             f"profile mass {profile.length} != N {consts.N} for {family.label}, n={n}, q={q}"
@@ -178,15 +176,13 @@ def dual_weights_from_profile(profile: TraceProfile) -> list[int]:
     return [0] + [rest - lam * t for t in _zero_fiber(profile.field, shape)[1:]]
 
 
-def dual_weights(profile: TraceProfile) -> list[int]:
-    """w(c(a)) for every a in F_q (0 at a = 0), by two routes required equal:
-    the closed weight, evaluated once per distinct K(a^2), and the profile's
-    zero trace fiber."""
-    if profile.family is None or profile.n is None:
-        raise ValueError("dual weights need a family-tagged profile")
+def dual_weights(family: CosetFamily, n: int, profile: TraceProfile) -> list[int]:
+    """w(c(a)) for every a in F_q (0 at a = 0) of the instance (family, n)
+    whose profile this is, by two routes required equal: the closed weight,
+    evaluated once per distinct K(a^2), and the profile's zero trace fiber."""
     field = profile.field
-    consts = family_constants(profile.family, profile.n, field.q)
-    poly = family_polynomial(profile.family, field.q)
+    consts = family_constants(family, n, field.q)
+    poly = family_polynomial(family, field.q)
     k_at = kloosterman_squares(field)
     closed_at = {k: _dual_weight_closed(consts, poly, k) for k in set(k_at)}
     closed, direct = list(map(closed_at.__getitem__, k_at)), dual_weights_from_profile(profile)
@@ -205,7 +201,7 @@ def check_injectivity(
     `weights` are the instance's cross-checked dual weights as
     multiplicities: weights[w] counts the units a of weight w.
     """
-    return CheckResult(f"dual_injectivity({family.label},n={n},q={field.q})", weights[0], 0)
+    return CheckResult(f"dual_injectivity({family.tag(n, field.q)})", weights[0], 0)
 
 
 # -- weight distribution --------------------------------------------------------
@@ -348,15 +344,16 @@ def printed_column_counts(family: CosetFamily, n: int, field: Field) -> TracePro
     counts = [base + slope * e for e in v]
     if family.i == 4:
         counts[0] = exact_div(consts.A * (consts.B - s * (q - 1) ** 3), q) + slope * v[0]
-    return TraceProfile(field, tuple(counts), family, n)
+    return TraceProfile(field, tuple(counts))
 
 
-def check_printed_columns(profile: TraceProfile, printed: TraceProfile) -> CheckResult:
-    """Printed column counts against the instance's profile: the number of
-    beta where they differ, required 0."""
-    label = f"{profile.family.label},n={profile.n},q={profile.field.q}"
+def check_printed_columns(
+    family: CosetFamily, n: int, profile: TraceProfile, printed: TraceProfile
+) -> CheckResult:
+    """Printed column counts against the profile of the instance (family, n):
+    the number of beta where they differ, required 0."""
     mismatches = sum(1 for p, c in zip(printed.counts, profile.counts) if p != c)
-    return CheckResult(f"printed_columns({label})", mismatches, 0)
+    return CheckResult(f"printed_columns({family.tag(n, profile.field.q)})", mismatches, 0)
 
 
 def krawtchouk_prefix(n_len: int, w: int, j_max: int) -> list[int]:

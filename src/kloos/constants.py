@@ -102,6 +102,10 @@ class CosetFamily(_FamilyKey):
     def label(self) -> str:
         return f"DC{self.i}{'+' if self.sign > 0 else '-'}"
 
+    def tag(self, n: int, q: int) -> str:
+        """`<label>,n=<n>,q=<q>`: the instance (self, n, q) in every check name."""
+        return f"{self.label},n={n},q={q}"
+
     def valid_n(self, n: int) -> bool:
         """Whether dimension parameter n is admissible for this family."""
         if self.sign > 0:
@@ -261,4 +265,4 @@ def double_coset_order_expanded(n: int, q: int, r: int) -> int:
 def check_constants_consistency(family: CosetFamily, n: int, q: int, consts: FamilyConstants) -> CheckResult:
     """A B of one valid (family, n, q) against its double-coset order."""
     expected = coset_orders(n, q, family.sigma_index(n)).double_coset
-    return CheckResult(f"constants_consistency({family.label},n={n},q={q})", consts.N, expected)
+    return CheckResult(f"constants_consistency({family.tag(n, q)})", consts.N, expected)

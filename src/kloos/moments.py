@@ -100,10 +100,6 @@ class PlessInstance(_PlessFields):
     binomial moments and the Pless right sides cover moment orders h <= h_max.
     No __slots__: the cached properties live in the instance __dict__."""
 
-    @property
-    def length(self) -> int:
-        return self.consts.N  # trace_profile requires the counts to sum to N
-
     @cached_property
     def binomial_moments(self) -> tuple[int, ...]:
         """B_t = sum over j <= t of (-1)^j C_j 2^(t - j) binom(N - j, t - j) for
@@ -114,7 +110,7 @@ class PlessInstance(_PlessFields):
         for j in range(1, top + 1):
             horner = [x + 2 * y for x, y in zip(horner + [0], [0] + horner)]
             horner[j] += (-1) ** j * self.c_prefix[j]
-        x_power = _series(self.length - top, 0, top)
+        x_power = _series(self.consts.N - top, 0, top)
         return tuple(sum(x_power[t - i] * horner[i] for i in range(t + 1)) for t in range(top + 1))
 
     @cached_property
@@ -129,7 +125,7 @@ def build_instance(family: CosetFamily, n: int, field: Field, h_max: int = MAX_H
         raise ValueError(f"h_max capped at {MAX_H}, got {h_max}")
     consts = family_constants(family, n, field.q)
     profile = trace_profile(family, n, field)
-    weights = Counter(dual_weights(profile)[1:])  # the units a = 1..q-1
+    weights = Counter(dual_weights(family, n, profile)[1:])  # the units a = 1..q-1
     c_prefix = weight_distribution_prefix(profile, min(consts.N, h_max))
     return PlessInstance(family, n, field, consts, profile, weights, c_prefix, h_max)
 
@@ -145,7 +141,7 @@ def _prefix_side(instance: PlessInstance, h: int, coefficient: Callable[[int, in
     integer sum."""
     if h < 0:
         raise ValueError("moment order must be nonnegative")
-    top = min(instance.length, h)
+    top = min(instance.consts.N, h)
     if top >= len(instance.c_prefix):
         raise ValueError(f"instance prefix covers j <= {len(instance.c_prefix) - 1}, needs {top}")
     weights, moments = _stirling_weights(h), instance.binomial_moments
@@ -178,7 +174,7 @@ def _printed_coefficient(h: int, t: int) -> int:
 
 def check_pless_identity(instance: PlessInstance) -> list[CheckResult]:
     """lhs == rhs for 1 <= h <= instance.h_max, plus the h = 0 dimension check."""
-    label = f"{instance.family.label},n={instance.n},q={instance.field.q}"
+    label = instance.family.tag(instance.n, instance.field.q)
     out = [CheckResult(f"pless_rhs_h0_counts_dual({label})", instance.rhs[0], instance.field.q)]
     for h in range(1, instance.h_max + 1):
         out.append(CheckResult(f"pless_identity({label},h={h})", pless_lhs(instance, h), instance.rhs[h]))
@@ -286,44 +282,18 @@ def sk_oracle_series(instance: PlessInstance, steps: int) -> MomentSeries:
 # -- instance and whole-field verification ---------------------------------------
 
 
-class InstanceReport(NamedTuple):
-    family: CosetFamily
-    n: int
-    q: int
-    consts: FamilyConstants
-    checks: list[CheckResult]
-    sk: MomentSeries | None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "instance": {
-                "family": self.family.label,
-                "n": self.n,
-                "q": self.q,
-                "A": self.consts.A,
-                "B": self.consts.B,
-                "N": self.consts.N,
-            },
-            "checks": [c.as_dict() for c in self.checks],
-            "SK": [] if self.sk is None else [[h, v] for h, v in zip(self.sk.orders, self.sk.values)],
-        }
-
-
-def verify_instance(family: CosetFamily, n: int, field: Field, h_max: int) -> InstanceReport:
-    """Run every exact check for one instance: the identity for h <= h_max
-    and the solved moment orders SK^h with h <= h_max."""
-    label = f"{family.label},n={n},q={field.q}"
+def verify_instance(family: CosetFamily, n: int, field: Field, h_max: int) -> dict:
+    """Run every exact check for one instance, the identity for h <= h_max
+    and the solved moment orders SK^h with h <= h_max, and return its entry
+    of the verify document: "instance", "checks" and "SK"."""
+    label = family.tag(n, field.q)
     instance = build_instance(family, n, field, h_max)
     consts = instance.consts
     printed = printed_column_counts(family, n, field)
     checks = [
         check_constants_consistency(family, n, field.q, consts),
         CheckResult(f"profile_mass({label})", instance.profile.length, consts.N),
-        check_printed_columns(instance.profile, printed),
+        check_printed_columns(family, n, instance.profile, printed),
         CheckResult(
             f"printed_prefix({label})",
             weight_prefix_from_printed_columns(printed, len(instance.c_prefix) - 1),
@@ -334,7 +304,7 @@ def verify_instance(family: CosetFamily, n: int, field: Field, h_max: int) -> In
     ]
 
     steps = moment_steps(family, h_max)
-    sk_series = None
+    sk = []
     if steps >= 1:
         sk_series = sk_via_pless(instance, steps)
         oracle = sk_oracle_series(instance, steps)
@@ -349,7 +319,12 @@ def verify_instance(family: CosetFamily, n: int, field: Field, h_max: int) -> In
                 list(sk_series.values),
             )
         )
-    return InstanceReport(family, n, field.q, consts, checks, sk_series)
+        sk = [[h, v] for h, v in zip(sk_series.orders, sk_series.values)]
+    return {
+        "instance": {"family": family.label, "n": n, "q": field.q, "A": consts.A, "B": consts.B, "N": consts.N},
+        "checks": [c.as_dict() for c in checks],
+        "SK": sk,
+    }
 
 
 def _available_cpus() -> int:
@@ -359,9 +334,10 @@ def _available_cpus() -> int:
 
 def verification_stream(field: Field, n_max: int, h_max: int, jobs: int) -> dict:
     """The verify document of every valid (family, n <= n_max) instance, its
-    "instances" a generator of report dicts in instance-list order: serial, or
-    through ``Pool.imap``, whose pool stops when the stream ends, raises or is
-    closed.  Refusals come before any instance runs; "passed" holds at the end."""
+    "instances" a generator of `verify_instance` entries in instance-list
+    order: serial, or through ``Pool.imap``, whose pool stops when the stream
+    ends, raises or is closed.  Refusals come before any instance runs;
+    "passed" holds at the end."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(family, n, field, h_max) for family in ALL_FAMILIES for n in family.valid_ns(n_max)]
@@ -374,7 +350,7 @@ def verification_stream(field: Field, n_max: int, h_max: int, jobs: int) -> dict
     return document
 
 
-def _verify_task(task: tuple[CosetFamily, int, Field, int]) -> InstanceReport:
+def _verify_task(task: tuple[CosetFamily, int, Field, int]) -> dict:
     return verify_instance(*task)
 
 
@@ -388,10 +364,10 @@ def _instances(document: dict, tasks: list, workers: int) -> Iterator[dict]:
         yield from _tallied(document, pool.imap(_verify_task, tasks))
 
 
-def _tallied(document: dict, reports: Iterator[InstanceReport]) -> Iterator[dict]:
-    for report in reports:
-        document["passed"] &= report.passed
-        yield report.as_dict()
+def _tallied(document: dict, entries: Iterator[dict]) -> Iterator[dict]:
+    for entry in entries:
+        document["passed"] &= all(check["status"] == "pass" for check in entry["checks"])
+        yield entry
 
 
 def full_verification(field: Field, n_max: int, h_max: int, jobs: int = 1) -> dict:

@@ -1,4 +1,6 @@
 import itertools
+import random
+from array import array
 from functools import lru_cache
 
 import pytest
@@ -328,6 +330,42 @@ def test_kloosterman_table_checks_square_moments(r, monkeypatch):
     monkeypatch.setattr(charsums, "char_transform", square_swapped)
     with pytest.raises(ArithmeticError, match="square moments"):
         kloosterman_table.__wrapped__(F)
+
+
+@pytest.mark.parametrize("r", [4, 6, 8])
+def test_kloosterman_table_frobenius_guard_catches_dual_index_swaps(r, monkeypatch):
+    # two entries of the dual index from different <Frobenius, -1> orbits
+    # trade places, so both transforms place K values at the wrong units; a
+    # swap either leaves the table as it was or raises, and the swaps that
+    # pass the Weil bound, the closed moments and the brute-force entries
+    # meet the Frobenius guard
+    import kloos.field
+
+    F = Field(r)
+    honest, index = kloosterman_table(F), kloos.field._dual_index(F)
+    orbit = {}
+    for a in F.units():
+        if a not in orbit:
+            for c in (F.pow(a, 3**i) for i in range(r)):
+                orbit[c] = orbit[F.neg(c)] = a
+    outcomes = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        a, b = rng.sample(F.units(), 2)
+        while orbit[a] == orbit[b]:
+            a, b = rng.sample(F.units(), 2)
+        swapped = array(index.typecode, index)
+        swapped[a], swapped[b] = index[b], index[a]
+        # char_transform reads the index from kloos.field at every call
+        monkeypatch.setattr(kloos.field, "_dual_index", lambda field: swapped)
+        try:
+            table = kloosterman_table.__wrapped__(F)
+        except ArithmeticError as exc:
+            outcomes.append("frobenius" if "Frobenius fails" in str(exc) else "other guard")
+        else:
+            assert table == honest, (seed, a, b)
+            outcomes.append("unchanged")
+    assert "frobenius" in outcomes, outcomes
 
 
 @settings(max_examples=30, deadline=None)

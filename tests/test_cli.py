@@ -21,7 +21,7 @@ import kloos.cli
 import kloos.codes
 import kloos.moments
 from kloos.cli import EXIT_BROKEN_PIPE, main
-from kloos.constants import ALL_FAMILIES, MAX_N
+from kloos.constants import ALL_FAMILIES, MAX_N, CosetFamily
 from kloos.field import Field
 from kloos.moments import NonIntegralStep
 
@@ -110,6 +110,21 @@ def test_group_double_coset(capsys):
     assert payload["order"] == 648
 
 
+def test_group_csv_names_its_set(capsys):
+    # Q(4, 3) and the DC2+ double coset share a trace histogram; the set section tells them apart
+    outs = []
+    for which in (["--set", "q"], ["--family", "DC2+"]):
+        payload = run_json(capsys, "group", "--r", "1", *which, "--n", "2")
+        code, out, _ = run_cli(capsys, "group", "--r", "1", *which, "--n", "2", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["section", "key", "value"]
+        assert rows[1:5] == [["set", key, str(payload[key])] for key in ("label", "q", "eps", "order")]
+        assert rows[5:] == [["histogram", key, str(c)] for key, c in payload["histogram"].items()]
+        outs.append(out)
+    assert outs[0] != outs[1]
+
+
 def test_recursion_match(capsys):
     payload = run_json(capsys, "recursion", "--r", "1", "--family", "DC2+", "--n", "2", "--hmax", "8")
     assert payload["match"] is True
@@ -123,6 +138,17 @@ def test_verify_passes(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert len(payload["instances"]) == 4
+
+
+@pytest.mark.parametrize("r", ["1", "2", "3"])
+def test_check_names_carry_the_instance_tag(capsys, r):
+    payload = run_json(capsys, "verify", "--r", r, "--nmax", "4")
+    assert payload["passed"] is True
+    for entry in payload["instances"]:
+        inst = entry["instance"]
+        tag = CosetFamily.parse(inst["family"]).tag(inst["n"], inst["q"])
+        assert tag == f"{inst['family']},n={inst['n']},q={payload['q']}"
+        assert entry["checks"] and all(tag in check["name"] for check in entry["checks"]), tag
 
 
 def test_verify_huge_n_exceeds_int_str_limit(capsys):
@@ -507,6 +533,18 @@ def test_constants_degree_out_of_range_exits_2(capsys, r):
     assert f"r={r} outside supported range 1..12" in err
 
 
+def test_constants_invalid_n_refused_by_family_constants(capsys, monkeypatch):
+    calls = []
+    constants = kloos.cli.family_constants
+    monkeypatch.setattr(kloos.cli, "family_constants", lambda *args: calls.append(args) or constants(*args))
+    assert run_cli(capsys, "constants", "--r", "1", "--family", "DC1+", "--n", "3") == (
+        2,
+        "",
+        "error: n=3 is not valid for family DC1+\n",
+    )
+    assert calls == [(CosetFamily(1, 1), 3, 3)]
+
+
 def test_invalid_family_n_exits_2(capsys):
     code, _, _ = run_cli(capsys, "constants", "--r", "1", "--family", "DC4+", "--n", "2")
     assert code == 2
@@ -581,22 +619,22 @@ RECORDED_DIGESTS = {
     ),
     "group --r 2 --set so2": (
         "c0ed4d3794fbf97f1a8a0c5cc7408c15ba7303ce96dc9dfdff2dcf04ef089e7d",
-        "56f8eff87c501120757031a3d1be23cd43510a731f833c142781a9cf2bc5cf84",
+        "8bc41b18bf6115917399f7e68bdb6936ff6c57d7cfd773249ec102f8df6045ef",
         "18ac2f50bab2dc60093722649f1da7ea671b1de283a1479d05c758a69ecbdd5b",
     ),
     "group --r 2 --set o2": (
         "8c5e6708a5a1caa16132c07c068bb6cd0a8723da19b085b4a9504a0de194b9ce",
-        "50d70e5585631fd92ac15213e7ff8ff4a6c462a5a90ce94e8231430581558822",
+        "9910ba9b3cd5f9c451ac48b702d87334872b1b9cebee534f079ee7d366a06766",
         "5e215d9a43ea4a0129848444c9d27b3f0513ba1eaf962bdd41e90ba1098ea8c8",
     ),
     "group --r 1 --set q --n 2": (
         "a8596f40822a5b8acdf39dc2a6bca9c51b1becbeff82c07b143aab614eb4f14c",
-        "2f5a9dd1a56608573ca36781f0d0df68ac50e407cd0fc7ddac5fde048811cf89",
+        "e1652708ea8091e41a2e7bcbee00c7129df4c7c45efffe614a3804b30c76f301",
         "fa2e03ba0838418ddeee20fd0b39d1b357ca5c349c8d3fb18a1daf401ececabb",
     ),
     "group --r 1 --family DC2+ --n 2": (
         "fe21eb69a91cdf2d895648c48b2123920e307d1bf4ad5b5dec75ee9439dd45c1",
-        "2f5a9dd1a56608573ca36781f0d0df68ac50e407cd0fc7ddac5fde048811cf89",
+        "f79c2463b01955b72752ab7a691bfde7c1090ca4831613246ed149d715a91d2f",
         "287705e0be0e9c8f0df98e26d9772212e3ca9d36f1a067813ce0931d91597ff6",
     ),
     "weights --r 2 --family DC2- --n 3": (

@@ -108,7 +108,7 @@ def test_dual_weights_two_routes_agree():
         for family in ALL_FAMILIES:
             for n in family.valid_ns(6):
                 profile = trace_profile(family, n, field)
-                weights = dual_weights(profile)  # asserts agreement internally
+                weights = dual_weights(family, n, profile)  # asserts agreement internally
                 assert dual_weights_from_profile(profile) == [0] + [weights[a] for a in field.units()]
 
 
@@ -137,10 +137,10 @@ def test_dual_weights_raise_on_moved_coordinate():
     counts = list(honest.counts)
     counts[1] -= 1
     counts[0] += 1
-    moved = TraceProfile(field, tuple(counts), family, n)
+    moved = TraceProfile(field, tuple(counts))
     assert moved.length == honest.length
     with pytest.raises(ArithmeticError, match="dual weight mismatch"):
-        dual_weights(moved)
+        dual_weights(family, n, moved)
 
 
 def test_dual_weights_computes_family_constants_once(monkeypatch):
@@ -152,13 +152,13 @@ def test_dual_weights_computes_family_constants_once(monkeypatch):
         return family_constants(*args)
 
     monkeypatch.setattr(kloos.codes, "family_constants", spy)
-    dual_weights(profile)
+    dual_weights(CosetFamily(2, -1), 3, profile)
     assert len(calls) == 1
 
 
 def test_dual_weight_reference_values():
     def dual_weight(family, n, field, a):
-        return dual_weights(trace_profile(family, n, field))[a]
+        return dual_weights(family, n, trace_profile(family, n, field))[a]
 
     assert dual_weight(CosetFamily(1, -1), 1, F3, 1) == 2
     assert dual_weight(CosetFamily(1, -1), 1, F3, 2) == 2
@@ -171,7 +171,7 @@ def test_dual_weights_invariant_under_negation():
     # a and -a square to the same argument, so their dual words share a weight
     for field in (F9, F27):
         family, n = CosetFamily(1, -1), 3
-        weights = dual_weights(trace_profile(family, n, field))
+        weights = dual_weights(family, n, trace_profile(family, n, field))
         for a in field.units():
             assert weights[a] == weights[field.neg(a)]
 
@@ -181,7 +181,7 @@ def test_injectivity_all_instances():
         for family in ALL_FAMILIES:
             for n in family.valid_ns(6):
                 profile = trace_profile(family, n, field)
-                weights = Counter(dual_weights(profile)[1:])
+                weights = Counter(dual_weights(family, n, profile)[1:])
                 res = check_injectivity(family, n, field, weights)
                 assert res.ok, res
                 assert min(weights) > 0
@@ -259,7 +259,7 @@ def test_prefix_reads_no_character(monkeypatch):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
                 profile = trace_profile(family, n, field)
-                cases.append((profile, weight_prefix_macwilliams(profile, 8)))
+                cases.append((family.tag(n, field.q), profile, weight_prefix_macwilliams(profile, 8)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the weight-prefix DP reached a character route")
@@ -272,9 +272,9 @@ def test_prefix_reads_no_character(monkeypatch):
     kloos.codes._zero_fiber.cache_clear()  # a warm cache would hide the refused transform
     kloos.codes._zero_moments.cache_clear()
     with pytest.raises(AssertionError):
-        dual_weights_from_profile(cases[0][0])
-    for profile, expected in cases:
-        assert weight_distribution_prefix(profile, 8) == expected, (profile.family.label, profile.n, profile.field.q)
+        dual_weights_from_profile(cases[0][1])
+    for tag, profile, expected in cases:
+        assert weight_distribution_prefix(profile, 8) == expected, tag
 
 
 def test_weight_prefix_leading_terms():
@@ -300,7 +300,7 @@ def test_printed_columns_agree_with_profile():
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
                 printed = printed_column_counts(family, n, field)
-                res = check_printed_columns(trace_profile(family, n, field), printed)
+                res = check_printed_columns(family, n, trace_profile(family, n, field), printed)
                 assert res.ok, res
 
 
@@ -335,7 +335,7 @@ def test_profile_requires_valid_family():
 
 def test_injectivity_fails_on_zero_weight():
     family, n = CosetFamily(2, 1), 2
-    weights = Counter(dual_weights(trace_profile(family, n, F9))[1:])
+    weights = Counter(dual_weights(family, n, trace_profile(family, n, F9))[1:])
     assert check_injectivity(family, n, F9, weights).ok
     # the check reads the weights it is given: a zero weight fails it
     res = check_injectivity(family, n, F9, weights + Counter({0: 1}))
@@ -612,7 +612,7 @@ def test_prefix_reads_no_field_addition(monkeypatch):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
                 profile = trace_profile(family, n, field)
-                cases.append((profile, weight_prefix_macwilliams(profile, 8)))
+                cases.append((family.tag(n, field.q), profile, weight_prefix_macwilliams(profile, 8)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the weight-prefix DP reached a field addition")
@@ -621,9 +621,9 @@ def test_prefix_reads_no_field_addition(monkeypatch):
         monkeypatch.setattr(Field, name, refuse)
     kloos.codes._zero_moments.cache_clear()
     with pytest.raises(AssertionError):
-        cases[0][0].field.add(1, 1)
-    for profile, expected in cases:
-        assert weight_distribution_prefix(profile, 8) == expected, (profile.family.label, profile.n, profile.field.q)
+        cases[0][1].field.add(1, 1)
+    for tag, profile, expected in cases:
+        assert weight_distribution_prefix(profile, 8) == expected, tag
 
 
 @pytest.mark.parametrize("modulus", [None, (1, 0, 1, 1, 1)], ids=["default", "second"])
@@ -673,12 +673,12 @@ def test_printed_prefix_fails_on_perturbed_column(monkeypatch):
         counts = list(honest.counts)
         counts[1] -= 1
         counts[0] += 1
-        return TraceProfile(field, tuple(counts), family, n)
+        return TraceProfile(field, tuple(counts))
 
     for module in (kloos.codes, kloos.moments):  # verify_instance reads the name from kloos.moments
         monkeypatch.setattr(module, "printed_column_counts", perturbed)
-    report = verify_instance(family, n, field, h_max=4)
-    status = {c.name.split("(")[0]: c.ok for c in report.checks}
+    entry = verify_instance(family, n, field, h_max=4)
+    status = {c["name"].split("(")[0]: c["status"] == "pass" for c in entry["checks"]}
     assert status["printed_prefix"] is False
     assert status["printed_columns"] is False
     # the DP route feeding Pless and the SK solve never read the printed columns

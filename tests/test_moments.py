@@ -31,7 +31,7 @@ F27 = Field(3)
 
 def test_pless_sides_small_instance():
     inst = build_instance(CosetFamily(1, -1), 1, F3)
-    assert inst.length == 4
+    assert inst.consts.N == 4
     assert inst.c_prefix == [1, 4, 6, 8, 8]
     assert pless_lhs(inst, 1) == 4  # weights are 2 and 2
     assert pless_rhs(inst, 1) == 4
@@ -121,10 +121,14 @@ def test_sk_guards():
         sk_via_pless(build_instance(CosetFamily(1, -1), 1, F3, 3), 5)
 
 
+def _passed(entry):
+    return all(check["status"] == "pass" for check in entry["checks"])
+
+
 def test_verify_instance_report():
-    report = verify_instance(CosetFamily(1, -1), 1, F3, h_max=10)
-    assert report.passed
-    d = report.as_dict()
+    d = verify_instance(CosetFamily(1, -1), 1, F3, h_max=10)
+    assert _passed(d)
+    assert list(d) == ["instance", "checks", "SK"]  # the text writer prints them in this order
     assert d["instance"] == {"family": "DC1-", "n": 1, "q": 3, "A": 1, "B": 4, "N": 4}
     names = [c["name"] for c in d["checks"]]
     assert any(name.startswith("constants_consistency") for name in names)
@@ -192,12 +196,12 @@ def test_printed_recursion_fails_on_perturbed_coefficient(monkeypatch):
 
     monkeypatch.setattr(kloos.moments, "_printed_coefficient", perturbed)
     for family, n, field in [(CosetFamily(1, -1), 3, F3), (CosetFamily(2, 1), 2, F9)]:
-        report = verify_instance(family, n, field, h_max=6)
-        status = {c.name.split("(")[0]: c.ok for c in report.checks}
+        checks = verify_instance(family, n, field, h_max=6)["checks"]
+        status = {c["name"].split("(")[0]: c["status"] == "pass" for c in checks}
         assert status["printed_recursion"] is False
         assert status["sk_vs_oracle"] is True
-        pless = [c for c in report.checks if c.name.startswith("pless_")]
-        assert len(pless) == 7 and all(c.ok for c in pless)
+        pless = [c for c in checks if c["name"].startswith("pless_")]
+        assert len(pless) == 7 and all(c["status"] == "pass" for c in pless)
 
 
 def _spy(monkeypatch, name):
@@ -223,7 +227,7 @@ def test_verify_instance_derives_each_quantity_once(monkeypatch):
         (CosetFamily(4, -1), 3, F9, 8),
     ]:
         calls = {name: _spy(monkeypatch, name) for name in names}
-        assert verify_instance(family, n, field, h_max).passed
+        assert _passed(verify_instance(family, n, field, h_max))
         assert len(calls["trace_profile"]) == 1
         assert len(calls["dual_weights"]) == 1
         assert len(calls["weight_distribution_prefix"]) == 1
@@ -265,7 +269,7 @@ def test_binomial_moments_count_dual_weight_binomials():
 
 def _fraction_prefix_side(instance, h, coefficient):
     """sum_j (-1)^j C_j sum_t t! S(h, t) coefficient(h, t, j) binom(N - j, N - t)."""
-    n_len = instance.length
+    n_len = instance.consts.N
     top = min(n_len, h)
     return sum(
         (-1) ** j
@@ -331,7 +335,7 @@ def test_verify_instance_builds_no_fraction(monkeypatch):
     for field in (F3, F9):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
-                assert verify_instance(family, n, field, h_max=10).passed
+                assert _passed(verify_instance(family, n, field, h_max=10))
 
 
 def test_non_integral_steps_keep_their_messages():
@@ -373,8 +377,8 @@ def test_replace_recomputes_cached_sides():
 
 def test_records_survive_pickle():
     family = CosetFamily(4, -1)
-    report = verify_instance(family, 3, F9, h_max=4)
-    for record in (family, report.checks[0], report):
+    check = check_pless_identity(build_instance(family, 3, F9, 4))[0]
+    for record in (family, check, verify_instance(family, 3, F9, h_max=4)):
         assert pickle.loads(pickle.dumps(record)) == record
     # unpickling runs the family's checks: a family built around them is refused
     forged = pickle.dumps(tuple.__new__(CosetFamily, (5, 1)))
