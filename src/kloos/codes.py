@@ -135,11 +135,9 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
     counts = [base + sigma_a * d for d in fibers]
     profile = TraceProfile(field, tuple(counts))
     if profile.length != consts.N:
-        raise ArithmeticError(
-            f"profile mass {profile.length} != N {consts.N} for {family.label}, n={n}, q={q}"
-        )
+        raise ArithmeticError(f"profile mass {profile.length} != N {consts.N} for {family.tag(n, q)}")
     if any(c < 0 for c in counts):
-        raise ArithmeticError(f"negative profile count for {family.label}, n={n}, q={q}")
+        raise ArithmeticError(f"negative profile count for {family.tag(n, q)}")
     return profile
 
 
@@ -189,7 +187,9 @@ def dual_weights(family: CosetFamily, n: int, profile: TraceProfile) -> list[int
     closed[0] = 0  # a = 0 gives the zero word
     if closed != direct:
         a = next(a for a in field.units() if closed[a] != direct[a])
-        raise ArithmeticError(f"dual weight mismatch at a={a}: closed {closed[a]} vs profile {direct[a]}")
+        raise ArithmeticError(
+            f"dual weight mismatch for {family.tag(n, field.q)} at a={a}: closed {closed[a]} vs profile {direct[a]}"
+        )
     return direct
 
 

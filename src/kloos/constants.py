@@ -103,7 +103,7 @@ class CosetFamily(_FamilyKey):
         return f"DC{self.i}{'+' if self.sign > 0 else '-'}"
 
     def tag(self, n: int, q: int) -> str:
-        """`<label>,n=<n>,q=<q>`: the instance (self, n, q) in every check name."""
+        """`<label>,n=<n>,q=<q>`: the instance (self, n, q) in check names and guards."""
         return f"{self.label},n={n},q={q}"
 
     def valid_n(self, n: int) -> bool:

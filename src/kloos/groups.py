@@ -108,28 +108,21 @@ def form_matrix(field: Field, n: int, eps: int) -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
-def reflection_matrix(field: Field, n: int) -> Matrix:
-    """rho = diag(1, ..., 1, -1), the minus-type reflection."""
-    size = 2 * n
-    m = [[0] * size for _ in range(size)]
-    for i in range(size):
-        m[i][i] = 1
-    m[size - 1][size - 1] = field.neg(1)
-    return tuple(tuple(row) for row in m)
+def reflect(field: Field, w: Matrix) -> Matrix:
+    """rho w for rho = diag(1, ..., 1, -1): w with its last row negated."""
+    return (*w[:-1], tuple(field.neg(x) for x in w[-1]))
 
 
-def sigma_matrix(field: Field, n: int, r: int) -> Matrix:
-    """Involution swapping the first r coordinates of the two (n-1)-blocks."""
+def sigma_columns(w: Matrix, r: int) -> Matrix:
+    """w sigma_r, sigma_r the involution swapping the first r coordinates of
+    the two (n-1)-blocks: w with columns i and n - 1 + i swapped for i < r."""
+    n = len(w) // 2
     if not 0 <= r <= n - 1:
         raise ValueError(f"sigma index r={r} outside 0..{n - 1}")
-    size = 2 * n
-    perm = list(range(size))
+    perm = list(range(2 * n))
     for i in range(r):
         perm[i], perm[n - 1 + i] = perm[n - 1 + i], perm[i]
-    m = [[0] * size for _ in range(size)]
-    for i, j in enumerate(perm):
-        m[i][j] = 1
-    return tuple(tuple(row) for row in m)
+    return tuple(tuple(row[j] for j in perm) for row in w)
 
 
 class GroupSet(NamedTuple):
@@ -151,9 +144,6 @@ class GroupSet(NamedTuple):
         for w in self.elements:
             counts[mat_trace(self.field, w)] += 1
         return tuple(counts)
-
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
 
 
 def _resolve_eps(field: Field, eps: int | None) -> int:
@@ -207,9 +197,7 @@ def enumerate_so2_minus(field: Field, eps: int | None = None) -> GroupSet:
 def enumerate_o2_minus(field: Field, eps: int | None = None) -> GroupSet:
     """O^-(2, q): the circle group and its reflected coset, order 2(q + 1)."""
     so = enumerate_so2_minus(field, eps)
-    # diag(1, -1) w negates the second row of w
-    neg = field.neg
-    flipped = [(top, (neg(c), neg(d))) for top, (c, d) in so.elements]
+    flipped = [reflect(field, w) for w in so.elements]
     gset = _make_set("O2-", field, so.eps, 1, list(so.elements) + flipped)
     if gset.order != 2 * (field.q + 1):
         raise ArithmeticError(f"|O^-(2,{field.q})| = {gset.order}, expected {2 * (field.q + 1)}")
@@ -262,15 +250,13 @@ def enumerate_q(field: Field, n: int, eps: int | None = None) -> GroupSet:
 def _double_coset_cached(field: Field, family: CosetFamily, n: int, eps: int) -> GroupSet:
     r = family.sigma_index(n)
     qset = _enumerate_q_cached(field, n, eps)
-    sig = sigma_matrix(field, n, r)
-    left = [mat_mul(field, x, sig) for x in qset.elements]
+    left = [sigma_columns(x, r) for x in qset.elements]
     products = set()
     for xs in left:
         for y in qset.elements:
             products.add(mat_mul(field, xs, y))
     if family.uses_reflection:
-        rho = reflection_matrix(field, n)
-        products = {mat_mul(field, rho, w) for w in products}
+        products = {reflect(field, w) for w in products}
     return _make_set(family.label, field, eps, n, products)
 
 
@@ -291,12 +277,11 @@ def bruhat_pieces(field: Field, eps: int | None = None) -> dict[str, GroupSet]:
     qset = _enumerate_q_cached(field, 2, eps)
     # DC1+ at n = 2 is Q sigma_1 Q with no reflection
     big = _double_coset_cached(field, CosetFamily(1, 1), 2, eps).elements
-    rho = reflection_matrix(field, 2)
     return {
         "Q": qset,
         "QsQ": GroupSet("QsQ", field, eps, 2, big),
-        "rQ": _make_set("rQ", field, eps, 2, [mat_mul(field, rho, w) for w in qset.elements]),
-        "rQsQ": _make_set("rQsQ", field, eps, 2, [mat_mul(field, rho, w) for w in big]),
+        "rQ": _make_set("rQ", field, eps, 2, [reflect(field, w) for w in qset.elements]),
+        "rQsQ": _make_set("rQsQ", field, eps, 2, [reflect(field, w) for w in big]),
     }
 
 

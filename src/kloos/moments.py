@@ -161,7 +161,8 @@ def pless_rhs(instance: PlessInstance, h: int) -> int:
     if remainder:
         from fractions import Fraction  # imports decimal and numbers; only words the error
 
-        raise ArithmeticError(f"Pless right side not integral at h={h}: {Fraction(scaled, 3**h)}")
+        tag = instance.family.tag(instance.n, instance.field.q)
+        raise ArithmeticError(f"Pless right side not integral at h={h} for {tag}: {Fraction(scaled, 3**h)}")
     return total
 
 
@@ -231,8 +232,7 @@ def _solve(
         if remainder:
             from fractions import Fraction
 
-            where = f"{family.label}, n={instance.n}, q={q}"
-            raise NonIntegralStep(f"{what} at step {h} for {where}: {Fraction(num, den)}")
+            raise NonIntegralStep(f"{what} at step {h} for {family.tag(instance.n, q)}: {Fraction(num, den)}")
         solved.append(value)
     return MomentSeries(_series_orders(family, steps), tuple(solved[1:]))
 

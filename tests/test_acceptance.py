@@ -162,13 +162,14 @@ def test_criterion_3_group_bruteforce_q3(capsys):
     pieces = bruhat_pieces(field)
     sizes = {name: gset.order for name, gset in pieces.items()}
     ok &= sizes == {"Q": 72, "QsQ": 648, "rQ": 72, "rQsQ": 648}
-    names = sorted(pieces)
+    sets = {name: frozenset(gset.elements) for name, gset in pieces.items()}
+    names = sorted(sets)
     union = set()
     disjoint = True
     for idx, left in enumerate(names):
         for right in names[idx + 1 :]:
-            disjoint &= not (pieces[left].element_set() & pieces[right].element_set())
-        union |= pieces[left].element_set()
+            disjoint &= not (sets[left] & sets[right])
+        union |= sets[left]
     ok &= disjoint
     ok &= len(union) == 2 * q**2 * (q**2 + 1) * (q**2 - 1) == 1440
 

@@ -139,8 +139,20 @@ def test_dual_weights_raise_on_moved_coordinate():
     counts[0] += 1
     moved = TraceProfile(field, tuple(counts))
     assert moved.length == honest.length
-    with pytest.raises(ArithmeticError, match="dual weight mismatch"):
+    with pytest.raises(ArithmeticError, match="dual weight mismatch for DC2\\+,n=2,q=9 at a="):
         dual_weights(family, n, moved)
+
+
+def test_profile_guard_names_the_instance(monkeypatch):
+    # one extra unit of delta at beta = 1 moves the profile's mass off N
+    def shifted(field, power):
+        fibers = list(delta_counts(field, power))
+        fibers[1] += 1
+        return tuple(fibers)
+
+    monkeypatch.setattr(kloos.codes, "delta_counts", shifted)
+    with pytest.raises(ArithmeticError, match=r"^profile mass \d+ != N \d+ for DC1-,n=1,q=3$"):
+        trace_profile(CosetFamily(1, -1), 1, F3)
 
 
 def test_dual_weights_computes_family_constants_once(monkeypatch):

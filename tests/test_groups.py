@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kloos.charsums import kloosterman
@@ -17,8 +19,8 @@ from kloos.groups import (
     mat_mul,
     mat_trace,
     mat_transpose,
-    reflection_matrix,
-    sigma_matrix,
+    reflect,
+    sigma_columns,
 )
 
 F3 = Field(1)
@@ -61,13 +63,13 @@ def test_circle_groups_match_the_scan(r):
     F = Field(r)
     nonsquares = [e for e in F.units() if not F.is_square(e)]
     assert nonsquares[0] == F.first_nonsquare()
-    reflect = ((1, 0), (0, F.neg(1)))
+    rho = ((1, 0), (0, F.neg(1)))
     for eps in nonsquares[:2]:  # q = 3 has the one nonsquare 2
         scan = circle_by_scan(F, eps)
         so = enumerate_so2_minus(F, eps)
         assert so.elements == tuple(sorted(scan))
         o_full = enumerate_o2_minus(F, eps)
-        assert o_full.element_set() == scan | {mat_mul(F, reflect, w) for w in scan}
+        assert frozenset(o_full.elements) == scan | {mat_mul(F, rho, w) for w in scan}
         assert o_full.elements == tuple(sorted(o_full.elements))
 
 
@@ -81,7 +83,7 @@ def test_circle_group_orders_at_large_q(r):
 def test_so2_minus_is_group_with_det_one():
     for F in (F3, F9):
         so = enumerate_so2_minus(F)
-        elems = so.element_set()
+        elems = frozenset(so.elements)
         for w in so.elements:
             assert mat_det(F, w) == 1
             for v in so.elements:
@@ -121,21 +123,40 @@ def test_q_enumeration_guards():
         enumerate_q(Field(3), 2)
 
 
-def test_structured_matrices_lie_in_group():
+def test_reflect_and_sigma_columns_are_the_matrix_products():
+    # rho and sigma_r written out entry by entry, independent of groups
+    def rho_matrix(F, n):
+        diagonal = [1] * (2 * n - 1) + [F.neg(1)]
+        return tuple(tuple(diagonal[i] if i == j else 0 for j in range(2 * n)) for i in range(2 * n))
+
+    def sigma_matrix(n, r):
+        def image(i):  # sigma_r sends coordinate i to its partner in the other (n-1)-block
+            if i < r:
+                return n - 1 + i
+            if n - 1 <= i < n - 1 + r:
+                return i - (n - 1)
+            return i
+
+        return tuple(tuple(1 if j == image(i) else 0 for j in range(2 * n)) for i in range(2 * n))
+
+    rng = random.Random(33)
     for F in (F3, F9):
         eps = F.first_nonsquare()
-        for n in (1, 2):
+        for n in (1, 2, 3):
             J = form_matrix(F, n, eps)
-            for m in (identity_matrix(2 * n), reflection_matrix(F, n), sigma_matrix(F, n, n - 1)):
+            rho = rho_matrix(F, n)
+            sigmas = [sigma_matrix(n, r) for r in range(n)]
+            for m in (rho, *sigmas):
                 assert mat_mul(F, mat_mul(F, mat_transpose(m), J), m) == J
-
-
-def test_sigma_matrix_swaps_blocks():
-    s = sigma_matrix(F3, 2, 1)
-    assert s == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert sigma_matrix(F3, 2, 0) == identity_matrix(4)
-    with pytest.raises(ValueError):
-        sigma_matrix(F3, 2, 2)
+            for _ in range(20):
+                w = tuple(tuple(rng.randrange(F.q) for _ in range(2 * n)) for _ in range(2 * n))
+                assert reflect(F, w) == mat_mul(F, rho, w)
+                for r, sigma in enumerate(sigmas):
+                    assert sigma_columns(w, r) == mat_mul(F, w, sigma)
+    assert sigma_columns(identity_matrix(4), 1) == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert sigma_columns(identity_matrix(4), 0) == identity_matrix(4)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        sigma_columns(identity_matrix(4), 2)
 
 
 def test_double_coset_orders_match_closed_forms():
@@ -172,7 +193,7 @@ def test_bruhat_tiling():
     cells = bruhat_pieces(F3)
     sizes = {name: c.order for name, c in cells.items()}
     assert sizes == {"Q": 72, "QsQ": 648, "rQ": 72, "rQsQ": 648}
-    sets = [c.element_set() for c in cells.values()]
+    sets = [frozenset(c.elements) for c in cells.values()]
     union = set()
     for s in sets:
         assert not (union & s)  # pairwise disjoint

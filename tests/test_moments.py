@@ -345,23 +345,23 @@ def test_non_integral_steps_keep_their_messages():
     bad_prefix = inst._replace(c_prefix=[1, 4, 7, 8, 8])
     with pytest.raises(ArithmeticError) as exc:
         pless_rhs(bad_prefix, 2)
-    assert str(exc.value) == "Pless right side not integral at h=2: 26/3"
+    assert str(exc.value) == "Pless right side not integral at h=2 for DC1-,n=1,q=3: 26/3"
     assert sk_via_printed_recursion(bad_prefix, 4) == (
         None,
-        ["printed recursion non-integral at step 2 for DC1-, n=1, q=3: 7/4"],
+        ["printed recursion non-integral at step 2 for DC1-,n=1,q=3: 7/4"],
     )
     bad_rhs = inst._replace()
     bad_rhs.__dict__["rhs"] = (3, 5, 20, 68, 260)  # the cached Pless right sides, rhs[1] = 4 + 1
     with pytest.raises(ArithmeticError) as exc:
         sk_via_pless(bad_rhs, 4)
-    assert str(exc.value) == "solved moment not integral at step 1 for DC1-, n=1, q=3: -1/4"
+    assert str(exc.value) == "solved moment not integral at step 1 for DC1-,n=1,q=3: -1/4"
 
     family = CosetFamily(4, -1)
     inst = build_instance(family, 3, F9, 4)
     bad_prefix = inst._replace(c_prefix=[c + 1 for c in inst.c_prefix])
     assert sk_via_printed_recursion(bad_prefix, 2) == (
         None,
-        ["printed recursion non-integral at step 1 for DC4-, n=3, q=9: -6729224039/2361960"],
+        ["printed recursion non-integral at step 1 for DC4-,n=3,q=9: -6729224039/2361960"],
     )
 
 
