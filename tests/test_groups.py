@@ -123,40 +123,52 @@ def test_q_enumeration_guards():
         enumerate_q(Field(3), 2)
 
 
-def test_reflect_and_sigma_columns_are_the_matrix_products():
-    # rho and sigma_r written out entry by entry, independent of groups
-    def rho_matrix(F, n):
-        diagonal = [1] * (2 * n - 1) + [F.neg(1)]
-        return tuple(tuple(diagonal[i] if i == j else 0 for j in range(2 * n)) for i in range(2 * n))
+# rho and sigma_r written out entry by entry, independent of groups
+def _rho_matrix(F, n):
+    diagonal = [1] * (2 * n - 1) + [F.neg(1)]
+    return tuple(tuple(diagonal[i] if i == j else 0 for j in range(2 * n)) for i in range(2 * n))
 
-    def sigma_matrix(n, r):
-        def image(i):  # sigma_r sends coordinate i to its partner in the other (n-1)-block
-            if i < r:
-                return n - 1 + i
-            if n - 1 <= i < n - 1 + r:
-                return i - (n - 1)
-            return i
 
-        return tuple(tuple(1 if j == image(i) else 0 for j in range(2 * n)) for i in range(2 * n))
+def _sigma_matrix(n, r):
+    def image(i):  # sigma_r sends coordinate i to its partner in the other (n-1)-block
+        if i < r:
+            return n - 1 + i
+        if n - 1 <= i < n - 1 + r:
+            return i - (n - 1)
+        return i
 
-    rng = random.Random(33)
+    return tuple(tuple(1 if j == image(i) else 0 for j in range(2 * n)) for i in range(2 * n))
+
+
+def test_structured_matrices_lie_in_group():
     for F in (F3, F9):
         eps = F.first_nonsquare()
         for n in (1, 2, 3):
             J = form_matrix(F, n, eps)
-            rho = rho_matrix(F, n)
-            sigmas = [sigma_matrix(n, r) for r in range(n)]
-            for m in (rho, *sigmas):
+            one = identity_matrix(2 * n)
+            structured = (one, reflect(F, one), *(sigma_columns(one, r) for r in range(n)))
+            for m in (*structured, _rho_matrix(F, n), *(_sigma_matrix(n, r) for r in range(n))):
                 assert mat_mul(F, mat_mul(F, mat_transpose(m), J), m) == J
+
+
+def test_sigma_matrix_swaps_blocks():
+    assert sigma_columns(identity_matrix(4), 1) == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert sigma_columns(identity_matrix(4), 0) == identity_matrix(4)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        sigma_columns(identity_matrix(4), 2)
+
+
+def test_reflect_and_sigma_columns_are_the_matrix_products():
+    rng = random.Random(33)
+    for F in (F3, F9):
+        for n in (1, 2, 3):
+            rho = _rho_matrix(F, n)
+            sigmas = [_sigma_matrix(n, r) for r in range(n)]
             for _ in range(20):
                 w = tuple(tuple(rng.randrange(F.q) for _ in range(2 * n)) for _ in range(2 * n))
                 assert reflect(F, w) == mat_mul(F, rho, w)
                 for r, sigma in enumerate(sigmas):
                     assert sigma_columns(w, r) == mat_mul(F, w, sigma)
-    assert sigma_columns(identity_matrix(4), 1) == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert sigma_columns(identity_matrix(4), 0) == identity_matrix(4)
-    with pytest.raises(ValueError, match="outside 0..1"):
-        sigma_columns(identity_matrix(4), 2)
 
 
 def test_double_coset_orders_match_closed_forms():
