@@ -85,13 +85,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
+from itertools import product
 from math import comb, factorial, gcd
 from operator import mul
 from typing import NamedTuple
 
 from .charsums import delta_counts, kloosterman_squares
-from .constants import CosetFamily, FamilyConstants, FamilyPolynomial, exact_div, family_constants
-from .constants import family_polynomial
+from .constants import CosetFamily, exact_div, family_constants, family_polynomial
 from .field import Field, char_fibers, linear_map, translates
 from .report import CheckResult
 
@@ -141,10 +141,6 @@ def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
     return profile
 
 
-def _dual_weight_closed(consts: FamilyConstants, poly: FamilyPolynomial, k: int) -> int:
-    return exact_div(2 * (consts.N - poly.coset_sum(consts.A, k)), 3)
-
-
 def _split(counts: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
     """(kappa, lam, shape) with N(beta) = kappa + lam shape(beta) for every
     beta != 0: kappa = N(1), lam the gcd of the N(beta) - kappa, signed so
@@ -182,14 +178,13 @@ def dual_weights(family: CosetFamily, n: int, profile: TraceProfile) -> list[int
     consts = family_constants(family, n, field.q)
     poly = family_polynomial(family, field.q)
     k_at = kloosterman_squares(field)
-    closed_at = {k: _dual_weight_closed(consts, poly, k) for k in set(k_at)}
-    closed, direct = list(map(closed_at.__getitem__, k_at)), dual_weights_from_profile(profile)
-    closed[0] = 0  # a = 0 gives the zero word
-    if closed != direct:
-        a = next(a for a in field.units() if closed[a] != direct[a])
-        raise ArithmeticError(
-            f"dual weight mismatch for {family.tag(n, field.q)} at a={a}: closed {closed[a]} vs profile {direct[a]}"
-        )
+    closed = {k: exact_div(2 * (consts.N - poly.coset_sum(consts.A, k)), 3) for k in set(k_at)}
+    direct = dual_weights_from_profile(profile)
+    for a in field.units():
+        if closed[k_at[a]] != direct[a]:
+            raise ArithmeticError(
+                f"dual weight mismatch for {family.tag(n, field.q)} at a={a}: closed {closed[k_at[a]]} vs profile {direct[a]}"
+            )
     return direct
 
 
@@ -395,26 +390,12 @@ def enumerate_code_tiny(profile: TraceProfile) -> list[int]:
     n_len = profile.length
     if 3**n_len > TINY_ENUM_MAX_WORDS:
         raise ValueError(f"3^{n_len} words exceeds the {TINY_ENUM_MAX_WORDS} enumeration cap")
-    coords = []
-    for beta in field.elements():
-        coords.extend([beta] * profile.counts[beta])
+    coords = [beta for beta in field.elements() for _ in range(profile.counts[beta])]
     dist = [0] * (n_len + 1)
-    word = [0] * n_len
-    while True:
+    for word in product((0, 1, 2), repeat=n_len):
         acc = 0
-        weight = 0
         for digit, v in zip(word, coords):
-            if digit:
-                weight += 1
-                acc = field.add(acc, field.scalar_mul(digit, v))
+            acc = field.add(acc, field.mul(digit, v))
         if acc == 0:
-            dist[weight] += 1
-        # odometer over {0,1,2}^N
-        pos = 0
-        while pos < n_len and word[pos] == 2:
-            word[pos] = 0
-            pos += 1
-        if pos == n_len:
-            break
-        word[pos] += 1
+            dist[n_len - word.count(0)] += 1
     return dist

@@ -109,14 +109,9 @@ def poly_str(p: Sequence[int]) -> str:
 
 
 def _monic_polys(degree: int) -> Iterable[tuple[int, ...]]:
-    span = 3**degree
-    for low in range(span):
-        coeffs = []
-        v = low
-        for _ in range(degree):
-            v, d = divmod(v, 3)
-            coeffs.append(d)
-        yield tuple(coeffs) + (1,)
+    """Monic polynomials of the degree, constant term first, in range(3**degree)
+    order of their lower coefficients: the constant term varies fastest."""
+    return (low[::-1] + (1,) for low in itertools.product(range(3), repeat=degree))
 
 
 def find_factor(modulus: Sequence[int]) -> tuple[int, ...] | None:
@@ -331,10 +326,6 @@ class Field:
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
-
-    def scalar_mul(self, c: int, a: int) -> int:
-        """Product of an integer scalar (taken mod 3) with an element."""
-        return self.mul(c % 3, a)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

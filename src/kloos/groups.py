@@ -25,6 +25,7 @@ integers or CheckResults, nothing is sampled.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from .constants import CosetFamily
@@ -205,34 +206,25 @@ def enumerate_o2_minus(field: Field, eps: int | None = None) -> GroupSet:
 
 
 @lru_cache(maxsize=32)
-def _enumerate_q_cached(field: Field, n: int, eps: int) -> GroupSet:
-    if n == 1:
-        gset = enumerate_so2_minus(field, eps)
-        return GroupSet("Q2", field, eps, 1, gset.elements)
-    q = field.q
+def enumerate_q(field: Field, n: int, eps: int | None = None) -> GroupSet:
+    """The parabolic piece Q(2n, q); n = 1 or 2, with q <= 9 when n = 2.
+
+    At n = 2 each element is diag(t, 1/t, i) times the unipotent factor of
+    (h0, h1), over every unit t, circle element i and h0, h1 in F_q."""
+    check_q_enumeration(field.q, n)
+    eps = _resolve_eps(field, eps)
     circle = enumerate_so2_minus(field, eps).elements
+    if n == 1:
+        return GroupSet("Q2", field, eps, 1, circle)
+    q, sub, mul, neg = field.q, field.sub, field.mul, field.neg
     out = []
-    for t in field.units():
-        t_inv = field.inv(t)
-        for i_mat in circle:
-            m1 = (
-                (t, 0, 0, 0),
-                (0, t_inv, 0, 0),
-                (0, 0, i_mat[0][0], i_mat[0][1]),
-                (0, 0, i_mat[1][0], i_mat[1][1]),
-            )
-            for h0 in field.elements():
-                for h1 in field.elements():
-                    # char 3: the 1x1 symmetric-part equation 2B + h'.de.h = 0
-                    # is solved by B = h'.de.h itself
-                    b = field.sub(field.mul(h0, h0), field.mul(eps, field.mul(h1, h1)))
-                    m2 = (
-                        (1, b, field.neg(h0), field.mul(eps, h1)),
-                        (0, 1, 0, 0),
-                        (0, h0, 1, 0),
-                        (0, h1, 0, 1),
-                    )
-                    out.append(mat_mul(field, m1, m2))
+    for t, i_mat, h0, h1 in product(field.units(), circle, field.elements(), field.elements()):
+        # char 3: the 1x1 symmetric-part equation 2B + h'.de.h = 0 is solved
+        # by B = h'.de.h itself
+        b = sub(mul(h0, h0), mul(eps, mul(h1, h1)))
+        m1 = ((t, 0, 0, 0), (0, field.inv(t), 0, 0), (0, 0, *i_mat[0]), (0, 0, *i_mat[1]))
+        m2 = ((1, b, neg(h0), mul(eps, h1)), (0, 1, 0, 0), (0, h0, 1, 0), (0, h1, 0, 1))
+        out.append(mat_mul(field, m1, m2))
     gset = _make_set("Q4", field, eps, 2, out)
     expected = (q + 1) * (q - 1) * q * q
     if gset.order != expected:
@@ -240,26 +232,7 @@ def _enumerate_q_cached(field: Field, n: int, eps: int) -> GroupSet:
     return gset
 
 
-def enumerate_q(field: Field, n: int, eps: int | None = None) -> GroupSet:
-    """The parabolic piece Q(2n, q); n = 1 or 2, with q <= 9 when n = 2."""
-    check_q_enumeration(field.q, n)
-    return _enumerate_q_cached(field, n, _resolve_eps(field, eps))
-
-
 @lru_cache(maxsize=32)
-def _double_coset_cached(field: Field, family: CosetFamily, n: int, eps: int) -> GroupSet:
-    r = family.sigma_index(n)
-    qset = _enumerate_q_cached(field, n, eps)
-    left = [sigma_columns(x, r) for x in qset.elements]
-    products = set()
-    for xs in left:
-        for y in qset.elements:
-            products.add(mat_mul(field, xs, y))
-    if family.uses_reflection:
-        products = {reflect(field, w) for w in products}
-    return _make_set(family.label, field, eps, n, products)
-
-
 def double_coset(field: Field, family: CosetFamily, n: int, eps: int | None = None) -> GroupSet:
     """Literal double coset enumeration; q = 3 and n <= 2 only."""
     check_double_coset_q(field.q)
@@ -267,21 +240,25 @@ def double_coset(field: Field, family: CosetFamily, n: int, eps: int | None = No
         raise ValueError(f"double coset enumeration capped at n <= 2, got n={n}")
     if not family.valid_n(n):
         raise ValueError(f"n={n} is not valid for family {family.label}")
-    return _double_coset_cached(field, family, n, _resolve_eps(field, eps))
+    qset = enumerate_q(field, n, eps)
+    left = [sigma_columns(x, family.sigma_index(n)) for x in qset.elements]
+    products = {mat_mul(field, xs, y) for xs, y in product(left, qset.elements)}
+    if family.uses_reflection:
+        products = {reflect(field, w) for w in products}
+    return _make_set(family.label, field, qset.eps, n, products)
 
 
 def bruhat_pieces(field: Field, eps: int | None = None) -> dict[str, GroupSet]:
     """The four cells tiling the full minus-type group at n = 2, q = 3."""
     check_double_coset_q(field.q)
-    eps = _resolve_eps(field, eps)
-    qset = _enumerate_q_cached(field, 2, eps)
+    qset = enumerate_q(field, 2, eps)
     # DC1+ at n = 2 is Q sigma_1 Q with no reflection
-    big = _double_coset_cached(field, CosetFamily(1, 1), 2, eps).elements
+    big = double_coset(field, CosetFamily(1, 1), 2, eps).elements
     return {
         "Q": qset,
-        "QsQ": GroupSet("QsQ", field, eps, 2, big),
-        "rQ": _make_set("rQ", field, eps, 2, [reflect(field, w) for w in qset.elements]),
-        "rQsQ": _make_set("rQsQ", field, eps, 2, [reflect(field, w) for w in big]),
+        "QsQ": GroupSet("QsQ", field, qset.eps, 2, big),
+        "rQ": _make_set("rQ", field, qset.eps, 2, [reflect(field, w) for w in qset.elements]),
+        "rQsQ": _make_set("rQsQ", field, qset.eps, 2, [reflect(field, w) for w in big]),
     }
 
 

@@ -75,7 +75,7 @@ def assert_ops_match_reference(F, a, b):
     assert F.neg(b) == digitwise_scale(F, 2, b)
     assert F.sub(a, b) == F._add_digits(a, digitwise_scale(F, 2, b))
     for c in (-1, 0, 1, 2, 3, 5):
-        assert F.scalar_mul(c, a) == digitwise_scale(F, c, a)
+        assert F.mul(c % 3, a) == digitwise_scale(F, c, a)
     assert F.mul(a, b) == F._mul_raw(a, b)
 
 
@@ -102,6 +102,39 @@ def test_custom_modulus_accepted():
 def test_reducible_modulus_rejected_with_factor_named():
     with pytest.raises(ValueError, match=r"reducible.*x \+ 1"):
         Field(2, (2, 0, 1))  # x^2 + 2 = (x+1)(x+2)
+
+
+def _monic(code, degree):
+    """The monic polynomial of the degree whose lower coefficients, constant
+    term first, are the base-3 digits of code."""
+    return tuple(code // 3**i % 3 for i in range(degree)) + (1,)
+
+
+def _divides(divisor, modulus):
+    """Long division of modulus by monic divisor over F_3, remainder zero."""
+    rest, k = list(modulus), len(divisor) - 1
+    for i in range(len(rest) - 1, k - 1, -1):
+        lead = rest[i]
+        for j, c in enumerate(divisor):
+            rest[i - k + j] = (rest[i - k + j] - lead * c) % 3
+    return not any(rest)
+
+
+def test_find_factor_names_the_first_monic_divisor():
+    # the factor a refusal names: the first monic divisor by degree, then in
+    # range(3**k) order of its lower coefficients read constant term first;
+    # below degree 6 the irreducible candidates of each degree come in the
+    # same order whichever coefficient varies fastest, so degree 6 pins it
+    reducible = 0
+    for degree in (2, 3, 4, 5, 6):
+        for code in range(3**degree):
+            modulus = _monic(code, degree)
+            divisors = (_monic(c, k) for k in range(1, degree // 2 + 1) for c in range(3**k))
+            first = next((d for d in divisors if _divides(d, modulus)), None)
+            assert find_factor(modulus) == first, modulus
+            reducible += first is not None
+    # 3^d minus the 3, 8, 18, 48 and 116 monic irreducibles of degree d = 2..6
+    assert reducible == 6 + 19 + 63 + 195 + 613
 
 
 def test_wrong_degree_and_non_monic_rejected():
