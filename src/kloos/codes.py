@@ -85,7 +85,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import comb, factorial, gcd
 from operator import mul
 from typing import NamedTuple
@@ -271,16 +271,21 @@ def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> tuple[in
     return tuple(sum(n * u * v for n, u, v in zip(sizes, a, b)) for a, b in halves)
 
 
+def _powers(x: int, k_max: int, start: int = 1) -> list[int]:
+    """start x^k for k = 0..k_max, by running products."""
+    return list(accumulate(repeat(x, k_max), mul, initial=start))
+
+
 def _profile_moments(profile: TraceProfile, k_max: int) -> list[int]:
     """m_0..m_k_max of the counts from the [Y_S^i]_0 of their shape, by
     Y = W + 2 kappa J as in the module docstring; e_ are augmentations."""
     field, q = profile.field, profile.field.q
     kappa, lam, shape = profile.split
     c, e_y = kappa * (q - 3), 3 * (profile.length - profile.counts[0])
-    e_w = e_y - 2 * kappa * q
-    scaled = [lam**i * u for i, u in enumerate(_zero_moments(field, shape, k_max))]
+    c_pow, y_pow, w_pow = _powers(c, k_max), _powers(e_y, k_max), _powers(e_y - 2 * kappa * q, k_max)
+    scaled = list(map(mul, _powers(lam, k_max), _zero_moments(field, shape, k_max)))
     return [
-        sum(comb(k, i) * c ** (k - i) * s for i, s in enumerate(scaled[: k + 1])) + exact_div(e_y**k - e_w**k, q)
+        sum(comb(k, i) * c_pow[k - i] * s for i, s in enumerate(scaled[: k + 1])) + exact_div(y_pow[k] - w_pow[k], q)
         for k in range(k_max + 1)
     ]
 

@@ -24,7 +24,7 @@ integers or CheckResults, nothing is sampled.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 from typing import NamedTuple
 
@@ -155,6 +155,21 @@ def _resolve_eps(field: Field, eps: int | None) -> int:
     return eps
 
 
+def _cached_on_resolved_eps(build):
+    """build under an lru_cache consulted with eps, its last parameter, resolved,
+    so eps omitted, None and the field's first nonsquare are one entry."""
+    cached, after_field = lru_cache(maxsize=32)(build), build.__code__.co_argcount - 1
+
+    @wraps(build)
+    def call(field: Field, *args, eps: int | None = None, **kwargs) -> GroupSet:
+        if len(args) == after_field:  # eps given by position
+            *args, eps = args
+        return cached(field, *args, eps=_resolve_eps(field, eps), **kwargs)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
 def _make_set(label: str, field: Field, eps: int, n: int, elements) -> GroupSet:
     return GroupSet(label, field, eps, n, tuple(sorted(set(elements))))
 
@@ -205,14 +220,13 @@ def enumerate_o2_minus(field: Field, eps: int | None = None) -> GroupSet:
     return gset
 
 
-@lru_cache(maxsize=32)
+@_cached_on_resolved_eps
 def enumerate_q(field: Field, n: int, eps: int | None = None) -> GroupSet:
     """The parabolic piece Q(2n, q); n = 1 or 2, with q <= 9 when n = 2.
 
     At n = 2 each element is diag(t, 1/t, i) times the unipotent factor of
     (h0, h1), over every unit t, circle element i and h0, h1 in F_q."""
     check_q_enumeration(field.q, n)
-    eps = _resolve_eps(field, eps)
     circle = enumerate_so2_minus(field, eps).elements
     if n == 1:
         return GroupSet("Q2", field, eps, 1, circle)
@@ -232,7 +246,7 @@ def enumerate_q(field: Field, n: int, eps: int | None = None) -> GroupSet:
     return gset
 
 
-@lru_cache(maxsize=32)
+@_cached_on_resolved_eps
 def double_coset(field: Field, family: CosetFamily, n: int, eps: int | None = None) -> GroupSet:
     """Literal double coset enumeration; q = 3 and n <= 2 only."""
     check_double_coset_q(field.q)

@@ -21,7 +21,8 @@ a remainder.
 
 One PlessInstance per (family, n, q) holds what each route, the oracle
 included, reads; its dual weights are multiplicities w -> m over the units
-(w depends on a only through K(a^2)), so the moment side is sum m w^h.
+(w depends on a only through K(a^2)), so the moment side is sum m w^h,
+one tuple over h <= h_max from running powers of each w.
 
 Two routes share the binomial moments of the prefix,
 B_t = sum over j <= t of (-1)^j C_j 2^(t-j) binom(N-j, t-j) (by MacWilliams,
@@ -37,6 +38,10 @@ both with the 2^(t-j) moved into B_t:
   is reported, not raised, since it would indicate a transcription defect
   in the printed form.
 
+N grows like q^(n^2), so the B_t come from a falling-factorial recurrence
+in which every product has one operand of N's size, and the solve builds
+its powers of A and B-hat once, as running products.
+
 The h = 0 case is degenerate by convention (the identity's right side
 counts the zero dual word, the left side as summed over units does not),
 so identities run for h >= 1 and SK^0 = (q-1)/2 seeds the solve directly.
@@ -47,13 +52,13 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Callable, Iterator, NamedTuple
 
 from .charsums import sk_moment
 from .codes import (
     TraceProfile,
-    _series,
+    _powers,
     check_injectivity,
     check_printed_columns,
     dual_weights,
@@ -67,6 +72,7 @@ from .constants import (
     CosetFamily,
     FamilyConstants,
     check_constants_consistency,
+    exact_div,
     family_constants,
     family_polynomial,
     stirling2,
@@ -97,21 +103,34 @@ class _PlessFields(NamedTuple):
 class PlessInstance(_PlessFields):
     """Everything the identity needs for one (family, n, q), built once;
     weights[w] counts the units a of dual weight w, and the C prefix, its
-    binomial moments and the Pless right sides cover moment orders h <= h_max.
+    binomial moments and both Pless sides cover moment orders h <= h_max.
     No __slots__: the cached properties live in the instance __dict__."""
 
     @cached_property
     def binomial_moments(self) -> tuple[int, ...]:
         """B_t = sum over j <= t of (-1)^j C_j 2^(t - j) binom(N - j, t - j) for
-        t <= top = min(N, h_max): sum_j C_j (-z)^j (1 + 2z)^(top - j) by
-        Horner's rule, times the series (1 + 2z)^(N - top)."""
+        t <= top = min(N, h_max): H = sum_j C_j (-z)^j (1 + 2z)^(top - j) by
+        Horner's rule, times (1 + 2z)^M, M = N - top, by falling factorials:
+        t! B_t = L_0, L_t = H_0, L_s = H_(t-s) t!/s! + 2 (M - s) L_(s+1)."""
         top = len(self.c_prefix) - 1
+        m_len = self.consts.N - top
         horner = [self.c_prefix[0]]
         for j in range(1, top + 1):
             horner = [x + 2 * y for x, y in zip(horner + [0], [0] + horner)]
             horner[j] += (-1) ** j * self.c_prefix[j]
-        x_power = _series(self.consts.N - top, 0, top)
-        return tuple(sum(x_power[t - i] * horner[i] for i in range(t + 1)) for t in range(top + 1))
+        moments = []
+        for t in range(top + 1):
+            run = horner[0]  # L_t
+            for s in reversed(range(t)):
+                run = horner[t - s] * perm(t, t - s) + 2 * (m_len - s) * run
+            moments.append(exact_div(run, factorial(t)))
+        return tuple(moments)
+
+    @cached_property
+    def lhs(self) -> tuple[int, ...]:
+        """pless_lhs for h = 0..h_max: sum m w^h, by running powers of each w."""
+        runs = [_powers(w, self.h_max, m) for w, m in self.weights.items()]
+        return tuple(map(sum, zip(*runs)))
 
     @cached_property
     def rhs(self) -> tuple[int, ...]:
@@ -132,7 +151,9 @@ def build_instance(family: CosetFamily, n: int, field: Field, h_max: int = MAX_H
 
 def pless_lhs(instance: PlessInstance, h: int) -> int:
     """Sum of w(c(a))^h over units a, that is of m w^h over the distinct weights; the moment side."""
-    return sum(m * w**h for w, m in instance.weights.items())
+    if not 0 <= h <= instance.h_max:
+        raise ValueError(f"moment order must be in 0..{instance.h_max}, got {h}")
+    return instance.lhs[h]
 
 
 def _prefix_side(instance: PlessInstance, h: int, coefficient: Callable[[int, int], int]) -> int:
@@ -178,7 +199,7 @@ def check_pless_identity(instance: PlessInstance) -> list[CheckResult]:
     label = instance.family.tag(instance.n, instance.field.q)
     out = [CheckResult(f"pless_rhs_h0_counts_dual({label})", instance.rhs[0], instance.field.q)]
     for h in range(1, instance.h_max + 1):
-        out.append(CheckResult(f"pless_identity({label},h={h})", pless_lhs(instance, h), instance.rhs[h]))
+        out.append(CheckResult(f"pless_identity({label},h={h})", instance.lhs[h], instance.rhs[h]))
     return out
 
 
@@ -213,8 +234,9 @@ def _solve(
     polynomial, that is (2/3) A (B-hat + tau K^p) with tau = -sigma and
     B-hat = B - sigma c.  So the h-th moment expands as
     2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l the l-th
-    entry of the moment series; target(h) is that sum over l, as a pair
-    (numerator, positive denominator) of integers.  Each step is one exact
+    entry of the moment series; target(h) is A^h times that sum over l, as
+    a pair (numerator, positive denominator) of integers, and the powers of
+    A and B-hat are running ones, built once per solve.  Each step is one exact
     division; the first step whose value is not an integer raises
     NonIntegralStep, worded "<what> at step h for <instance>: <Fraction>".
     """
@@ -223,10 +245,12 @@ def _solve(
     family, q = instance.family, instance.field.q
     poly = family_polynomial(family, q)
     tau, b_hat = -poly.sigma, instance.consts.B - poly.sigma * poly.shift
+    b_powers, a_powers = _powers(b_hat, steps), _powers(instance.consts.A, steps)
     solved = [(q - 1) // 2]  # SK^0, whatever the stride
     for h in range(1, steps + 1):
-        rest = sum(tau**l * comb(h, l) * b_hat ** (h - l) * solved[l] for l in range(h))
+        rest = sum(tau**l * comb(h, l) * b_powers[h - l] * solved[l] for l in range(h))
         num, den = target(h)
+        den *= a_powers[h]
         num = tau**h * (num - rest * den)  # tau^-h == tau^h for tau = +-1
         value, remainder = divmod(num, den)
         if remainder:
@@ -244,10 +268,7 @@ def sk_via_pless(instance: PlessInstance, steps: int) -> MomentSeries:
     families 2, 4 produce SK^2, SK^4, .., SK^(2 steps).  A non-integral
     step raises NonIntegralStep.
     """
-    rhs, a_const = instance.rhs, instance.consts.A
-    return _solve(
-        instance, steps, lambda h: (rhs[h] * 3**h, 2 ** (h + 1) * a_const**h), "solved moment not integral"
-    )
+    return _solve(instance, steps, lambda h: (instance.rhs[h] * 3**h, 2 ** (h + 1)), "solved moment not integral")
 
 
 def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[MomentSeries | None, list[str]]:
@@ -258,14 +279,12 @@ def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[Momen
     binom(N-j, N-t), using its own previous values.  Returns the series
     plus a list of defects (non-integral steps); a defect aborts the walk.
     """
-    q, a_const = instance.field.q, instance.consts.A
+
+    def target(h: int) -> tuple[int, int]:
+        return instance.field.q * _prefix_side(instance, h, _printed_coefficient), 2 ** (2 * h + 1)
+
     try:
-        series = _solve(
-            instance,
-            steps,
-            lambda h: (q * _prefix_side(instance, h, _printed_coefficient), 2 ** (2 * h + 1) * a_const**h),
-            "printed recursion non-integral",
-        )
+        series = _solve(instance, steps, target, "printed recursion non-integral")
     except NonIntegralStep as defect:
         return None, [str(defect)]
     return series, []

@@ -249,6 +249,25 @@ def test_eps_independence_at_q9():
     assert qa.trace_histogram() == qb.trace_histogram()
 
 
+def test_cache_keys_on_the_resolved_eps():
+    # eps omitted, None and the first nonsquare, positional or keyword, are one entry and one set
+    assert F3.first_nonsquare() == 2
+    double_coset.cache_clear()
+    first = double_coset(F3, CosetFamily(1, 1), 2)
+    assert double_coset(F3, CosetFamily(1, 1), 2, None) is first
+    assert double_coset(F3, CosetFamily(1, 1), 2, 2) is first
+    assert double_coset(F3, CosetFamily(1, 1), 2, eps=2) is first
+    info = double_coset.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert enumerate_q(F3, 2) is enumerate_q(F3, 2, None) is enumerate_q(F3, 2, eps=2)
+    assert enumerate_q(F3, n=2).elements == enumerate_q(F3, 2).elements  # n by keyword still works
+    with pytest.raises(ValueError, match="is a square"):
+        enumerate_q(F3, 2, 1)
+    for args in ((), (2, 2, 2)):  # n missing, one argument too many
+        with pytest.raises(TypeError):
+            enumerate_q(F3, *args)
+
+
 def test_group_set_determinism():
     a = enumerate_so2_minus(F3)
     b = enumerate_so2_minus(Field(1))

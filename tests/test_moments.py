@@ -1,18 +1,22 @@
 import fractions
 import multiprocessing
 import pickle
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kloos.cli
 import kloos.codes
 import kloos.moments
 from kloos.charsums import sk_moment
-from kloos.constants import ALL_FAMILIES, CosetFamily, family_polynomial, stirling2
+from kloos.constants import ALL_FAMILIES, CosetFamily, family_constants, family_polynomial, stirling2
 from kloos.field import Field
 from kloos.moments import (
+    MAX_H,
     build_instance,
     check_pless_identity,
     full_verification,
@@ -249,19 +253,62 @@ def test_recursion_command_builds_one_instance(monkeypatch, capsys):
     assert len(builds) == 1
 
 
-def test_binomial_moments_count_dual_weight_binomials():
-    # sum over a in F_q of binom(w(c(a)), t) = 3^(r - t) B_t; a = 0 adds binom(0, t) = [t = 0]
+def _dual_weight_binomial_cases(fields, n_max):
+    """Check sum over a in F_q of binom(w(c(a)), t) = 3^(r - t) B_t for every
+    instance with n <= n_max; a = 0 adds binom(0, t) = [t = 0].  Returns the
+    number of (instance, t) cases."""
     cases = 0
-    for field in (F3, F9, F27):
+    for field in fields:
         for family in ALL_FAMILIES:
-            for n in family.valid_ns(4):
+            for n in family.valid_ns(n_max):
                 inst = build_instance(family, n, field)
                 assert len(inst.binomial_moments) == len(inst.c_prefix)
                 for t, b_t in enumerate(inst.binomial_moments):
                     lhs = sum(m * comb(w, t) for w, m in inst.weights.items()) + (t == 0)
                     assert 3**t * lhs == 3**field.r * b_t, (family.label, n, field.q, t)
                     cases += 1
-    assert cases == 390  # 36 instances, t <= min(N, MAX_H)
+    return cases
+
+
+def test_binomial_moments_count_dual_weight_binomials():
+    assert _dual_weight_binomial_cases((F3, F9, F27), 4) == 390  # 36 instances, t <= min(N, MAX_H)
+
+
+def test_binomial_moments_count_dual_weight_binomials_at_large_n():
+    # the q = 3 regime of the verify-q3-wide benchmark, 84 instances with N up to 1,499 bits
+    bits = [family_constants(family, n, 3).N.bit_length() for family in ALL_FAMILIES for n in family.valid_ns(22)]
+    assert (len(bits), max(bits)) == (84, 1499)
+    assert _dual_weight_binomial_cases((F3,), 22) == 84 * 11 - 6  # DC1-,n=1 has N = 4 < MAX_H
+
+
+def _direct_binomial_moment(c_prefix, n_len, t):
+    """B_t = sum over j <= t of (-1)^j C_j 2^(t - j) binom(N - j, t - j), term by term."""
+    return sum((-1) ** j * c_prefix[j] * 2 ** (t - j) * comb(n_len - j, t - j) for j in range(t + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    c_prefix=st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=MAX_H + 1),
+    excess=st.one_of(st.integers(0, 12), st.integers(0, 2**4000)),
+    weights=st.dictionaries(st.integers(0, 2**4000), st.integers(1, 2**64), min_size=1, max_size=6),
+    h_max=st.integers(0, MAX_H),
+)
+@example(c_prefix=[1, 4, 6, 8, 8], excess=0, weights={2: 2}, h_max=4)  # DC1-,n=1,q=3: N = top, M = 0
+def test_binomial_moments_and_moment_side_match_direct_sums(c_prefix, excess, weights, h_max):
+    # N = top + excess runs from the tiny-code case M = N - top = 0 to 4,000 bits; an
+    # excess below top makes the falling factorials of M vanish part way
+    top = len(c_prefix) - 1
+    base = build_instance(CosetFamily(1, -1), 1, F3)
+    inst = base._replace(
+        consts=base.consts._replace(A=top + excess, B=1), weights=Counter(weights), c_prefix=c_prefix, h_max=h_max
+    )
+    assert inst.binomial_moments == tuple(_direct_binomial_moment(c_prefix, top + excess, t) for t in range(top + 1))
+    direct = tuple(sum(m * w**h for w, m in weights.items()) for h in range(h_max + 1))
+    assert inst.lhs == direct
+    assert [pless_lhs(inst, h) for h in range(h_max + 1)] == list(direct)
+    for h in (-1, h_max + 1):
+        with pytest.raises(ValueError, match="moment order"):
+            pless_lhs(inst, h)
 
 
 # -- the integer route against the formulas in exact rationals --------------------
