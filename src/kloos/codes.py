@@ -46,8 +46,7 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   takes every truncated (1 + 2z)^a (1 - z)^b here: K_j and the DP's
   scalars, and by its recurrence the Q_j.  Checks that never call it
   also face the DP: the left side of `pless_identity` (sum m w^h over
-  the dual weights), `sk_vs_oracle` and the literal sums of the tests;
-* for tiny N, the full distribution by literal enumeration of all 3^N words.
+  the dual weights), `sk_vs_oracle` and the literal sums of the tests.
 
 Per-instance work reads field-level vectors only, each derived once per
 field, and combines them affinely with no field arithmetic: delta(p),
@@ -85,7 +84,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import accumulate, product, repeat
+from itertools import accumulate, repeat
 from math import comb, factorial, gcd
 from operator import mul
 from typing import NamedTuple
@@ -99,7 +98,6 @@ from .report import CheckResult
 # (two shapes per field); above 3^9 they run for minutes
 DP_EXACT_MAX_Q = 3**9
 PREFIX_MAX_J = 12
-TINY_ENUM_MAX_WORDS = 10**6
 
 
 class _ProfileFields(NamedTuple):
@@ -356,17 +354,13 @@ def check_printed_columns(
     return CheckResult(f"printed_columns({family.tag(n, profile.field.q)})", mismatches, 0)
 
 
-def krawtchouk_prefix(n_len: int, w: int, j_max: int) -> list[int]:
-    """Ternary Krawtchouk K_0(w)..K_j_max(w): the coefficients of
-    (1 + 2z)^(N - w) (1 - z)^w."""
-    return _series(n_len - w, w, j_max)
-
-
 def weight_prefix_macwilliams(profile: TraceProfile, j_max: int) -> list[int]:
     """C_0..C_j_max by MacWilliams from the trace-kernel dual weights.
 
     The dual words are c(a) for a in F_q (a = 0 gives weight 0), so
-    C_j = (1/q) sum_a K_j(w(c(a))); each distinct weight is expanded once.
+    C_j = (1/q) sum_a K_j(w(c(a))); each distinct weight is expanded once,
+    the ternary Krawtchouk K_0(w)..K_j_max(w) being the coefficients of
+    (1 + 2z)^(N - w) (1 - z)^w.
     """
     if not 0 <= j_max <= PREFIX_MAX_J:
         raise ValueError(f"prefix length capped at j_max <= {PREFIX_MAX_J}, got {j_max}")
@@ -374,7 +368,7 @@ def weight_prefix_macwilliams(profile: TraceProfile, j_max: int) -> list[int]:
     multiplicity = Counter(dual_weights_from_profile(profile))
     totals = [0] * (j_max + 1)
     for w, m in multiplicity.items():
-        for j, k in enumerate(krawtchouk_prefix(n_len, w, j_max)):
+        for j, k in enumerate(_series(n_len - w, w, j_max)):
             totals[j] += m * k
     return [exact_div(total, profile.field.q) for total in totals]
 
@@ -383,24 +377,3 @@ def weight_prefix_from_printed_columns(printed: TraceProfile, j_max: int) -> lis
     """C_0..C_j_max by MacWilliams from the printed column counts, as
     `printed_column_counts` returns them."""
     return weight_prefix_macwilliams(printed, j_max)
-
-
-def enumerate_code_tiny(profile: TraceProfile) -> list[int]:
-    """Full weight distribution by scanning all 3^N words; N <= 12.
-
-    The slow oracle: no closed forms, just the defining condition
-    sum u_k v_k = 0 evaluated per word.
-    """
-    field = profile.field
-    n_len = profile.length
-    if 3**n_len > TINY_ENUM_MAX_WORDS:
-        raise ValueError(f"3^{n_len} words exceeds the {TINY_ENUM_MAX_WORDS} enumeration cap")
-    coords = [beta for beta in field.elements() for _ in range(profile.counts[beta])]
-    dist = [0] * (n_len + 1)
-    for word in product((0, 1, 2), repeat=n_len):
-        acc = 0
-        for digit, v in zip(word, coords):
-            acc = field.add(acc, field.mul(digit, v))
-        if acc == 0:
-            dist[n_len - word.count(0)] += 1
-    return dist

@@ -254,14 +254,6 @@ def coset_orders(n: int, q: int, r: int) -> CosetOrders:
     return CosetOrders(parabolic, cosets, exact_div(parabolic * cosets, 2))
 
 
-def double_coset_order_expanded(n: int, q: int, r: int) -> int:
-    """Same double-coset order via the fully expanded product form."""
-    out = (q + 1) * q ** (n * n - n)
-    for j in range(1, n):
-        out *= q**j - 1
-    return out * q_binomial(n - 1, r, q) * q ** comb(r, 2) * q ** (2 * r)
-
-
 def check_constants_consistency(family: CosetFamily, n: int, q: int, consts: FamilyConstants) -> CheckResult:
     """A B of one valid (family, n, q) against its double-coset order."""
     expected = coset_orders(n, q, family.sigma_index(n)).double_coset

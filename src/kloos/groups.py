@@ -14,23 +14,20 @@ Enumerable pieces:
   group and its reflected coset, for every q;
 * the subgroup Q(2n, q) of the maximal parabolic: the circle group at
   n = 1, a brute-force product at n = 2 and q <= 9;
-* double cosets Q sigma_r Q and their reflected images at q = 3, n <= 2,
-  and the four Bruhat cells that tile the whole group at n = 2, q = 3.
+* double cosets Q sigma_r Q and their reflected images at q = 3, n <= 2.
 
 Each set reports its order and its trace histogram; the character sums over
 a set are the transform of that histogram.  Everything returns plain
-integers or CheckResults, nothing is sampled.
+integers, nothing is sampled.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
 from itertools import product
 from typing import NamedTuple
 
 from .constants import CosetFamily
 from .field import Field
-from .report import CheckResult
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -39,10 +36,6 @@ DOUBLE_COSET_Q = 3
 
 
 # -- matrix helpers ------------------------------------------------------------
-
-
-def identity_matrix(size: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
 
 
 def mat_mul(field: Field, A: Matrix, B: Matrix) -> Matrix:
@@ -60,10 +53,6 @@ def mat_mul(field: Field, A: Matrix, B: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_transpose(A: Matrix) -> Matrix:
-    return tuple(zip(*A))
-
-
 def mat_trace(field: Field, A: Matrix) -> int:
     acc = 0
     for i in range(len(A)):
@@ -71,42 +60,7 @@ def mat_trace(field: Field, A: Matrix) -> int:
     return acc
 
 
-def mat_det(field: Field, A: Matrix) -> int:
-    """Determinant by fraction-free Gaussian elimination over the field."""
-    m = [list(row) for row in A]
-    size = len(m)
-    det = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = field.neg(det)
-        det = field.mul(det, m[col][col])
-        inv = field.inv(m[col][col])
-        for r in range(col + 1, size):
-            if m[r][col] == 0:
-                continue
-            factor = field.mul(m[r][col], inv)
-            for c in range(col, size):
-                m[r][c] = field.sub(m[r][c], field.mul(factor, m[col][c]))
-    return det
-
-
 # -- structured matrices --------------------------------------------------------
-
-
-def form_matrix(field: Field, n: int, eps: int) -> Matrix:
-    """Gram matrix J on coordinates (n-1) + (n-1) + 2."""
-    size = 2 * n
-    m = [[0] * size for _ in range(size)]
-    for i in range(n - 1):
-        m[i][n - 1 + i] = 1
-        m[n - 1 + i][i] = 1
-    m[size - 2][size - 2] = 1
-    m[size - 1][size - 1] = field.neg(eps)
-    return tuple(tuple(row) for row in m)
 
 
 def reflect(field: Field, w: Matrix) -> Matrix:
@@ -153,21 +107,6 @@ def _resolve_eps(field: Field, eps: int | None) -> int:
     if field.is_square(eps):
         raise ValueError(f"eps={eps} is a square; the minus form needs a nonsquare")
     return eps
-
-
-def _cached_on_resolved_eps(build):
-    """build under an lru_cache consulted with eps, its last parameter, resolved,
-    so eps omitted, None and the field's first nonsquare are one entry."""
-    cached, after_field = lru_cache(maxsize=32)(build), build.__code__.co_argcount - 1
-
-    @wraps(build)
-    def call(field: Field, *args, eps: int | None = None, **kwargs) -> GroupSet:
-        if len(args) == after_field:  # eps given by position
-            *args, eps = args
-        return cached(field, *args, eps=_resolve_eps(field, eps), **kwargs)
-
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-    return call
 
 
 def _make_set(label: str, field: Field, eps: int, n: int, elements) -> GroupSet:
@@ -220,12 +159,12 @@ def enumerate_o2_minus(field: Field, eps: int | None = None) -> GroupSet:
     return gset
 
 
-@_cached_on_resolved_eps
 def enumerate_q(field: Field, n: int, eps: int | None = None) -> GroupSet:
     """The parabolic piece Q(2n, q); n = 1 or 2, with q <= 9 when n = 2.
 
     At n = 2 each element is diag(t, 1/t, i) times the unipotent factor of
     (h0, h1), over every unit t, circle element i and h0, h1 in F_q."""
+    eps = _resolve_eps(field, eps)
     check_q_enumeration(field.q, n)
     circle = enumerate_so2_minus(field, eps).elements
     if n == 1:
@@ -246,9 +185,9 @@ def enumerate_q(field: Field, n: int, eps: int | None = None) -> GroupSet:
     return gset
 
 
-@_cached_on_resolved_eps
 def double_coset(field: Field, family: CosetFamily, n: int, eps: int | None = None) -> GroupSet:
     """Literal double coset enumeration; q = 3 and n <= 2 only."""
+    eps = _resolve_eps(field, eps)
     check_double_coset_q(field.q)
     if n > 2:
         raise ValueError(f"double coset enumeration capped at n <= 2, got n={n}")
@@ -260,28 +199,3 @@ def double_coset(field: Field, family: CosetFamily, n: int, eps: int | None = No
     if family.uses_reflection:
         products = {reflect(field, w) for w in products}
     return _make_set(family.label, field, qset.eps, n, products)
-
-
-def bruhat_pieces(field: Field, eps: int | None = None) -> dict[str, GroupSet]:
-    """The four cells tiling the full minus-type group at n = 2, q = 3."""
-    check_double_coset_q(field.q)
-    qset = enumerate_q(field, 2, eps)
-    # DC1+ at n = 2 is Q sigma_1 Q with no reflection
-    big = double_coset(field, CosetFamily(1, 1), 2, eps).elements
-    return {
-        "Q": qset,
-        "QsQ": GroupSet("QsQ", field, qset.eps, 2, big),
-        "rQ": _make_set("rQ", field, qset.eps, 2, [reflect(field, w) for w in qset.elements]),
-        "rQsQ": _make_set("rQsQ", field, qset.eps, 2, [reflect(field, w) for w in big]),
-    }
-
-
-def check_orthogonal_relation(gset: GroupSet) -> CheckResult:
-    """Every element w must satisfy w' J w = J for the minus form J."""
-    field = gset.field
-    J = form_matrix(field, gset.n, gset.eps)
-    bad = 0
-    for w in gset.elements:
-        if mat_mul(field, mat_mul(field, mat_transpose(w), J), w) != J:
-            bad += 1
-    return CheckResult(f"orthogonal_relation({gset.label},q={field.q})", bad, 0)

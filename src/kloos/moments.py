@@ -39,8 +39,8 @@ both with the 2^(t-j) moved into B_t:
   in the printed form.
 
 N grows like q^(n^2), so the B_t come from a falling-factorial recurrence
-in which every product has one operand of N's size, and the solve builds
-its powers of A and B-hat once, as running products.
+in which every product has one operand of N's size, and both solves read
+one set of powers of A and B-hat per instance, built as running products.
 
 The h = 0 case is degenerate by convention (the identity's right side
 counts the zero dual word, the left side as summed over units does not),
@@ -128,7 +128,8 @@ class PlessInstance(_PlessFields):
 
     @cached_property
     def lhs(self) -> tuple[int, ...]:
-        """pless_lhs for h = 0..h_max: sum m w^h, by running powers of each w."""
+        """The moment side for h = 0..h_max, the sum of w(c(a))^h over units a:
+        sum m w^h over the distinct weights, by running powers of each w."""
         runs = [_powers(w, self.h_max, m) for w, m in self.weights.items()]
         return tuple(map(sum, zip(*runs)))
 
@@ -136,6 +137,13 @@ class PlessInstance(_PlessFields):
     def rhs(self) -> tuple[int, ...]:
         """pless_rhs for h = 0..h_max, each evaluated once."""
         return tuple(pless_rhs(self, h) for h in range(self.h_max + 1))
+
+    @cached_property
+    def solve_powers(self) -> tuple[list[int], list[int]]:
+        """(B-hat^k, A^k) for k = 0..h_max by running products, B-hat = B - sigma c;
+        both solves index them."""
+        poly = family_polynomial(self.family, self.field.q)
+        return _powers(self.consts.B - poly.sigma * poly.shift, self.h_max), _powers(self.consts.A, self.h_max)
 
 
 def build_instance(family: CosetFamily, n: int, field: Field, h_max: int = MAX_H) -> PlessInstance:
@@ -147,13 +155,6 @@ def build_instance(family: CosetFamily, n: int, field: Field, h_max: int = MAX_H
     weights = Counter(dual_weights(family, n, profile)[1:])  # the units a = 1..q-1
     c_prefix = weight_distribution_prefix(profile, min(consts.N, h_max))
     return PlessInstance(family, n, field, consts, profile, weights, c_prefix, h_max)
-
-
-def pless_lhs(instance: PlessInstance, h: int) -> int:
-    """Sum of w(c(a))^h over units a, that is of m w^h over the distinct weights; the moment side."""
-    if not 0 <= h <= instance.h_max:
-        raise ValueError(f"moment order must be in 0..{instance.h_max}, got {h}")
-    return instance.lhs[h]
 
 
 def _prefix_side(instance: PlessInstance, h: int, coefficient: Callable[[int, int], int]) -> int:
@@ -236,16 +237,15 @@ def _solve(
     2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l the l-th
     entry of the moment series; target(h) is A^h times that sum over l, as
     a pair (numerator, positive denominator) of integers, and the powers of
-    A and B-hat are running ones, built once per solve.  Each step is one exact
+    A and B-hat are the instance's `solve_powers`.  Each step is one exact
     division; the first step whose value is not an integer raises
     NonIntegralStep, worded "<what> at step h for <instance>: <Fraction>".
     """
     if not 1 <= steps <= instance.h_max:
         raise ValueError(f"h_max must be in 1..{instance.h_max}, got {steps}")
     family, q = instance.family, instance.field.q
-    poly = family_polynomial(family, q)
-    tau, b_hat = -poly.sigma, instance.consts.B - poly.sigma * poly.shift
-    b_powers, a_powers = _powers(b_hat, steps), _powers(instance.consts.A, steps)
+    tau = -family_polynomial(family, q).sigma
+    b_powers, a_powers = instance.solve_powers
     solved = [(q - 1) // 2]  # SK^0, whatever the stride
     for h in range(1, steps + 1):
         rest = sum(tau**l * comb(h, l) * b_powers[h - l] * solved[l] for l in range(h))

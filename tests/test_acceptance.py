@@ -13,7 +13,6 @@ import pytest
 from kloos.charsums import delta_counts, kloosterman, kloosterman_table
 from kloos.codes import (
     dual_weights_from_profile,
-    enumerate_code_tiny,
     printed_column_counts,
     trace_profile,
     weight_distribution_prefix,
@@ -21,15 +20,9 @@ from kloos.codes import (
 )
 from kloos.constants import ALL_FAMILIES, CosetFamily, exact_div, family_constants, family_polynomial
 from kloos.field import Field, char_transform
-from kloos.groups import (
-    bruhat_pieces,
-    check_orthogonal_relation,
-    double_coset,
-    enumerate_o2_minus,
-    enumerate_q,
-    enumerate_so2_minus,
-)
+from kloos.groups import double_coset, enumerate_o2_minus, enumerate_q, enumerate_so2_minus
 from kloos.moments import build_instance, full_verification, sk_via_pless, sk_via_printed_recursion
+from oracles import bruhat_pieces, check_orthogonal_relation, enumerate_code_tiny
 
 N_MAX = 6
 H_MAX = 8

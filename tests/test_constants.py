@@ -8,7 +8,6 @@ from kloos.constants import (
     CosetFamily,
     check_constants_consistency,
     coset_orders,
-    double_coset_order_expanded,
     exact_div,
     family_constants,
     gl_order,
@@ -16,6 +15,7 @@ from kloos.constants import (
     stirling2,
 )
 from kloos.field import Field
+from oracles import double_coset_order_expanded
 
 
 def count_subspaces_bruteforce(n, r, q=3):

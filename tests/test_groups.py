@@ -7,21 +7,16 @@ from kloos.codes import trace_profile
 from kloos.constants import CosetFamily, coset_orders, family_constants, family_polynomial
 from kloos.field import Field, char_transform
 from kloos.groups import (
-    bruhat_pieces,
-    check_orthogonal_relation,
     double_coset,
     enumerate_o2_minus,
     enumerate_q,
     enumerate_so2_minus,
-    form_matrix,
-    identity_matrix,
-    mat_det,
     mat_mul,
     mat_trace,
-    mat_transpose,
     reflect,
     sigma_columns,
 )
+from oracles import bruhat_pieces, check_orthogonal_relation, form_matrix, identity_matrix, mat_det, mat_transpose
 
 F3 = Field(1)
 F9 = Field(2)
@@ -249,20 +244,25 @@ def test_eps_independence_at_q9():
     assert qa.trace_histogram() == qb.trace_histogram()
 
 
-def test_cache_keys_on_the_resolved_eps():
-    # eps omitted, None and the first nonsquare, positional or keyword, are one entry and one set
+def test_eps_resolves_before_the_caps():
+    # eps omitted, None and the first nonsquare, positional or keyword, give one set
     assert F3.first_nonsquare() == 2
-    double_coset.cache_clear()
-    first = double_coset(F3, CosetFamily(1, 1), 2)
-    assert double_coset(F3, CosetFamily(1, 1), 2, None) is first
-    assert double_coset(F3, CosetFamily(1, 1), 2, 2) is first
-    assert double_coset(F3, CosetFamily(1, 1), 2, eps=2) is first
-    info = double_coset.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-    assert enumerate_q(F3, 2) is enumerate_q(F3, 2, None) is enumerate_q(F3, 2, eps=2)
+    dc1 = CosetFamily(1, 1)
+    first = double_coset(F3, dc1, 2)
+    assert double_coset(F3, dc1, 2, None) == double_coset(F3, dc1, 2, 2) == double_coset(F3, dc1, 2, eps=2) == first
+    assert enumerate_q(F3, 2) == enumerate_q(F3, 2, None) == enumerate_q(F3, 2, 2) == enumerate_q(F3, 2, eps=2)
     assert enumerate_q(F3, n=2).elements == enumerate_q(F3, 2).elements  # n by keyword still works
-    with pytest.raises(ValueError, match="is a square"):
-        enumerate_q(F3, 2, 1)
+    # a square eps is refused first, ahead of the q and n caps
+    for build, args in (
+        (enumerate_q, (F3, 2)),
+        (enumerate_q, (F3, 3)),
+        (enumerate_q, (Field(3), 2)),
+        (double_coset, (F3, dc1, 2)),
+        (double_coset, (F9, dc1, 2)),
+        (double_coset, (F3, dc1, 4)),
+    ):
+        with pytest.raises(ValueError, match="is a square"):
+            build(*args, 1)
     for args in ((), (2, 2, 2)):  # n missing, one argument too many
         with pytest.raises(TypeError):
             enumerate_q(F3, *args)

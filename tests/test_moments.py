@@ -20,7 +20,6 @@ from kloos.moments import (
     build_instance,
     check_pless_identity,
     full_verification,
-    pless_lhs,
     pless_rhs,
     sk_oracle_series,
     sk_via_pless,
@@ -37,9 +36,9 @@ def test_pless_sides_small_instance():
     inst = build_instance(CosetFamily(1, -1), 1, F3)
     assert inst.consts.N == 4
     assert inst.c_prefix == [1, 4, 6, 8, 8]
-    assert pless_lhs(inst, 1) == 4  # weights are 2 and 2
+    assert inst.lhs[1] == 4  # weights are 2 and 2
     assert pless_rhs(inst, 1) == 4
-    assert pless_lhs(inst, 0) == F3.q - 1
+    assert inst.lhs[0] == F3.q - 1
     assert pless_rhs(inst, 0) == F3.q  # counts the zero dual word too
 
 
@@ -305,10 +304,6 @@ def test_binomial_moments_and_moment_side_match_direct_sums(c_prefix, excess, we
     assert inst.binomial_moments == tuple(_direct_binomial_moment(c_prefix, top + excess, t) for t in range(top + 1))
     direct = tuple(sum(m * w**h for w, m in weights.items()) for h in range(h_max + 1))
     assert inst.lhs == direct
-    assert [pless_lhs(inst, h) for h in range(h_max + 1)] == list(direct)
-    for h in (-1, h_max + 1):
-        with pytest.raises(ValueError, match="moment order"):
-            pless_lhs(inst, h)
 
 
 # -- the integer route against the formulas in exact rationals --------------------
