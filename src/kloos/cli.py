@@ -49,7 +49,7 @@ from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
 from .charsums import check_series_h, kloosterman_table, moment_series
-from .codes import check_prefix_dp_q, dual_weights, trace_profile, weight_distribution_prefix
+from .codes import PREFIX_MAX_J, check_prefix_dp_q, dual_weights, trace_profile, weight_distribution_prefix
 from .constants import ALL_FAMILIES, CosetFamily, check_dimension, family_constants
 from .field import MAX_DEGREE, Field, poly_str
 
@@ -151,6 +151,8 @@ def cmd_constants(args) -> tuple[dict, list[list], int]:
 def cmd_weights(args) -> tuple[dict, list[list], int]:
     check_dimension(args.n)
     family = CosetFamily.parse(args.family)
+    if not 0 <= args.jmax <= PREFIX_MAX_J:
+        raise ValueError(f"--jmax {args.jmax} outside 0..{PREFIX_MAX_J}")
     field = _build_field(args, check_prefix_dp_q)
     profile = trace_profile(family, args.n, field)
     weights = dual_weights(family, args.n, profile)
@@ -215,6 +217,7 @@ def cmd_group(args) -> tuple[dict, list[list], int]:
 
 def cmd_recursion(args) -> tuple[dict, list[list], int]:
     from .moments import (
+        MAX_H,
         build_instance,
         moment_steps,
         sk_oracle_series,
@@ -227,6 +230,8 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
     steps = moment_steps(family, args.hmax)
     if steps < 1:
         raise ValueError(f"--hmax {args.hmax} leaves no solvable moment for {family.label}")
+    if steps > MAX_H:
+        raise ValueError(f"--hmax {args.hmax} takes {steps} steps for {family.label}, capped at {MAX_H}")
     field = _build_field(args, check_prefix_dp_q)
     instance = build_instance(family, args.n, field, steps)
     derived = sk_via_pless(instance, steps)

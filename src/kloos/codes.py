@@ -29,15 +29,12 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
   kills the functional exactly when its signed sum cancels.  Negating one
   coordinate keeps the weight and turns u beta into (-u)(-beta), so C_j
   reads only N(0) and M_c = N(beta) + N(-beta) per class c = {beta, -beta}.
-  With sigma_c the sum over <beta> (sigma_c^2 = 3 sigma_c) and
-  R = (1 + 2z) / (1 - z), a class c != {0} gives
-  (1 - z)^M_c R^(M_c sigma_c / 3), so with Y = sum of M_c sigma_c,
-  m_k = [Y^k]_0 and fixed integer polynomials Q_j,
+  With sigma_c the sum over <beta> (sigma_c^2 = 3 sigma_c), a class c != {0}
+  gives (1 - z)^M_c R^(M_c sigma_c / 3), R = (1 + 2z) / (1 - z), so with
+  Y = sum of M_c sigma_c, m_k = [Y^k]_0 and fixed integer polynomials Q_j,
   C(z) = (1 + 2z)^N(0) (1 - z)^(N - N(0)) sum_j z^j (sum_k Q_j[k] m_k) / j!.
-  Y is even, so m_k pairs Y^(k // 2) with Y^(k - k // 2), and
-  ceil(j_max/2) - 1 convolution passes, at one point per orbit of
-  <Frobenius, -1> and with no field addition, form all the powers needed,
-  once per shape (below);
+  Multiplying by Y is one integer matrix on functions constant on the orbits
+  of <Frobenius, -1>, built once per shape (below) with no field addition;
 * the same prefix by the MacWilliams identity from the dual weights of the
   per-class column counts as printed in the source:
   C_j = (1/q) sum over a in F_q of K_j(w(c(a))), with the ternary
@@ -51,17 +48,17 @@ w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
 Per-instance work reads field-level vectors only, each derived once per
 field, and combines them affinely with no field arithmetic: delta(p),
 K(a^2) at every a (`kloosterman_squares`), the square classes
-eta(beta^2 - 1), and each shape's passes and zero fiber.
+eta(beta^2 - 1), and each shape's matrix powers and zero fiber.
 
-The passes and the transform run once per profile shape, not once per
+The matrix and the transform are built once per profile shape, not once per
 instance.  Reading its counts alone, a profile splits, once
-(`TraceProfile.split`), into two integers
-and a normalized shape S: kappa = N(1), lam = +-gcd over beta != 0 of
-N(beta) - kappa, signed so that the first nonzero difference is positive
-(lam = 0 when there is none), and S(beta) = (N(beta) - kappa) / lam,
-S(0) = 0, so N(beta) = kappa + lam S(beta) for every beta != 0.  For a
-family, N(beta) - N(1) = sigma A (delta(p; beta) - delta(p; 1)), so one S
-serves every instance of a field with the same power p.  With J the sum of
+(`TraceProfile.split`), into two integers and a normalized shape S:
+kappa = N(1), lam = +-gcd over beta != 0 of N(beta) - kappa, signed so
+that the first nonzero difference is positive (lam = 0 when there is
+none), and S(beta) = (N(beta) - kappa) / lam, S(0) = 0, so
+N(beta) = kappa + lam S(beta) for every beta != 0.  For a family,
+N(beta) - N(1) = sigma A (delta(p; beta) - delta(p; 1)), so one S serves
+every instance of a field with the same power p.  With J the sum of
 all elements (J X = eps(X) J for the augmentation eps, [J]_0 = 1 and
 eps(sigma_c) = 3), V = sum of sigma_c = ((q - 3)/2) [0] + J, and
 Y = 2 kappa V + lam Y_S = W + 2 kappa J with W = kappa (q - 3) [0] + lam Y_S.
@@ -94,8 +91,7 @@ from .constants import CosetFamily, exact_div, family_constants, family_polynomi
 from .field import Field, char_fibers, linear_map, translates
 from .report import CheckResult
 
-# the DP's passes take seconds per profile shape at 3^8 and about 12 s at 3^9
-# (two shapes per field); above 3^9 they run for minutes
+# the DP's matrix takes seconds per profile shape at 3^9; it holds R^2 integers, R ~ q/(2r) orbits
 DP_EXACT_MAX_Q = 3**9
 PREFIX_MAX_J = 12
 
@@ -223,15 +219,15 @@ def _ratio_polynomials(j_max: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, polys[: j_max + 1]))
 
 
-def _orbits(field: Field, y: list[int], neg: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """(orbit_of, reps, sizes) for the group G that y is invariant under:
+def _orbits(field: Field, y: list[int], neg: list[int]) -> tuple[list[int], list[int]]:
+    """(orbit_of, reps) for the group G that y is invariant under:
     <Frobenius, -1> when y(beta^3) = y(beta) for every beta, else {+-1}
     (neg, the map beta -> -beta, is digit by digit).  Frobenius is the
     `linear_map` of the images of the basis elements 3^i, so it is additive
     by construction.  Orbit 0 is {0}."""
     frob = linear_map([field.pow(3**i, 3) for i in range(field.r)])
     maps = [neg, frob] if [y[b] for b in frob] == y else [neg]
-    orbit_of, reps, sizes = [-1] * field.q, [], []
+    orbit_of, reps = [-1] * field.q, []
     for s in field.elements():
         if orbit_of[s] < 0:
             orbit_of[s], orbit = len(reps), [s]
@@ -241,8 +237,7 @@ def _orbits(field: Field, y: list[int], neg: list[int]) -> tuple[list[int], list
                         orbit_of[g[x]] = len(reps)
                         orbit.append(g[x])
             reps.append(s)
-            sizes.append(len(orbit))
-    return orbit_of, reps, sizes
+    return orbit_of, reps
 
 
 @lru_cache(maxsize=16)
@@ -251,22 +246,27 @@ def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> tuple[in
     Y = sum of M_c sigma_c over the classes c = {beta, -beta} != {0}, with
     M_c = N(beta) + N(-beta) and sigma_c the sum over <beta>.
 
-    Y(0) = N - N(0) and Y(beta) = M_c.  Multiplying by Y is the convolution
-    (Y f)(s) = sum of Y(beta) f(s - beta), evaluated at one s per orbit of
-    `_orbits`, whose maps are additive and fix Y, hence every power of Y.
-    Only Y^2..Y^ceil(k_max/2) are formed: m_k = sum over orbits of
-    |orbit| Y^a(rep) Y^b(rep), a = k // 2, b = k - a, as Y^b is even.
-    The prefix calls it on shapes, so the cache holds a few per field.
+    Y(0) = N - N(0), Y(beta) = M_c and (Y f)(s) = sum of Y(beta) f(s - beta).
+    The maps of `_orbits` are additive and fix Y, so on functions constant
+    on their orbits Y is one integer matrix: row s, one per representative,
+    adds Y(beta) into the column of the orbit of s - beta, and m_k is entry
+    0 of its k-th product with the indicator of {0}.
     """
     neg = translates(field.r, 0, 2)
     y = [sum(counts) - counts[0], *(counts[b] + counts[neg[b]] for b in field.units())]
-    orbit_of, reps, sizes = _orbits(field, y, neg)
-    powers = [[1] + [0] * (len(reps) - 1), [y[s] for s in reps]]
-    while len(powers) <= (k_max + 1) // 2:
-        f = [powers[-1][o] for o in orbit_of]
-        powers.append([sum(map(mul, y, map(f.__getitem__, translates(field.r, s, 2)))) for s in reps])
-    halves = [(powers[k // 2], powers[k - k // 2]) for k in range(k_max + 1)]
-    return tuple(sum(n * u * v for n, u, v in zip(sizes, a, b)) for a, b in halves)
+    if k_max < 3:  # m_2 = sum of Y(beta) Y(-beta), Y being even: no matrix needed
+        return (1, y[0], sum(b * b for b in y))[: k_max + 1]
+    orbit_of, reps = _orbits(field, y, neg)
+    members = [[] for _ in reps]
+    for x in field.elements():
+        members[orbit_of[x]].append(x)
+    at_rows = (list(map(y.__getitem__, translates(field.r, s, 2))) for s in reps)  # at[t] = Y(s - t)
+    rows = [[sum(map(at.__getitem__, orbit)) for orbit in members] for at in at_rows]
+    f, moments = [1] + [0] * (len(reps) - 1), [1]
+    for _ in range(k_max):
+        f = [sum(map(mul, row, f)) for row in rows]
+        moments.append(f[0])
+    return tuple(moments)
 
 
 def _powers(x: int, k_max: int, start: int = 1) -> list[int]:

@@ -363,6 +363,14 @@ def test_weights_and_recursion_refuse_family_and_hmax_before_field(capsys, built
     code, out, err = run_cli(capsys, "recursion", "--r", "9", "--family", "DC2+", "--n", "2", "--hmax", "1")
     assert (code, out) == (2, "")
     assert err == "error: --hmax 1 leaves no solvable moment for DC2+\n"
+    for argv, message in [
+        (("weights", "--family", "DC1-", "--n", "1", "--jmax", "13"), "--jmax 13 outside 0..12"),
+        (("weights", "--family", "DC2-", "--n", "3", "--jmax", "-1"), "--jmax -1 outside 0..12"),
+        (("recursion", "--family", "DC2+", "--n", "2", "--hmax", "22"), "--hmax 22 takes 11 steps for DC2+, capped at 10"),
+        (("recursion", "--family", "DC1-", "--n", "1", "--hmax", "11"), "--hmax 11 takes 11 steps for DC1-, capped at 10"),
+    ]:
+        code, out, err = run_cli(capsys, *argv, "--r", "9")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
     assert built_fields == []
 
 

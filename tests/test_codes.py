@@ -256,10 +256,12 @@ def _check_zero_moments(profile, k_max=12):
 
 
 def test_zero_moments_match_dual_weights_every_instance():
+    # k_max <= 2 takes m_2 without the orbit matrix, k_max = 12 through it
     for field in FIELDS_R1_TO_R5[:4]:
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
-                _check_zero_moments(trace_profile(family, n, field))
+                for k_max in (0, 2, 12):
+                    _check_zero_moments(trace_profile(family, n, field), k_max)
 
 
 def test_prefix_reads_no_character(monkeypatch):
@@ -524,6 +526,18 @@ def test_verification_runs_one_dp_per_shape():
     assert kloos.codes._zero_fiber.cache_info().misses <= 2
 
 
+def test_dp_reads_one_translate_table_per_orbit(monkeypatch):
+    # q = 81: each of the two shapes splits into 14 orbits of <Frobenius, -1>;
+    # its matrix reads one table per representative, plus one for negation
+    kloos.codes._zero_moments.cache_clear()
+    calls = []
+    translates = kloos.codes.translates
+    monkeypatch.setattr(kloos.codes, "translates", lambda *args: calls.append(args) or translates(*args))
+    assert full_verification(Field(4), 6, 8)["passed"]
+    assert kloos.codes._zero_moments.cache_info().misses == 2
+    assert len(calls) == 2 * 15
+
+
 def test_warm_verification_makes_no_field_arithmetic(monkeypatch):
     # every field-level vector is derived on the first run; instances only read them
     field = Field(3)
@@ -656,8 +670,10 @@ def test_orbit_group_follows_frobenius_invariance(monkeypatch, modulus):
     for counts, n_orbits in ((trace_profile(CosetFamily(2, -1), 3, field).counts, 14), (tuple(even), 41)):
         kloos.codes._zero_moments.cache_clear()
         assert weight_distribution_prefix(TraceProfile(field, counts), 10) == _prefix_dp_full_rows(field, counts, 10)
-        orbit_of, reps, sizes = found[-1]
-        assert len(reps) == n_orbits and sum(sizes) == field.q
+        orbit_of, reps = found[-1]
+        sizes = Counter(orbit_of)  # a key -1 would be an element left out of every orbit
+        assert len(reps) == n_orbits == len(sizes)
+        assert all(2 * field.r % size == 0 for size in sizes.values())  # |<Frobenius, -1>| = 2r
         assert all(orbit_of[rep] == i for i, rep in enumerate(reps))
 
 
