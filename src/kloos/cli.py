@@ -132,19 +132,14 @@ def cmd_constants(args) -> tuple[dict, list[list], int]:
     q = 3**args.r
     families = [CosetFamily.parse(args.family)] if args.family else list(ALL_FAMILIES)
     entries = []
-    for family in sorted(families, key=lambda f: f.label):
+    for family in families:
         ns = [args.n] if args.n is not None else family.valid_ns(args.nmax)
         for n in ns:
-            consts = family_constants(family, n, q)  # refuses an n the family does not admit
-            entries.append(
-                {"family": family.label, "n": n, "q": q, "A": consts.A, "B": consts.B, "N": consts.N}
-            )
+            entries.append(family_constants(family, n, q).as_dict())  # refuses an n the family does not admit
     if not entries:
         raise ValueError(f"no valid (family, n) instance with n <= {args.nmax}")
     payload = {"q": q, "constants": entries}
-    rows = [["family", "n", "q", "A", "B", "N"]] + [
-        [e["family"], e["n"], e["q"], e["A"], e["B"], e["N"]] for e in entries
-    ]
+    rows = [["family", "n", "q", "A", "B", "N"]] + [list(e.values()) for e in entries]
     return payload, rows, 0
 
 
@@ -154,8 +149,9 @@ def cmd_weights(args) -> tuple[dict, list[list], int]:
     if not 0 <= args.jmax <= PREFIX_MAX_J:
         raise ValueError(f"--jmax {args.jmax} outside 0..{PREFIX_MAX_J}")
     field = _build_field(args, check_prefix_dp_q)
-    profile = trace_profile(family, args.n, field)
-    weights = dual_weights(family, args.n, profile)
+    consts = family_constants(family, args.n, field.q)
+    profile = trace_profile(consts, field)
+    weights = dual_weights(consts, profile)
     j_max = min(profile.length, args.jmax)
     prefix = weight_distribution_prefix(profile, j_max)
     keys = _element_keys(field)

@@ -1,22 +1,23 @@
 """Ternary codes attached to the coset families, with exact weight counts.
 
-A family instance (family, n, q) yields a code of length N = A B over F_3:
-coordinates are the coset elements, and a word u is in the code when the
-field sum of u_k * Tr(g_k) vanishes.  Coordinates only matter through the
-matrix trace, so the whole code is determined by the trace profile: the
-count N(beta) of coordinates at each beta in F_q.
+A family instance (family, n, q), one `FamilyConstants` record, yields a
+code of length N = A B over F_3: coordinates are the coset elements, and a
+word u is in the code when the field sum of u_k * Tr(g_k) vanishes.
+Coordinates only matter through the matrix trace, so the whole code is
+determined by the trace profile: the count N(beta) of coordinates at each
+beta in F_q.  Every per-instance function here takes that record.
 
-The profile and the closed dual weights read one family polynomial,
+The profile and the closed dual weights read the record's double-coset sum
 S(a) = sigma A (K(lambda; a^2)^p + c): the profile is its inverse
 transform, through the fiber counts delta(p, q; .), and
 w(c(a)) = (2/3)(N - S(a)).  From it follow, all exactly:
 
 * dual weights w(c(a)) for each unit a, by two routes required equal:
-  the polynomial at the K table, once per distinct K value, and N minus the
+  S at the K table, once per distinct K value, and N minus the
   trace-kernel mass #{coordinates with tr(a beta) = 0}, the zero trace
   fiber of one radix-3 transform of the profile's shape (below), O(r q) for
   every a at once.
-  Both read the polynomial, and the profile's fiber counts delta(p) are the
+  Both read S, and the profile's fiber counts delta(p) are the
   inverse transform of the K table, so this checks that transform pair.
   The independent evidence on the profile is `printed_columns` (one
   comparison, counting the beta where the printed counts differ; the
@@ -87,7 +88,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .charsums import delta_counts, kloosterman_squares
-from .constants import CosetFamily, exact_div, family_constants, family_polynomial
+from .constants import FamilyConstants, exact_div
 from .field import Field, char_fibers, linear_map, translates
 from .report import CheckResult
 
@@ -115,23 +116,22 @@ class TraceProfile(_ProfileFields):
         return _split(self.counts)
 
 
-def trace_profile(family: CosetFamily, n: int, field: Field) -> TraceProfile:
-    """N(beta), the inverse transform of S (S(0) = N); mass checked = N:
+def trace_profile(consts: FamilyConstants, field: Field) -> TraceProfile:
+    """N(beta) of the instance over its field GF(consts.q), the inverse
+    transform of S (S(0) = N); mass checked = N:
     q N(beta) = N + sigma A (q delta(p; beta) - (q-1)^p + c (q [beta = 0] - 1))."""
     q = field.q
-    consts = family_constants(family, n, q)
-    poly = family_polynomial(family, q)
-    fibers = list(delta_counts(field, poly.power))
-    fibers[0] += poly.shift  # with -c in the offset: c (q [beta = 0] - 1)
-    sigma_a, offset = poly.sigma * consts.A, (q - 1) ** poly.power + poly.shift
+    fibers = list(delta_counts(field, consts.power))
+    fibers[0] += consts.shift  # with -c in the offset: c (q [beta = 0] - 1)
+    sigma_a, offset = consts.sigma * consts.A, (q - 1) ** consts.power + consts.shift
     # every numerator is N - sigma A offset mod q: one division decides them all
     base = exact_div(consts.N - sigma_a * offset, q)
     counts = [base + sigma_a * d for d in fibers]
     profile = TraceProfile(field, tuple(counts))
     if profile.length != consts.N:
-        raise ArithmeticError(f"profile mass {profile.length} != N {consts.N} for {family.tag(n, q)}")
+        raise ArithmeticError(f"profile mass {profile.length} != N {consts.N} for {consts.tag}")
     if any(c < 0 for c in counts):
-        raise ArithmeticError(f"negative profile count for {family.tag(n, q)}")
+        raise ArithmeticError(f"negative profile count for {consts.tag}")
     return profile
 
 
@@ -164,33 +164,29 @@ def dual_weights_from_profile(profile: TraceProfile) -> list[int]:
     return [0] + [rest - lam * t for t in _zero_fiber(profile.field, shape)[1:]]
 
 
-def dual_weights(family: CosetFamily, n: int, profile: TraceProfile) -> list[int]:
-    """w(c(a)) for every a in F_q (0 at a = 0) of the instance (family, n)
-    whose profile this is, by two routes required equal: the closed weight,
+def dual_weights(consts: FamilyConstants, profile: TraceProfile) -> list[int]:
+    """w(c(a)) for every a in F_q (0 at a = 0) of the instance whose profile
+    this is, by two routes required equal: the closed weight (2/3)(N - S(a)),
     evaluated once per distinct K(a^2), and the profile's zero trace fiber."""
     field = profile.field
-    consts = family_constants(family, n, field.q)
-    poly = family_polynomial(family, field.q)
     k_at = kloosterman_squares(field)
-    closed = {k: exact_div(2 * (consts.N - poly.coset_sum(consts.A, k)), 3) for k in set(k_at)}
+    closed = {k: exact_div(2 * (consts.N - consts.coset_sum(k)), 3) for k in set(k_at)}
     direct = dual_weights_from_profile(profile)
     for a in field.units():
         if closed[k_at[a]] != direct[a]:
             raise ArithmeticError(
-                f"dual weight mismatch for {family.tag(n, field.q)} at a={a}: closed {closed[k_at[a]]} vs profile {direct[a]}"
+                f"dual weight mismatch for {consts.tag} at a={a}: closed {closed[k_at[a]]} vs profile {direct[a]}"
             )
     return direct
 
 
-def check_injectivity(
-    family: CosetFamily, n: int, field: Field, weights: Counter
-) -> CheckResult:
+def check_injectivity(consts: FamilyConstants, weights: Counter) -> CheckResult:
     """The dual map is injective iff no nonzero a has weight zero.
 
     `weights` are the instance's cross-checked dual weights as
     multiplicities: weights[w] counts the units a of weight w.
     """
-    return CheckResult(f"dual_injectivity({family.tag(n, field.q)})", weights[0], 0)
+    return CheckResult(f"dual_injectivity({consts.tag})", weights[0], 0)
 
 
 # -- weight distribution --------------------------------------------------------
@@ -322,16 +318,16 @@ def _square_classes(field: Field) -> tuple[int, ...]:
     return tuple(0 if d == 0 else 1 if field.is_square(d) else -1 for d in discs)
 
 
-def printed_column_counts(family: CosetFamily, n: int, field: Field) -> TraceProfile:
-    """The per-beta column counts in their printed case shape, A (B + s x) / q
-    with s the family sign: for families 1, 3, x = 1, q + 1 or 1 - q by the
-    square class v of beta^2 - 1, that is 1 + q v; for families 2, 4, with v
-    the delta(2) fiber, x = (q - 1)^2 - q v (family 2) or 2q^2 - 3q + 1 - q v
-    (family 4, and x = -(q - 1)^3 - q v at beta = 0).  So each count is
-    base + A (+-s) v(beta): one division for the base, a second at beta = 0
-    for family 4.  Numerically this must reproduce trace_profile."""
-    q = field.q
-    consts = family_constants(family, n, q)
+def printed_column_counts(consts: FamilyConstants, field: Field) -> TraceProfile:
+    """The instance's per-beta column counts over its field in their printed
+    case shape, A (B + s x) / q with s the family sign: for families 1, 3,
+    x = 1, q + 1 or 1 - q by the square class v of beta^2 - 1, that is
+    1 + q v; for families 2, 4, with v the delta(2) fiber, x = (q - 1)^2 - q v
+    (family 2) or 2q^2 - 3q + 1 - q v (family 4, and x = -(q - 1)^3 - q v at
+    beta = 0).  So each count is base + A (+-s) v(beta): one division for the
+    base, a second at beta = 0 for family 4.  Numerically this must reproduce
+    trace_profile."""
+    q, family = field.q, consts.family
     s = family.sign
     if family.i in (1, 3):
         v, x0, slope = _square_classes(field), 1, s * consts.A
@@ -345,13 +341,11 @@ def printed_column_counts(family: CosetFamily, n: int, field: Field) -> TracePro
     return TraceProfile(field, tuple(counts))
 
 
-def check_printed_columns(
-    family: CosetFamily, n: int, profile: TraceProfile, printed: TraceProfile
-) -> CheckResult:
-    """Printed column counts against the profile of the instance (family, n):
-    the number of beta where they differ, required 0."""
+def check_printed_columns(consts: FamilyConstants, profile: TraceProfile, printed: TraceProfile) -> CheckResult:
+    """Printed column counts against the profile of the instance: the number
+    of beta where they differ, required 0."""
     mismatches = sum(1 for p, c in zip(printed.counts, profile.counts) if p != c)
-    return CheckResult(f"printed_columns({family.tag(n, profile.field.q)})", mismatches, 0)
+    return CheckResult(f"printed_columns({consts.tag})", mismatches, 0)
 
 
 def weight_prefix_macwilliams(profile: TraceProfile, j_max: int) -> list[int]:

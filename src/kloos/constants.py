@@ -5,8 +5,9 @@ from double cosets of a maximal parabolic inside the minus-type orthogonal
 group O^-(2n, q): i = 1 pairs with the big cell, i = 2 with the middle
 cell, i = 3, 4 with their reflected images.  Plus-sign families need n
 even, minus-sign families n odd (exact floors below).  Each valid (family,
-n, q) carries a pair of integers (A, B) whose product N = A B is the coset
-size, i.e. the code length.
+n, q) is one :class:`FamilyConstants` record: integers A, B whose product
+N = A B is the coset size, i.e. the code length, and the (sigma, power,
+shift) of its double-coset sum.
 
 Everything here is closed-form integer arithmetic: Gaussian binomials,
 Stirling numbers of the second kind, general-linear group orders, and the
@@ -102,10 +103,6 @@ class CosetFamily(_FamilyKey):
     def label(self) -> str:
         return f"DC{self.i}{'+' if self.sign > 0 else '-'}"
 
-    def tag(self, n: int, q: int) -> str:
-        """`<label>,n=<n>,q=<q>`: the instance (self, n, q) in check names and guards."""
-        return f"{self.label},n={n},q={q}"
-
     def valid_n(self, n: int) -> bool:
         """Whether dimension parameter n is admissible for this family."""
         if self.sign > 0:
@@ -140,12 +137,37 @@ ALL_FAMILIES = tuple(
 
 
 class FamilyConstants(NamedTuple):
+    """One instance (family, n, q): the constants A, B, with N = A B the code
+    length, and S(a), the sum of lambda(a Tr g) over its double coset, which
+    is sigma A (K(lambda; a^2)^power + shift) for a != 0.  The dual weight is
+    (2/3)(N - S(a)); the trace profile is the inverse transform of S.  Built
+    by :func:`family_constants` only."""
+
+    family: CosetFamily
+    n: int
+    q: int
     A: int
     B: int
+    sigma: int
+    power: int
+    shift: int
 
     @property
     def N(self) -> int:
         return self.A * self.B
+
+    @property
+    def tag(self) -> str:
+        """`<label>,n=<n>,q=<q>`: the instance in check names and guards."""
+        return f"{self.family.label},n={self.n},q={self.q}"
+
+    def coset_sum(self, k: int) -> int:
+        """S(a) at K(lambda; a^2) = k."""
+        return self.sigma * self.A * (k**self.power + self.shift)
+
+    def as_dict(self) -> dict:
+        """The instance's entry in the `constants` and `verify` documents."""
+        return {"family": self.family.label, "n": self.n, "q": self.q, "A": self.A, "B": self.B, "N": self.N}
 
 
 def _q_power(q: int, num: int, den: int = 1) -> int:
@@ -173,7 +195,7 @@ def _even_product(q: int, terms: int) -> int:
 
 
 def family_constants(family: CosetFamily, n: int, q: int) -> FamilyConstants:
-    """The exact (A, B) pair for a valid (family, n, q)."""
+    """The record of a valid (family, n, q): its exact (A, B) and (sigma, power, shift)."""
     if not family.valid_n(n):
         raise ValueError(f"n={n} is not valid for family {family.label}")
     i = family.i
@@ -191,47 +213,24 @@ def family_constants(family: CosetFamily, n: int, q: int) -> FamilyConstants:
         else:
             a = (q + 1) * _q_power(q, 5 * n * n - 6 * n - 4, 4) * q_binomial(n - 1, 2, q) * _odd_product(q, half)
             b = _q_power(q, (n - 2) ** 2, 4) * (q ** (n - 1) - 1) * _even_product(q, half)
-        return FamilyConstants(a, b)
-    half = (n - 1) // 2
-    if i == 1:
-        a = _q_power(q, 5 * (n * n - 1), 4) * _odd_product(q, half)
-        b = (q + 1) * _q_power(q, (n - 1) ** 2, 4) * _even_product(q, half)
-    elif i == 2:
-        a = _q_power(q, 5 * n * n - 4 * n - 5, 4) * q_binomial(n - 1, 1, q) * _odd_product(q, half)
-        b = (q + 1) * _q_power(q, (n - 1) ** 2, 4) * _even_product(q, half)
-    elif i == 3:
-        a = (q + 1) * _q_power(q, 5 * n * n - 4 * n - 5, 4) * q_binomial(n - 1, 1, q) * _odd_product(q, half)
-        b = _q_power(q, (n - 1) ** 2, 4) * _even_product(q, half)
     else:
-        half = (n - 3) // 2
-        a = (q + 1) * _q_power(q, 5 * n * n - 4 * n - 9, 4) * q_binomial(n - 1, 2, q) * _odd_product(q, half)
-        b = (
-            _q_power(q, (n - 3) ** 2, 4)
-            * (q ** (n - 2) - 1)
-            * (q ** (n - 1) - 1)
-            * _even_product(q, half)
-        )
-    return FamilyConstants(a, b)
-
-
-class FamilyPolynomial(NamedTuple):
-    """S(a), the sum of lambda(a Tr g) over a family's double coset, is
-    sigma A (K(lambda; a^2)^power + shift) for a != 0.  The dual weight is
-    (2/3)(N - S(a)); the trace profile is the inverse transform of S."""
-
-    sigma: int
-    power: int
-    shift: int
-
-    def coset_sum(self, a_const: int, k: int) -> int:
-        return self.sigma * a_const * (k**self.power + self.shift)
-
-
-def family_polynomial(family: CosetFamily, q: int) -> FamilyPolynomial:
-    """(sigma, power, shift) of a family over GF(q)."""
+        half = (n - 1) // 2
+        if i == 1:
+            a = _q_power(q, 5 * (n * n - 1), 4) * _odd_product(q, half)
+            b = (q + 1) * _q_power(q, (n - 1) ** 2, 4) * _even_product(q, half)
+        elif i == 2:
+            a = _q_power(q, 5 * n * n - 4 * n - 5, 4) * q_binomial(n - 1, 1, q) * _odd_product(q, half)
+            b = (q + 1) * _q_power(q, (n - 1) ** 2, 4) * _even_product(q, half)
+        elif i == 3:
+            a = (q + 1) * _q_power(q, 5 * n * n - 4 * n - 5, 4) * q_binomial(n - 1, 1, q) * _odd_product(q, half)
+            b = _q_power(q, (n - 1) ** 2, 4) * _even_product(q, half)
+        else:
+            half = (n - 3) // 2
+            a = (q + 1) * _q_power(q, 5 * n * n - 4 * n - 9, 4) * q_binomial(n - 1, 2, q) * _odd_product(q, half)
+            b = _q_power(q, (n - 3) ** 2, 4) * (q ** (n - 2) - 1) * (q ** (n - 1) - 1) * _even_product(q, half)
     power = 2 if family.even_moments else 1
     sigma = family.sign if power == 1 else -family.sign
-    return FamilyPolynomial(sigma, power, q * q - q if family.i == 4 else 0)
+    return FamilyConstants(family, n, q, a, b, sigma, power, q * q - q if i == 4 else 0)
 
 
 class CosetOrders(NamedTuple):
@@ -254,7 +253,7 @@ def coset_orders(n: int, q: int, r: int) -> CosetOrders:
     return CosetOrders(parabolic, cosets, exact_div(parabolic * cosets, 2))
 
 
-def check_constants_consistency(family: CosetFamily, n: int, q: int, consts: FamilyConstants) -> CheckResult:
-    """A B of one valid (family, n, q) against its double-coset order."""
-    expected = coset_orders(n, q, family.sigma_index(n)).double_coset
-    return CheckResult(f"constants_consistency({family.tag(n, q)})", consts.N, expected)
+def check_constants_consistency(consts: FamilyConstants) -> CheckResult:
+    """A B of one instance against its double-coset order."""
+    expected = coset_orders(consts.n, consts.q, consts.family.sigma_index(consts.n)).double_coset
+    return CheckResult(f"constants_consistency({consts.tag})", consts.N, expected)

@@ -19,10 +19,11 @@ denominator with a single exact division; a Fraction is built, and
 ``fractions`` imported, only to word the message when that division leaves
 a remainder.
 
-One PlessInstance per (family, n, q) holds what each route, the oracle
-included, reads; its dual weights are multiplicities w -> m over the units
-(w depends on a only through K(a^2)), so the moment side is sum m w^h,
-one tuple over h <= h_max from running powers of each w.
+One PlessInstance per (family, n, q), built by `build_instance` around the
+instance's `FamilyConstants` record, derived there once, holds what each
+route, the oracle included, reads; its dual weights are multiplicities
+w -> m over the units (w depends on a only through K(a^2)), so the moment
+side is sum m w^h, one tuple over h <= h_max from running powers of each w.
 
 Two routes share the binomial moments of the prefix,
 B_t = sum over j <= t of (-1)^j C_j 2^(t-j) binom(N-j, t-j) (by MacWilliams,
@@ -74,7 +75,6 @@ from .constants import (
     check_constants_consistency,
     exact_div,
     family_constants,
-    family_polynomial,
     stirling2,
 )
 from .field import Field
@@ -90,8 +90,6 @@ def _stirling_weights(h: int) -> tuple[int, ...]:
 
 
 class _PlessFields(NamedTuple):
-    family: CosetFamily
-    n: int
     field: Field
     consts: FamilyConstants
     profile: TraceProfile
@@ -101,9 +99,10 @@ class _PlessFields(NamedTuple):
 
 
 class PlessInstance(_PlessFields):
-    """Everything the identity needs for one (family, n, q), built once;
-    weights[w] counts the units a of dual weight w, and the C prefix, its
-    binomial moments and both Pless sides cover moment orders h <= h_max.
+    """Everything the identity needs for one instance, its record `consts`
+    included, built once; weights[w] counts the units a of dual weight w,
+    and the C prefix, its binomial moments and both Pless sides cover
+    moment orders h <= h_max.
     No __slots__: the cached properties live in the instance __dict__."""
 
     @cached_property
@@ -142,19 +141,20 @@ class PlessInstance(_PlessFields):
     def solve_powers(self) -> tuple[list[int], list[int]]:
         """(B-hat^k, A^k) for k = 0..h_max by running products, B-hat = B - sigma c;
         both solves index them."""
-        poly = family_polynomial(self.family, self.field.q)
-        return _powers(self.consts.B - poly.sigma * poly.shift, self.h_max), _powers(self.consts.A, self.h_max)
+        consts = self.consts
+        return _powers(consts.B - consts.sigma * consts.shift, self.h_max), _powers(consts.A, self.h_max)
 
 
 def build_instance(family: CosetFamily, n: int, field: Field, h_max: int = MAX_H) -> PlessInstance:
-    """Constants, profile, cross-checked dual weights, and the C prefix to min(N, h_max)."""
+    """The instance's record, profile, cross-checked dual weights, and the C
+    prefix to min(N, h_max); the record is derived here, once."""
     if not 0 <= h_max <= MAX_H:
         raise ValueError(f"h_max capped at {MAX_H}, got {h_max}")
     consts = family_constants(family, n, field.q)
-    profile = trace_profile(family, n, field)
-    weights = Counter(dual_weights(family, n, profile)[1:])  # the units a = 1..q-1
+    profile = trace_profile(consts, field)
+    weights = Counter(dual_weights(consts, profile)[1:])  # the units a = 1..q-1
     c_prefix = weight_distribution_prefix(profile, min(consts.N, h_max))
-    return PlessInstance(family, n, field, consts, profile, weights, c_prefix, h_max)
+    return PlessInstance(field, consts, profile, weights, c_prefix, h_max)
 
 
 def _prefix_side(instance: PlessInstance, h: int, coefficient: Callable[[int, int], int]) -> int:
@@ -183,7 +183,7 @@ def pless_rhs(instance: PlessInstance, h: int) -> int:
     if remainder:
         from fractions import Fraction  # imports decimal and numbers; only words the error
 
-        tag = instance.family.tag(instance.n, instance.field.q)
+        tag = instance.consts.tag
         raise ArithmeticError(f"Pless right side not integral at h={h} for {tag}: {Fraction(scaled, 3**h)}")
     return total
 
@@ -197,7 +197,7 @@ def _printed_coefficient(h: int, t: int) -> int:
 
 def check_pless_identity(instance: PlessInstance) -> list[CheckResult]:
     """lhs == rhs for 1 <= h <= instance.h_max, plus the h = 0 dimension check."""
-    label = instance.family.tag(instance.n, instance.field.q)
+    label = instance.consts.tag
     out = [CheckResult(f"pless_rhs_h0_counts_dual({label})", instance.rhs[0], instance.field.q)]
     for h in range(1, instance.h_max + 1):
         out.append(CheckResult(f"pless_identity({label},h={h})", instance.lhs[h], instance.rhs[h]))
@@ -231,8 +231,8 @@ def _solve(
 ) -> MomentSeries:
     """Back-substitute the dual-weight expansion for steps 1..steps.
 
-    The dual weight is (2/3)(N - S) with S = sigma A (K^p + c) the family
-    polynomial, that is (2/3) A (B-hat + tau K^p) with tau = -sigma and
+    The dual weight is (2/3)(N - S) with S = sigma A (K^p + c) the record's
+    double-coset sum, that is (2/3) A (B-hat + tau K^p) with tau = -sigma and
     B-hat = B - sigma c.  So the h-th moment expands as
     2 (2/3)^h A^h sum_l tau^l C(h, l) B-hat^(h-l) M_l with M_l the l-th
     entry of the moment series; target(h) is A^h times that sum over l, as
@@ -243,10 +243,10 @@ def _solve(
     """
     if not 1 <= steps <= instance.h_max:
         raise ValueError(f"h_max must be in 1..{instance.h_max}, got {steps}")
-    family, q = instance.family, instance.field.q
-    tau = -family_polynomial(family, q).sigma
+    consts = instance.consts
+    tau = -consts.sigma
     b_powers, a_powers = instance.solve_powers
-    solved = [(q - 1) // 2]  # SK^0, whatever the stride
+    solved = [(consts.q - 1) // 2]  # SK^0, whatever the stride
     for h in range(1, steps + 1):
         rest = sum(tau**l * comb(h, l) * b_powers[h - l] * solved[l] for l in range(h))
         num, den = target(h)
@@ -256,9 +256,9 @@ def _solve(
         if remainder:
             from fractions import Fraction
 
-            raise NonIntegralStep(f"{what} at step {h} for {family.tag(instance.n, q)}: {Fraction(num, den)}")
+            raise NonIntegralStep(f"{what} at step {h} for {consts.tag}: {Fraction(num, den)}")
         solved.append(value)
-    return MomentSeries(_series_orders(family, steps), tuple(solved[1:]))
+    return MomentSeries(_series_orders(consts.family, steps), tuple(solved[1:]))
 
 
 def sk_via_pless(instance: PlessInstance, steps: int) -> MomentSeries:
@@ -293,7 +293,7 @@ def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[Momen
 def sk_oracle_series(instance: PlessInstance, steps: int) -> MomentSeries:
     """The same orders filled straight from the Kloosterman table; reads the
     instance's family and field only, never its weights or prefix."""
-    field, orders = instance.field, _series_orders(instance.family, steps)
+    field, orders = instance.field, _series_orders(instance.consts.family, steps)
     values = tuple(sk_moment(field, h) for h in orders)
     return MomentSeries(orders, values)
 
@@ -305,20 +305,20 @@ def verify_instance(family: CosetFamily, n: int, field: Field, h_max: int) -> di
     """Run every exact check for one instance, the identity for h <= h_max
     and the solved moment orders SK^h with h <= h_max, and return its entry
     of the verify document: "instance", "checks" and "SK"."""
-    label = family.tag(n, field.q)
     instance = build_instance(family, n, field, h_max)
     consts = instance.consts
-    printed = printed_column_counts(family, n, field)
+    label = consts.tag
+    printed = printed_column_counts(consts, field)
     checks = [
-        check_constants_consistency(family, n, field.q, consts),
+        check_constants_consistency(consts),
         CheckResult(f"profile_mass({label})", instance.profile.length, consts.N),
-        check_printed_columns(family, n, instance.profile, printed),
+        check_printed_columns(consts, instance.profile, printed),
         CheckResult(
             f"printed_prefix({label})",
             weight_prefix_from_printed_columns(printed, len(instance.c_prefix) - 1),
             instance.c_prefix,
         ),
-        check_injectivity(family, n, field, instance.weights),
+        check_injectivity(consts, instance.weights),
         *check_pless_identity(instance),
     ]
 
@@ -340,7 +340,7 @@ def verify_instance(family: CosetFamily, n: int, field: Field, h_max: int) -> di
         )
         sk = [[h, v] for h, v in zip(sk_series.orders, sk_series.values)]
     return {
-        "instance": {"family": family.label, "n": n, "q": field.q, "A": consts.A, "B": consts.B, "N": consts.N},
+        "instance": consts.as_dict(),
         "checks": [c.as_dict() for c in checks],
         "SK": sk,
     }

@@ -45,3 +45,31 @@ def _duality_failures(field, m, delta=None):
 @pytest.fixture
 def duality_failures():
     return _duality_failures
+
+
+@pytest.fixture
+def cold_caches():
+    """Every ``kloos`` ``lru_cache`` cleared before the test."""
+    for name, module in list(sys.modules.items()):
+        if name == "kloos" or name.startswith("kloos."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@pytest.fixture
+def family_constants_calls(monkeypatch):
+    """The arguments of every `family_constants` call while the test runs,
+    counted in every ``kloos.*`` namespace that binds the name."""
+    import kloos.constants
+
+    calls, derive = [], kloos.constants.family_constants
+
+    def spy(*args):
+        calls.append(args)
+        return derive(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "kloos" or name.startswith("kloos.")) and getattr(module, "family_constants", None) is derive:
+            monkeypatch.setattr(module, "family_constants", spy)
+    return calls

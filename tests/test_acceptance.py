@@ -18,7 +18,7 @@ from kloos.codes import (
     weight_distribution_prefix,
     weight_prefix_from_printed_columns,
 )
-from kloos.constants import ALL_FAMILIES, CosetFamily, exact_div, family_constants, family_polynomial
+from kloos.constants import ALL_FAMILIES, CosetFamily, exact_div, family_constants
 from kloos.field import Field, char_transform
 from kloos.groups import double_coset, enumerate_o2_minus, enumerate_q, enumerate_so2_minus
 from kloos.moments import build_instance, full_verification, sk_via_pless, sk_via_printed_recursion
@@ -44,10 +44,10 @@ def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
 
 
 def _closed_weight(family: CosetFamily, n: int, field: Field, a: int) -> int:
-    """w(c(a)) = (2/3)(N - S(a)), the family polynomial at the brute-force
-    K(a^2), so apart from the Kloosterman table."""
+    """w(c(a)) = (2/3)(N - S(a)), the record's double-coset sum at the
+    brute-force K(a^2), so apart from the Kloosterman table."""
     consts = family_constants(family, n, field.q)
-    s = family_polynomial(family, field.q).coset_sum(consts.A, kloosterman(field, field.mul(a, a)))
+    s = consts.coset_sum(kloosterman(field, field.mul(a, a)))
     return exact_div(2 * (consts.N - s), 3)
 
 
@@ -120,7 +120,7 @@ def test_criterion_2_pless_identities_and_weight_routes(capsys, verification):
         field = Field(r)
         for family in ALL_FAMILIES:
             for n in family.valid_ns(N_MAX):
-                via_profile = dual_weights_from_profile(trace_profile(family, n, field))
+                via_profile = dual_weights_from_profile(trace_profile(family_constants(family, n, field.q), field))
                 ok &= via_profile[0] == 0
                 for a in field.units():
                     ok &= _closed_weight(family, n, field, a) == via_profile[a]
@@ -168,7 +168,7 @@ def test_criterion_3_group_bruteforce_q3(capsys):
 
     for family, n in BRUTE_Q3_INSTANCES:
         gset = double_coset(field, family, n)
-        profile = trace_profile(family, n, field)
+        profile = trace_profile(family_constants(family, n, field.q), field)
         ok &= gset.order == profile.length
         ok &= gset.trace_histogram() == profile.counts
         ok &= check_orthogonal_relation(gset).ok
@@ -191,10 +191,9 @@ def test_criterion_4_group_character_sums(capsys):
     for family, n in BRUTE_Q3_INSTANCES:
         # S(a) = sum over the coset of lambda(a Tr w): the transform of its trace histogram
         sums = char_transform(field, double_coset(field, family, n).trace_histogram())
-        poly = family_polynomial(family, field.q)
-        a_const = family_constants(family, n, field.q).A
+        consts = family_constants(family, n, field.q)
         for a in field.units():
-            ok &= sums[a] == poly.coset_sum(a_const, kloosterman(field, field.mul(a, a)))
+            ok &= sums[a] == consts.coset_sum(kloosterman(field, field.mul(a, a)))
             points += 1
     _verdict(
         capsys,
@@ -233,9 +232,10 @@ def test_criterion_6_reference_distribution_three_ways(capsys):
     field = Field(1)
     family = CosetFamily(1, -1)
     expected = [1, 4, 6, 8, 8]
-    profile = trace_profile(family, 1, field)
+    consts = family_constants(family, 1, field.q)
+    profile = trace_profile(consts, field)
     via_dp = weight_distribution_prefix(profile, profile.length)
-    via_printed = weight_prefix_from_printed_columns(printed_column_counts(family, 1, field), profile.length)
+    via_printed = weight_prefix_from_printed_columns(printed_column_counts(consts, field), profile.length)
     via_enum = enumerate_code_tiny(profile)
     ok = via_dp == via_printed == via_enum == expected
     _verdict(
@@ -284,8 +284,8 @@ def test_criterion_8_representation_independence(capsys):
     ok &= moment_series(base, H_MAX) == moment_series(alt, H_MAX)
     for family in ALL_FAMILIES:
         for n in family.valid_ns(N_MAX):
-            prof_a = trace_profile(family, n, base)
-            prof_b = trace_profile(family, n, alt)
+            prof_a = trace_profile(family_constants(family, n, base.q), base)
+            prof_b = trace_profile(family_constants(family, n, alt.q), alt)
             ok &= prof_a.counts[0] == prof_b.counts[0]
             ok &= sorted(prof_a.counts) == sorted(prof_b.counts)
             weights_a = sorted(_closed_weight(family, n, base, a) for a in base.units())

@@ -18,7 +18,7 @@ from kloos.charsums import (
     sk_moment,
 )
 from kloos.codes import trace_profile
-from kloos.constants import CosetFamily
+from kloos.constants import CosetFamily, family_constants
 from kloos.field import Field, _monic_polys, char_sum, find_factor
 from kloos.groups import double_coset, enumerate_o2_minus, enumerate_so2_minus
 
@@ -375,7 +375,7 @@ def test_per_element_vectors_are_element_indexed_tuples(args, data):
     q = F.q
     table, at_squares = kloosterman_table(F), kloosterman_squares(F)
     so2, o2 = enumerate_so2_minus(F), enumerate_o2_minus(F)
-    circle = trace_profile(CosetFamily(1, -1), 1, F)  # SO^-(2, q) is the DC1- coset at n = 1
+    circle = trace_profile(family_constants(CosetFamily(1, -1), 1, q), F)  # SO^-(2, q) is the DC1- coset at n = 1
     vectors = [table, at_squares, so2.trace_histogram(), o2.trace_histogram(), circle.counts]
     vectors += [delta_counts(F, m) for m in range(DELTA_MAX_M + 1)]
     assert all(type(v) is tuple and len(v) == q for v in vectors)
@@ -391,4 +391,4 @@ def test_per_element_vectors_are_element_indexed_tuples(args, data):
         for family, n in [(CosetFamily(1, 1), 2), (CosetFamily(2, 1), 2), (CosetFamily(3, 1), 2)]:
             gset = double_coset(F, family, n)
             assert sum(gset.trace_histogram()) == gset.order
-            assert gset.trace_histogram() == trace_profile(family, n, F).counts, family.label
+            assert gset.trace_histogram() == trace_profile(family_constants(family, n, q), F).counts, family.label

@@ -21,7 +21,7 @@ import kloos.cli
 import kloos.codes
 import kloos.moments
 from kloos.cli import EXIT_BROKEN_PIPE, main
-from kloos.constants import ALL_FAMILIES, MAX_N, CosetFamily
+from kloos.constants import ALL_FAMILIES, MAX_N, CosetFamily, family_constants
 from kloos.field import Field
 from kloos.moments import NonIntegralStep
 
@@ -140,13 +140,19 @@ def test_verify_passes(capsys):
     assert len(payload["instances"]) == 4
 
 
+def test_verify_instances_are_the_constants_entries(capsys):
+    constants = run_json(capsys, "constants", "--r", "2", "--nmax", "6")["constants"]
+    verify = run_json(capsys, "verify", "--r", "2", "--nmax", "6")
+    assert [entry["instance"] for entry in verify["instances"]] == constants
+
+
 @pytest.mark.parametrize("r", ["1", "2", "3"])
 def test_check_names_carry_the_instance_tag(capsys, r):
     payload = run_json(capsys, "verify", "--r", r, "--nmax", "4")
     assert payload["passed"] is True
     for entry in payload["instances"]:
         inst = entry["instance"]
-        tag = CosetFamily.parse(inst["family"]).tag(inst["n"], inst["q"])
+        tag = family_constants(CosetFamily.parse(inst["family"]), inst["n"], inst["q"]).tag
         assert tag == f"{inst['family']},n={inst['n']},q={payload['q']}"
         assert entry["checks"] and all(tag in check["name"] for check in entry["checks"]), tag
 
@@ -317,14 +323,11 @@ def test_series_order_above_cap_refused_before_field(capsys, built_fields, comma
         ("verify", "--r", "1", "--nmax", str(MAX_N + 1)),
     ],
 )
-def test_dimension_above_cap_refused_before_field_or_constants(capsys, monkeypatch, built_fields, argv):
-    built_constants = []
-    for module in (kloos.cli, kloos.codes, kloos.moments):
-        monkeypatch.setattr(module, "family_constants", lambda *args: built_constants.append(args))
+def test_dimension_above_cap_refused_before_field_or_constants(capsys, built_fields, family_constants_calls, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: dimension n capped at n <= {MAX_N}, got {MAX_N + 1}\n"
-    assert built_fields == [] and built_constants == []
+    assert built_fields == [] and family_constants_calls == []
 
 
 def test_dimension_cap_admits_max_n(capsys):
@@ -444,7 +447,7 @@ def test_guard_raised_mid_run_leaves_a_prefix(capsys, monkeypatch, tmp_path, job
     solve = kloos.moments.sk_via_pless
 
     def faulty(instance, steps):
-        if (instance.family, instance.n) == third:
+        if (instance.consts.family, instance.consts.n) == third:
             raise NonIntegralStep("injected at the third instance")
         return solve(instance, steps)
 
@@ -608,7 +611,8 @@ def test_verify_stdout_matches_recorded_digest(capsys, workload):
 
 
 # SHA-256 of stdout as json, csv and text, recorded before the K table, K(a^2)
-# and the group histograms became element-indexed tuples
+# and the group histograms became element-indexed tuples; the constants and
+# recursion rows before every layer read one FamilyConstants record per instance
 RECORDED_DIGESTS = {
     "kloosterman --r 1": (
         "0b75cb78a2fbe947e6240f4f2e84163f61ec93b5c65a0b0b76df5d6c0e0d1b55",
@@ -649,6 +653,16 @@ RECORDED_DIGESTS = {
         "e9bdfb2b118123c4e7cff6abb2eedaeb3ab99dbaeaa78b6f411c11781377555b",
         "d697ab7b243d419551f445cfd0ce73e35ebbb23209e46c94073aa808b48c2b2b",
         "a535c3441823d9f26409af63879c902b10098489b82352182351de44a919d703",
+    ),
+    "constants --r 3 --nmax 8": (
+        "2a914683d86fdc02ead362d3b5c48974f64e173f6b81ac087536587483245fdc",
+        "4ea4472ba590c1ee468aea1198572b5881d4f7b97055e65dedb26094bf44d214",
+        "dcea4ec3d6ff5d6f343bdc56b40b804d137c9500e38b577e870e4443a6f42c6c",
+    ),
+    "recursion --r 2 --family DC4- --n 3 --hmax 8": (
+        "aba3096348ccb899c4109dff0b48a45fdce08ca59e787f408715d94c273b6ea5",
+        "39171bfbd67862964eeadb7c3d7c951ce8a35432ab4b6d195be76d66c25fceba",
+        "b03712740dc0ee41a15f07f990c726e6891e27fcd470475316801eed18b80947",
     ),
 }
 

@@ -8,6 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import kloos.codes
+import kloos.constants
 import kloos.moments
 from kloos.charsums import delta_counts
 from kloos.codes import (
@@ -23,7 +24,7 @@ from kloos.codes import (
     weight_prefix_from_printed_columns,
     weight_prefix_macwilliams,
 )
-from kloos.constants import ALL_FAMILIES, CosetFamily, exact_div, family_constants, family_polynomial
+from kloos.constants import ALL_FAMILIES, CosetFamily, exact_div, family_constants
 from kloos.field import Field, char_fibers
 from kloos.groups import double_coset, enumerate_so2_minus
 from kloos.moments import full_verification, verify_instance
@@ -43,14 +44,14 @@ def test_profiles_match_enumerated_histograms():
         (CosetFamily(3, 1), 2),
     ]
     for family, n in cases:
-        profile = trace_profile(family, n, F3)
+        profile = trace_profile(family_constants(family, n, F3.q), F3)
         histogram = double_coset(F3, family, n).trace_histogram()
         assert profile.counts == histogram, family.label
     # Q(2, q) = SO^-(2, q) is the DC1- coset at n = 1, enumerable beyond q = 3;
     # its character sum, the transform of this histogram, is -K(a^2)
     for field in (F9, Field(3)):
         histogram = enumerate_so2_minus(field).trace_histogram()
-        assert trace_profile(CosetFamily(1, -1), 1, field).counts == histogram, field.q
+        assert trace_profile(family_constants(CosetFamily(1, -1), 1, field.q), field).counts == histogram, field.q
 
 
 # the smallest valid n of every family, at q = 3 and q = 9 (default modulus)
@@ -90,15 +91,15 @@ PROFILE_REFERENCE = {
 def test_profile_reference_values():
     for (r, label, n), counts in PROFILE_REFERENCE.items():
         field = F3 if r == 1 else F9
-        assert trace_profile(CosetFamily.parse(label), n, field).counts == counts, (r, label)
+        assert trace_profile(family_constants(CosetFamily.parse(label), n, field.q), field).counts == counts, (r, label)
 
 
 def test_profile_mass_every_family_up_to_n8():
     for field in (F3, F9, F27):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(8):
-                profile = trace_profile(family, n, field)
                 consts = family_constants(family, n, field.q)
+                profile = trace_profile(consts, field)
                 assert profile.length == consts.N
                 assert all(c >= 0 for c in profile.counts)
 
@@ -107,8 +108,9 @@ def test_dual_weights_two_routes_agree():
     for field in (F3, F9, F27):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(6):
-                profile = trace_profile(family, n, field)
-                weights = dual_weights(family, n, profile)  # asserts agreement internally
+                consts = family_constants(family, n, field.q)
+                profile = trace_profile(consts, field)
+                weights = dual_weights(consts, profile)  # asserts agreement internally
                 assert dual_weights_from_profile(profile) == [0] + [weights[a] for a in field.units()]
 
 
@@ -131,8 +133,8 @@ def test_dual_weights_from_profile_match_kernel_count(field, data):
 
 
 def test_dual_weights_raise_on_moved_coordinate():
-    family, n, field = CosetFamily(2, 1), 2, F9
-    honest = trace_profile(family, n, field)
+    consts, field = family_constants(CosetFamily(2, 1), 2, F9.q), F9
+    honest = trace_profile(consts, field)
     # move one coordinate from beta = 1 to beta = 0: same N, other code
     counts = list(honest.counts)
     counts[1] -= 1
@@ -140,7 +142,7 @@ def test_dual_weights_raise_on_moved_coordinate():
     moved = TraceProfile(field, tuple(counts))
     assert moved.length == honest.length
     with pytest.raises(ArithmeticError, match="dual weight mismatch for DC2\\+,n=2,q=9 at a="):
-        dual_weights(family, n, moved)
+        dual_weights(consts, moved)
 
 
 def test_profile_guard_names_the_instance(monkeypatch):
@@ -152,25 +154,20 @@ def test_profile_guard_names_the_instance(monkeypatch):
 
     monkeypatch.setattr(kloos.codes, "delta_counts", shifted)
     with pytest.raises(ArithmeticError, match=r"^profile mass \d+ != N \d+ for DC1-,n=1,q=3$"):
-        trace_profile(CosetFamily(1, -1), 1, F3)
+        trace_profile(family_constants(CosetFamily(1, -1), 1, F3.q), F3)
 
 
-def test_dual_weights_computes_family_constants_once(monkeypatch):
-    profile = trace_profile(CosetFamily(2, -1), 3, F9)
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return family_constants(*args)
-
-    monkeypatch.setattr(kloos.codes, "family_constants", spy)
-    dual_weights(CosetFamily(2, -1), 3, profile)
-    assert len(calls) == 1
+def test_dual_weights_computes_family_constants_once(family_constants_calls):
+    # the one derivation is the record's own: the profile and dual weights read it
+    consts = kloos.constants.family_constants(CosetFamily(2, -1), 3, F9.q)
+    dual_weights(consts, trace_profile(consts, F9))
+    assert len(family_constants_calls) == 1
 
 
 def test_dual_weight_reference_values():
     def dual_weight(family, n, field, a):
-        return dual_weights(family, n, trace_profile(family, n, field))[a]
+        consts = family_constants(family, n, field.q)
+        return dual_weights(consts, trace_profile(consts, field))[a]
 
     assert dual_weight(CosetFamily(1, -1), 1, F3, 1) == 2
     assert dual_weight(CosetFamily(1, -1), 1, F3, 2) == 2
@@ -183,7 +180,8 @@ def test_dual_weights_invariant_under_negation():
     # a and -a square to the same argument, so their dual words share a weight
     for field in (F9, F27):
         family, n = CosetFamily(1, -1), 3
-        weights = dual_weights(family, n, trace_profile(family, n, field))
+        consts = family_constants(family, n, field.q)
+        weights = dual_weights(consts, trace_profile(consts, field))
         for a in field.units():
             assert weights[a] == weights[field.neg(a)]
 
@@ -192,20 +190,21 @@ def test_injectivity_all_instances():
     for field in (F3, F9, F27):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(6):
-                profile = trace_profile(family, n, field)
-                weights = Counter(dual_weights(family, n, profile)[1:])
-                res = check_injectivity(family, n, field, weights)
+                consts = family_constants(family, n, field.q)
+                weights = Counter(dual_weights(consts, trace_profile(consts, field))[1:])
+                res = check_injectivity(consts, weights)
                 assert res.ok, res
                 assert min(weights) > 0
 
 
 def test_weight_prefix_small_code_full_distribution():
-    profile = trace_profile(CosetFamily(1, -1), 1, F3)
+    consts = family_constants(CosetFamily(1, -1), 1, F3.q)
+    profile = trace_profile(consts, F3)
     assert profile.length == 4
     prefix = weight_distribution_prefix(profile, 4)
     assert prefix == [1, 4, 6, 8, 8]
     assert enumerate_code_tiny(profile) == [1, 4, 6, 8, 8]
-    printed = weight_prefix_from_printed_columns(printed_column_counts(CosetFamily(1, -1), 1, F3), 4)
+    printed = weight_prefix_from_printed_columns(printed_column_counts(consts, F3), 4)
     assert printed == [1, 4, 6, 8, 8]
     assert sum(prefix) == 3**3  # dual dimension r = 1: |code| = 3^(N-1)
 
@@ -261,7 +260,7 @@ def test_zero_moments_match_dual_weights_every_instance():
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
                 for k_max in (0, 2, 12):
-                    _check_zero_moments(trace_profile(family, n, field), k_max)
+                    _check_zero_moments(trace_profile(family_constants(family, n, field.q), field), k_max)
 
 
 def test_prefix_reads_no_character(monkeypatch):
@@ -272,8 +271,9 @@ def test_prefix_reads_no_character(monkeypatch):
     for field in FIELDS_R1_TO_R5[2:4]:
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
-                profile = trace_profile(family, n, field)
-                cases.append((family.tag(n, field.q), profile, weight_prefix_macwilliams(profile, 8)))
+                consts = family_constants(family, n, field.q)
+                profile = trace_profile(consts, field)
+                cases.append((consts.tag, profile, weight_prefix_macwilliams(profile, 8)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the weight-prefix DP reached a character route")
@@ -295,7 +295,7 @@ def test_weight_prefix_leading_terms():
     for field in (F3, F9):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
-                profile = trace_profile(family, n, field)
+                profile = trace_profile(family_constants(family, n, field.q), field)
                 prefix = weight_distribution_prefix(profile, 2)
                 assert prefix[0] == 1
                 assert prefix[1] == 2 * profile.counts[0]
@@ -313,8 +313,9 @@ def test_printed_columns_agree_with_profile():
     for field in (F3, F9, F27):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
-                printed = printed_column_counts(family, n, field)
-                res = check_printed_columns(family, n, trace_profile(family, n, field), printed)
+                consts = family_constants(family, n, field.q)
+                printed = printed_column_counts(consts, field)
+                res = check_printed_columns(consts, trace_profile(consts, field), printed)
                 assert res.ok, res
 
 
@@ -323,36 +324,37 @@ def test_printed_prefix_agrees_with_profile_prefix():
     for field in (F3, F9, F27):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(6):
-                profile = trace_profile(family, n, field)
+                consts = family_constants(family, n, field.q)
+                profile = trace_profile(consts, field)
                 j_max = min(profile.length, 8)
                 dp = weight_distribution_prefix(profile, j_max)
-                printed = printed_column_counts(family, n, field)
+                printed = printed_column_counts(consts, field)
                 assert weight_prefix_from_printed_columns(printed, j_max) == dp
                 assert weight_prefix_macwilliams(profile, j_max) == dp
 
 
 def test_prefix_guard_and_tiny_guard():
-    profile = trace_profile(CosetFamily(1, -1), 1, F3)
+    profile = trace_profile(family_constants(CosetFamily(1, -1), 1, F3.q), F3)
     with pytest.raises(ValueError):
         weight_distribution_prefix(profile, 13)
     with pytest.raises(ValueError):
         weight_prefix_macwilliams(profile, 13)
-    big = trace_profile(CosetFamily(2, 1), 2, F3)  # N = 72
+    big = trace_profile(family_constants(CosetFamily(2, 1), 2, F3.q), F3)  # N = 72
     with pytest.raises(ValueError):
         enumerate_code_tiny(big)
 
 
 def test_profile_requires_valid_family():
     with pytest.raises(ValueError):
-        trace_profile(CosetFamily(1, 1), 3, F3)
+        trace_profile(family_constants(CosetFamily(1, 1), 3, F3.q), F3)
 
 
 def test_injectivity_fails_on_zero_weight():
-    family, n = CosetFamily(2, 1), 2
-    weights = Counter(dual_weights(family, n, trace_profile(family, n, F9))[1:])
-    assert check_injectivity(family, n, F9, weights).ok
+    consts = family_constants(CosetFamily(2, 1), 2, F9.q)
+    weights = Counter(dual_weights(consts, trace_profile(consts, F9))[1:])
+    assert check_injectivity(consts, weights).ok
     # the check reads the weights it is given: a zero weight fails it
-    res = check_injectivity(family, n, F9, weights + Counter({0: 1}))
+    res = check_injectivity(consts, weights + Counter({0: 1}))
     assert not res.ok
 
 
@@ -507,9 +509,9 @@ def test_one_shape_per_family_power():
         field = Field(r)
         shapes = {}
         for family in ALL_FAMILIES:
-            power = family_polynomial(family, field.q).power
             for n in family.valid_ns(6):
-                shapes.setdefault(power, set()).add(kloos.codes._split(trace_profile(family, n, field).counts)[2])
+                consts = family_constants(family, n, field.q)
+                shapes.setdefault(consts.power, set()).add(kloos.codes._split(trace_profile(consts, field).counts)[2])
         assert all(len(found) == 1 for found in shapes.values()), r
 
 
@@ -593,7 +595,8 @@ def test_printed_column_counts_match_the_printed_cases(r):
     for field in (Field(r), Field(r, OTHER_MODULI[r])):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(6):
-                assert printed_column_counts(family, n, field).counts == _printed_cases(family, n, field), (r, family, n)
+                printed = printed_column_counts(family_constants(family, n, field.q), field)
+                assert printed.counts == _printed_cases(family, n, field), (r, family, n)
 
 
 @pytest.mark.parametrize("field", FIELDS_R1_TO_R5[2:4], ids=["q27", "q81"])
@@ -622,7 +625,8 @@ def test_prefix_dp_per_field_maps_under_two_moduli():
     rng = random.Random(81)
     fields = (Field(4), Field(4, (1, 0, 1, 1, 1)))
     for field in fields + fields:
-        profiles = [trace_profile(family, family.valid_ns(4)[0], field) for family in ALL_FAMILIES]
+        records = [family_constants(family, family.valid_ns(4)[0], field.q) for family in ALL_FAMILIES]
+        profiles = [trace_profile(consts, field) for consts in records]
         counts = tuple(rng.choice((0, 1, 3, 10**25)) for _ in range(field.q))
         profiles.append(TraceProfile(field, counts))
         for profile in profiles:
@@ -637,8 +641,9 @@ def test_prefix_reads_no_field_addition(monkeypatch):
     for field in FIELDS_R1_TO_R5[2:4]:
         for family in ALL_FAMILIES:
             for n in family.valid_ns(4):
-                profile = trace_profile(family, n, field)
-                cases.append((family.tag(n, field.q), profile, weight_prefix_macwilliams(profile, 8)))
+                consts = family_constants(family, n, field.q)
+                profile = trace_profile(consts, field)
+                cases.append((consts.tag, profile, weight_prefix_macwilliams(profile, 8)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the weight-prefix DP reached a field addition")
@@ -667,7 +672,8 @@ def test_orbit_group_follows_frobenius_invariance(monkeypatch, modulus):
     found = []
     orbits = kloos.codes._orbits
     monkeypatch.setattr(kloos.codes, "_orbits", lambda *args: found.append(orbits(*args)) or found[-1])
-    for counts, n_orbits in ((trace_profile(CosetFamily(2, -1), 3, field).counts, 14), (tuple(even), 41)):
+    family_counts = trace_profile(family_constants(CosetFamily(2, -1), 3, field.q), field).counts
+    for counts, n_orbits in ((family_counts, 14), (tuple(even), 41)):
         kloos.codes._zero_moments.cache_clear()
         assert weight_distribution_prefix(TraceProfile(field, counts), 10) == _prefix_dp_full_rows(field, counts, 10)
         orbit_of, reps = found[-1]
@@ -694,7 +700,7 @@ def test_prefix_depends_on_pair_sums_only():
 
 def test_printed_prefix_fails_on_perturbed_column(monkeypatch):
     family, n, field = CosetFamily(2, 1), 2, F9
-    honest = printed_column_counts(family, n, field)
+    honest = printed_column_counts(family_constants(family, n, field.q), field)
 
     def perturbed(*args):
         # move one coordinate from beta = 1 to beta = 0: same N, other code

@@ -158,6 +158,12 @@ def test_families_sort_by_index_then_sign():
     assert labels == ["DC1-", "DC1+", "DC2-", "DC2+", "DC3-", "DC3+", "DC4-", "DC4+"]
 
 
+def test_all_families_listed_in_label_order():
+    # `constants` and `verify` both list instances in ALL_FAMILIES order, which is the labels' own
+    labels = [f.label for f in ALL_FAMILIES]
+    assert labels == sorted(labels)
+
+
 def test_family_validity_grid():
     valid = {
         (1, 1): [2, 4, 6],
@@ -183,16 +189,16 @@ def test_sigma_index():
 
 def test_family_constants_reference_values():
     # hand-checked instances at q = 3
-    a, b = family_constants(CosetFamily(1, -1), 1, 3)
-    assert (a, b) == (1, 4)
-    a, b = family_constants(CosetFamily(1, 1), 2, 3)
-    assert (a, b) == (54, 12)
-    a, b = family_constants(CosetFamily(2, 1), 2, 3)
-    assert (a, b) == (9, 8)
-    a, b = family_constants(CosetFamily(3, 1), 2, 3)
-    assert (a, b) == (36, 2)
-    a, b = family_constants(CosetFamily(4, -1), 3, 3)
-    assert (a, b) == (2916, 16)
+    consts = family_constants(CosetFamily(1, -1), 1, 3)
+    assert (consts.A, consts.B) == (1, 4)
+    consts = family_constants(CosetFamily(1, 1), 2, 3)
+    assert (consts.A, consts.B) == (54, 12)
+    consts = family_constants(CosetFamily(2, 1), 2, 3)
+    assert (consts.A, consts.B) == (9, 8)
+    consts = family_constants(CosetFamily(3, 1), 2, 3)
+    assert (consts.A, consts.B) == (36, 2)
+    consts = family_constants(CosetFamily(4, -1), 3, 3)
+    assert (consts.A, consts.B) == (2916, 16)
 
 
 def test_family_constants_reject_invalid_n():
@@ -217,7 +223,7 @@ def test_constants_match_double_coset_orders():
     for q in (3, 9):
         for family in ALL_FAMILIES:
             for n in family.valid_ns(8):
-                res = check_constants_consistency(family, n, q, family_constants(family, n, q))
+                res = check_constants_consistency(family_constants(family, n, q))
                 assert res.ok, res
 
 

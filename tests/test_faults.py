@@ -99,11 +99,11 @@ FAULTS = {
         lambda out, field, shape: _bump(out, 1, 1),
         "dual weight mismatch for DC1+,n=2,q=9 at a=1",
     ),
-    "family_constant_a_tripled": (
+    "family_constant_a_tripled": (  # every layer reads the one record, so the instance stays self-consistent
         kloos.moments,
         "family_constants",
         lambda out, family, n, q: out._replace(A=3 * out.A),
-        "solved moment not integral at step 1 for DC1+,n=2,q=9",
+        ["constants_consistency"],
     ),
     "kloosterman_square_entry1_plus_three": (
         kloos.codes,

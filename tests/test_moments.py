@@ -13,7 +13,7 @@ import kloos.cli
 import kloos.codes
 import kloos.moments
 from kloos.charsums import sk_moment
-from kloos.constants import ALL_FAMILIES, CosetFamily, family_constants, family_polynomial, stirling2
+from kloos.constants import ALL_FAMILIES, CosetFamily, family_constants, stirling2
 from kloos.field import Field
 from kloos.moments import (
     MAX_H,
@@ -238,6 +238,13 @@ def test_verify_instance_derives_each_quantity_once(monkeypatch):
         monkeypatch.undo()
 
 
+def test_full_verification_derives_each_record_once(cold_caches, family_constants_calls):
+    instances = [(family, n, F9.q) for family in ALL_FAMILIES for n in family.valid_ns(6)]
+    assert full_verification(F9, 6, 8)["passed"]
+    assert sorted(family_constants_calls) == sorted(instances)
+    assert len(family_constants_calls) == 20
+
+
 def test_verify_builds_printed_columns_once_per_instance(monkeypatch, capsys):
     printed = _spy(monkeypatch, "printed_column_counts")
     code = kloos.cli.main(["verify", "--r", "2", "--nmax", "6", "--jobs", "1"])
@@ -326,8 +333,8 @@ def _fraction_prefix_side(instance, h, coefficient):
 
 def _fraction_solve(instance, steps, target):
     """tau^h M_h = target(h) - sum_{l<h} tau^l C(h, l) B-hat^(h-l) M_l from M_0 = (q-1)/2."""
-    poly = family_polynomial(instance.family, instance.field.q)
-    tau, b_hat = -poly.sigma, instance.consts.B - poly.sigma * poly.shift
+    consts = instance.consts
+    tau, b_hat = -consts.sigma, consts.B - consts.sigma * consts.shift
     solved = [Fraction(instance.field.q - 1, 2)]
     for h in range(1, steps + 1):
         rest = sum(tau**l * comb(h, l) * b_hat ** (h - l) * solved[l] for l in range(h))
@@ -338,7 +345,7 @@ def _fraction_solve(instance, steps, target):
 def _check_integer_route(inst):
     """Both prefix sides for h <= 10 and both series for 10 steps against the rational formulas."""
     field, a_const = inst.field, inst.consts.A
-    label = (inst.family.label, inst.n, field.q)
+    label = inst.consts.tag
 
     def pless_coefficient(h, t, j):
         return Fraction(3) ** (field.r - t) * 2 ** (t - j)
