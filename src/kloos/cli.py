@@ -75,10 +75,10 @@ def _element_keys(field: Field) -> list[str]:
     return keys
 
 
-def _build_field(args, cap: Callable[[int], None] | None = None) -> Field:
-    """The command's field; ``cap(q)`` refuses q before the field is built."""
+def _build_field(args, *caps: Callable[[int], None]) -> Field:
+    """The command's field; each ``cap(q)``, in turn, refuses q before the field is built."""
     modulus = _parse_modulus(args.modulus)
-    if cap is not None and 1 <= args.r <= MAX_DEGREE:
+    for cap in caps if 1 <= args.r <= MAX_DEGREE else ():
         cap(3**args.r)
     return Field(args.r, modulus)
 
@@ -148,7 +148,7 @@ def cmd_weights(args) -> tuple[dict, list[list], int]:
     family = CosetFamily.parse(args.family)
     if not 0 <= args.jmax <= PREFIX_MAX_J:
         raise ValueError(f"--jmax {args.jmax} outside 0..{PREFIX_MAX_J}")
-    field = _build_field(args, check_prefix_dp_q)
+    field = _build_field(args, check_prefix_dp_q, lambda q: family.check_n(args.n))
     consts = family_constants(family, args.n, field.q)
     profile = trace_profile(consts, field)
     weights = dual_weights(consts, profile)
@@ -228,7 +228,7 @@ def cmd_recursion(args) -> tuple[dict, list[list], int]:
         raise ValueError(f"--hmax {args.hmax} leaves no solvable moment for {family.label}")
     if steps > MAX_H:
         raise ValueError(f"--hmax {args.hmax} takes {steps} steps for {family.label}, capped at {MAX_H}")
-    field = _build_field(args, check_prefix_dp_q)
+    field = _build_field(args, check_prefix_dp_q, lambda q: family.check_n(args.n))
     instance = build_instance(family, args.n, field, steps)
     derived = sk_via_pless(instance, steps)
     printed, defects = sk_via_printed_recursion(instance, steps)

@@ -215,25 +215,25 @@ def _ratio_polynomials(j_max: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, polys[: j_max + 1]))
 
 
-def _orbits(field: Field, y: list[int], neg: list[int]) -> tuple[list[int], list[int]]:
-    """(orbit_of, reps) for the group G that y is invariant under:
-    <Frobenius, -1> when y(beta^3) = y(beta) for every beta, else {+-1}
-    (neg, the map beta -> -beta, is digit by digit).  Frobenius is the
+def _orbits(field: Field, y: list[int], neg: list[int]) -> list[list[int]]:
+    """The orbits, in the order found, of the group G that y is invariant
+    under: <Frobenius, -1> when y(beta^3) = y(beta) for every beta, else
+    {+-1} (neg, the map beta -> -beta, is digit by digit).  Frobenius is the
     `linear_map` of the images of the basis elements 3^i, so it is additive
-    by construction.  Orbit 0 is {0}."""
+    by construction.  Each orbit is led by its least element; orbit 0 is [0]."""
     frob = linear_map([field.pow(3**i, 3) for i in range(field.r)])
     maps = [neg, frob] if [y[b] for b in frob] == y else [neg]
-    orbit_of, reps = [-1] * field.q, []
+    seen, orbits = [False] * field.q, []
     for s in field.elements():
-        if orbit_of[s] < 0:
-            orbit_of[s], orbit = len(reps), [s]
+        if not seen[s]:
+            seen[s], orbit = True, [s]
             for x in orbit:
                 for g in maps:
-                    if orbit_of[g[x]] < 0:
-                        orbit_of[g[x]] = len(reps)
+                    if not seen[g[x]]:
+                        seen[g[x]] = True
                         orbit.append(g[x])
-            reps.append(s)
-    return orbit_of, reps
+            orbits.append(orbit)
+    return orbits
 
 
 @lru_cache(maxsize=16)
@@ -244,7 +244,7 @@ def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> tuple[in
 
     Y(0) = N - N(0), Y(beta) = M_c and (Y f)(s) = sum of Y(beta) f(s - beta).
     The maps of `_orbits` are additive and fix Y, so on functions constant
-    on their orbits Y is one integer matrix: row s, one per representative,
+    on their orbits Y is one integer matrix: row s, one per orbit led by s,
     adds Y(beta) into the column of the orbit of s - beta, and m_k is entry
     0 of its k-th product with the indicator of {0}.
     """
@@ -252,13 +252,10 @@ def _zero_moments(field: Field, counts: tuple[int, ...], k_max: int) -> tuple[in
     y = [sum(counts) - counts[0], *(counts[b] + counts[neg[b]] for b in field.units())]
     if k_max < 3:  # m_2 = sum of Y(beta) Y(-beta), Y being even: no matrix needed
         return (1, y[0], sum(b * b for b in y))[: k_max + 1]
-    orbit_of, reps = _orbits(field, y, neg)
-    members = [[] for _ in reps]
-    for x in field.elements():
-        members[orbit_of[x]].append(x)
-    at_rows = (list(map(y.__getitem__, translates(field.r, s, 2))) for s in reps)  # at[t] = Y(s - t)
-    rows = [[sum(map(at.__getitem__, orbit)) for orbit in members] for at in at_rows]
-    f, moments = [1] + [0] * (len(reps) - 1), [1]
+    orbits = _orbits(field, y, neg)
+    at_rows = (list(map(y.__getitem__, translates(field.r, orbit[0], 2))) for orbit in orbits)  # at[t] = Y(s - t)
+    rows = [[sum(map(at.__getitem__, orbit)) for orbit in orbits] for at in at_rows]
+    f, moments = [1] + [0] * (len(orbits) - 1), [1]
     for _ in range(k_max):
         f = [sum(map(mul, row, f)) for row in rows]
         moments.append(f[0])

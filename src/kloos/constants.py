@@ -113,6 +113,11 @@ class CosetFamily(_FamilyKey):
             return False
         return n >= (1 if self.i == 1 else 3)
 
+    def check_n(self, n: int) -> None:
+        """Refuse a dimension parameter n this family does not admit."""
+        if not self.valid_n(n):
+            raise ValueError(f"n={n} is not valid for family {self.label}")
+
     def valid_ns(self, n_max: int) -> list[int]:
         return [n for n in range(1, n_max + 1) if self.valid_n(n)]
 
@@ -196,8 +201,7 @@ def _even_product(q: int, terms: int) -> int:
 
 def family_constants(family: CosetFamily, n: int, q: int) -> FamilyConstants:
     """The record of a valid (family, n, q): its exact (A, B) and (sigma, power, shift)."""
-    if not family.valid_n(n):
-        raise ValueError(f"n={n} is not valid for family {family.label}")
+    family.check_n(n)
     i = family.i
     if family.sign > 0:
         half = (n - 2) // 2

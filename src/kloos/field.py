@@ -382,7 +382,7 @@ class Field:
             hist[exp[(i + z) % n] if z >= 0 else 0] += 1
         return hist
 
-    # -- identity -------------------------------------------------------------
+    # -- identity: (r, modulus), so a copy unpickled with its tables hits every per-field cache
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and (self.r, self.modulus) == (other.r, other.modulus)
@@ -392,15 +392,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(q=3^{self.r}, modulus={poly_str(self.modulus)})"
-
-    def __reduce__(self):
-        return (_unpickled_field, (self.r, self.modulus))
-
-
-@lru_cache(maxsize=8)
-def _unpickled_field(r: int, modulus: tuple[int, ...]) -> Field:
-    """One Field per (r, modulus) per process: a worker builds each field once, not once per task."""
-    return Field(r, modulus)
 
 
 def real_char_value(counts: Sequence[int]) -> int:

@@ -191,8 +191,7 @@ def double_coset(field: Field, family: CosetFamily, n: int, eps: int | None = No
     check_double_coset_q(field.q)
     if n > 2:
         raise ValueError(f"double coset enumeration capped at n <= 2, got n={n}")
-    if not family.valid_n(n):
-        raise ValueError(f"n={n} is not valid for family {family.label}")
+    family.check_n(n)
     qset = enumerate_q(field, n, eps)
     left = [sigma_columns(x, family.sigma_index(n)) for x in qset.elements]
     products = {mat_mul(field, xs, y) for xs, y in product(left, qset.elements)}

@@ -222,13 +222,9 @@ def _series_orders(family: CosetFamily, steps: int) -> tuple[int, ...]:
     return tuple(stride * h for h in range(1, steps + 1))
 
 
-class NonIntegralStep(ArithmeticError):
-    """A step of the moment solve whose value is not an integer."""
-
-
 def _solve(
     instance: PlessInstance, steps: int, target: Callable[[int], tuple[int, int]], what: str
-) -> MomentSeries:
+) -> tuple[MomentSeries | None, list[str]]:
     """Back-substitute the dual-weight expansion for steps 1..steps.
 
     The dual weight is (2/3)(N - S) with S = sigma A (K^p + c) the record's
@@ -238,8 +234,8 @@ def _solve(
     entry of the moment series; target(h) is A^h times that sum over l, as
     a pair (numerator, positive denominator) of integers, and the powers of
     A and B-hat are the instance's `solve_powers`.  Each step is one exact
-    division; the first step whose value is not an integer raises
-    NonIntegralStep, worded "<what> at step h for <instance>: <Fraction>".
+    division.  Returns (series, []), or (None, ["<what> at step h for
+    <instance>: <Fraction>"]) at the first step that is not integral.
     """
     if not 1 <= steps <= instance.h_max:
         raise ValueError(f"h_max must be in 1..{instance.h_max}, got {steps}")
@@ -256,9 +252,9 @@ def _solve(
         if remainder:
             from fractions import Fraction
 
-            raise NonIntegralStep(f"{what} at step {h} for {consts.tag}: {Fraction(num, den)}")
+            return None, [f"{what} at step {h} for {consts.tag}: {Fraction(num, den)}"]
         solved.append(value)
-    return MomentSeries(_series_orders(consts.family, steps), tuple(solved[1:]))
+    return MomentSeries(_series_orders(consts.family, steps), tuple(solved[1:])), []
 
 
 def sk_via_pless(instance: PlessInstance, steps: int) -> MomentSeries:
@@ -266,9 +262,13 @@ def sk_via_pless(instance: PlessInstance, steps: int) -> MomentSeries:
 
     steps counts recursion steps: families 1, 3 produce SK^1..SK^steps,
     families 2, 4 produce SK^2, SK^4, .., SK^(2 steps).  A non-integral
-    step raises NonIntegralStep.
+    step raises ArithmeticError with the solve's defect.
     """
-    return _solve(instance, steps, lambda h: (instance.rhs[h] * 3**h, 2 ** (h + 1)), "solved moment not integral")
+    what = "solved moment not integral"
+    series, defects = _solve(instance, steps, lambda h: (instance.rhs[h] * 3**h, 2 ** (h + 1)), what)
+    if series is None:
+        raise ArithmeticError(defects[0])
+    return series
 
 
 def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[MomentSeries | None, list[str]]:
@@ -283,11 +283,7 @@ def sk_via_printed_recursion(instance: PlessInstance, steps: int) -> tuple[Momen
     def target(h: int) -> tuple[int, int]:
         return instance.field.q * _prefix_side(instance, h, _printed_coefficient), 2 ** (2 * h + 1)
 
-    try:
-        series = _solve(instance, steps, target, "printed recursion non-integral")
-    except NonIntegralStep as defect:
-        return None, [str(defect)]
-    return series, []
+    return _solve(instance, steps, target, "printed recursion non-integral")
 
 
 def sk_oracle_series(instance: PlessInstance, steps: int) -> MomentSeries:

@@ -23,7 +23,6 @@ import kloos.moments
 from kloos.cli import EXIT_BROKEN_PIPE, main
 from kloos.constants import ALL_FAMILIES, MAX_N, CosetFamily, family_constants
 from kloos.field import Field
-from kloos.moments import NonIntegralStep
 
 
 @pytest.fixture
@@ -371,9 +370,14 @@ def test_weights_and_recursion_refuse_family_and_hmax_before_field(capsys, built
         (("weights", "--family", "DC2-", "--n", "3", "--jmax", "-1"), "--jmax -1 outside 0..12"),
         (("recursion", "--family", "DC2+", "--n", "2", "--hmax", "22"), "--hmax 22 takes 11 steps for DC2+, capped at 10"),
         (("recursion", "--family", "DC1-", "--n", "1", "--hmax", "11"), "--hmax 11 takes 11 steps for DC1-, capped at 10"),
+        (("weights", "--family", "DC1+", "--n", "3"), "n=3 is not valid for family DC1+"),
+        (("recursion", "--family", "DC2-", "--n", "2", "--hmax", "8"), "n=2 is not valid for family DC2-"),
     ]:
         code, out, err = run_cli(capsys, *argv, "--r", "9")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+    # the family's n is refused before the modulus is
+    code, out, err = run_cli(capsys, "weights", "--r", "2", "--family", "DC1+", "--n", "3", "--modulus", "1,0,0")
+    assert (code, out, err) == (2, "", "error: n=3 is not valid for family DC1+\n")
     assert built_fields == []
 
 
@@ -448,7 +452,7 @@ def test_guard_raised_mid_run_leaves_a_prefix(capsys, monkeypatch, tmp_path, job
 
     def faulty(instance, steps):
         if (instance.consts.family, instance.consts.n) == third:
-            raise NonIntegralStep("injected at the third instance")
+            raise ArithmeticError("injected at the third instance")
         return solve(instance, steps)
 
     # patched where kloos.moments calls it: patching kloos.codes or the home
@@ -707,6 +711,18 @@ def test_verify_builds_one_field(capsys, monkeypatch, built_fields, jobs):
     payload = run_json(capsys, "verify", "--r", "2", "--nmax", "6", "--jobs", jobs)
     assert payload["passed"] and len(payload["instances"]) == 20
     assert built_fields == [2]
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_without_fork_matches_serial(capsys, monkeypatch, method):
+    # a worker that inherits nothing gets each field from its task's pickle
+    argv = ["verify", "--r", "2", "--nmax", "4", "--hmax", "8", "--jobs"]
+    serial = run_cli(capsys, *argv, "1")
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+    monkeypatch.setattr(kloos.moments, "_available_cpus", lambda: 2)
+    assert run_cli(capsys, *argv, "2") == serial
+    assert serial[0] == 0
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("r", range(1, 7))

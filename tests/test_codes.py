@@ -676,11 +676,12 @@ def test_orbit_group_follows_frobenius_invariance(monkeypatch, modulus):
     for counts, n_orbits in ((family_counts, 14), (tuple(even), 41)):
         kloos.codes._zero_moments.cache_clear()
         assert weight_distribution_prefix(TraceProfile(field, counts), 10) == _prefix_dp_full_rows(field, counts, 10)
-        orbit_of, reps = found[-1]
-        sizes = Counter(orbit_of)  # a key -1 would be an element left out of every orbit
-        assert len(reps) == n_orbits == len(sizes)
-        assert all(2 * field.r % size == 0 for size in sizes.values())  # |<Frobenius, -1>| = 2r
-        assert all(orbit_of[rep] == i for i, rep in enumerate(reps))
+        listed = found[-1]
+        assert sorted(b for orbit in listed for b in orbit) == list(field.elements())  # a partition
+        assert len(listed) == n_orbits
+        assert all(2 * field.r % len(orbit) == 0 for orbit in listed)  # |<Frobenius, -1>| = 2r
+        assert listed[0] == [0] and all(orbit[0] == min(orbit) for orbit in listed)  # led by the least
+        assert [orbit[0] for orbit in listed] == sorted(orbit[0] for orbit in listed)  # in the order found
 
 
 def test_prefix_depends_on_pair_sums_only():

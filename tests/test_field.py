@@ -3,7 +3,7 @@ import random
 import re
 import subprocess
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import lru_cache
 from math import gcd
 
@@ -249,15 +249,14 @@ def test_linear_tables_match_their_definitions(r, modulus):
     frob = linear_map([F.pow(3**i, 3) for i in range(r)])
     index = _dual_index(F)
     # a constant y is Frobenius-invariant, so the orbits are those of <Frobenius, -1>
-    orbit_of = _orbits(F, [1] * F.q, translates(r, 0, 2))[0]
-    members = defaultdict(set)
-    for b in F.elements():
-        members[orbit_of[b]].add(b)
+    orbits = _orbits(F, [1] * F.q, translates(r, 0, 2))
+    orbit_of = {b: set(orbit) for orbit in orbits for b in orbit}
+    assert sum(map(len, orbits)) == len(orbit_of) == F.q  # every element in exactly one orbit
     for b in F.elements():
         assert times_g[b] == F._mul_raw(g, b)
         assert F._trace[b] == frobenius_trace(F, b)
         assert frob[b] == F.pow(b, 3)
-        assert members[orbit_of[b]] == {F.pow(c, 3**k) for c in (b, F.neg(b)) for k in range(r)}
+        assert orbit_of[b] == {F.pow(c, 3**k) for c in (b, F.neg(b)) for k in range(r)}
         assert [index[b] // 3**j % 3 for j in range(r)] == [frobenius_trace(F, F._mul_raw(b, 3**j)) for j in range(r)]
     assert all(F._exp[k + 1] == F._mul_raw(F._exp[k], g) for k in range(F.q - 2))
 
@@ -337,13 +336,19 @@ def test_basis_independence_of_trace_multiset():
     assert len(F_a.squares()) == len(F_b.squares())
 
 
-def test_field_identity_and_pickle():
+def test_field_identity_and_pickle(monkeypatch):
     F = Field(2)
     assert F == Field(2)
     assert F != Field(2, (1, 0, 1))
-    clone = pickle.loads(pickle.dumps(F))
-    assert clone == F
-    assert pickle.loads(pickle.dumps(F)) is clone  # built once per process
+    data = pickle.dumps(F)
+
+    def rebuild(*args):
+        raise AssertionError("unpickling called Field.__init__")
+
+    monkeypatch.setattr(Field, "__init__", rebuild)
+    clone = pickle.loads(data)
+    assert clone == F and hash(clone) == hash(F)
+    assert vars(clone) == vars(F)  # the pickle carries the tables, not a recipe
     assert clone.trace(5) == F.trace(5)
 
 

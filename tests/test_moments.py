@@ -379,7 +379,7 @@ def test_verify_instance_builds_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("Fraction built on the success path")
 
-    # moments imports Fraction only at its raise sites, from the module patched here
+    # moments imports Fraction only where it words a remainder, from the module patched here
     monkeypatch.setattr(fractions, "Fraction", no_fraction)
     for field in (F3, F9):
         for family in ALL_FAMILIES:
